@@ -16,11 +16,10 @@ it towards 0.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import xlogy
 
-from ._util import parallel_map
-from .feature_map import FeatureMapConfig, embed
-from .kernels import embedding_matrix, fidelity_gram_values
-from .statevector import reduce_to_qubit
+from .feature_map import FeatureMapConfig
+from .kernels import embedding_matrix, fidelity_gram_values, reduced_component_table
 
 LN2 = float(np.log(2.0))
 
@@ -39,9 +38,8 @@ def expressibility(
     including the i = j diagonal, then subtracts the Haar term. Values
     near 0 indicate a 2-design-like embedding.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     amplitudes = embedding_matrix(points, cfg, cap=cap, threads=threads)
-    fidelities = fidelity_gram_values(amplitudes) if points.shape[0] > 1 else np.ones((1, 1))
+    fidelities = fidelity_gram_values(amplitudes)
     return float(np.mean(fidelities**2) - haar_second_moment(cfg.n_qubits))
 
 
@@ -59,24 +57,21 @@ def relative_entropy_to_mixed(rho) -> float:
     return float(min(max(total, 0.0), LN2))
 
 
+def component_relative_entropy(table) -> np.ndarray:
+    """S(rho || I/2) in nats for every one-qubit state of a (..., 3)
+    component table, from the closed-form eigenvalues
+    1/2 +- sqrt((d - 1/2)^2 + re^2 + im^2), clamped as in
+    :func:`relative_entropy_to_mixed`."""
+    d, re, im = np.moveaxis(np.asarray(table, dtype=float), -1, 0)
+    radius = np.sqrt((d - 0.5) ** 2 + re**2 + im**2)
+    lo, hi = np.clip(0.5 - radius, 0.0, 1.0), np.clip(0.5 + radius, 0.0, 1.0)
+    return np.clip(LN2 + xlogy(lo, lo) + xlogy(hi, hi), 0.0, LN2)
+
+
 def mean_relative_entropy(
     points, cfg: FeatureMapConfig, cap: int | None = None, threads: int = 1
 ) -> float:
-    """Relative entropy to the maximally mixed state, averaged first over
-    the n one-qubit reduced states of each embedded point, then over the
-    dataset."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-
-    def one(x) -> float:
-        state = embed(x, cfg, cap=cap)
-        return float(
-            np.mean(
-                [
-                    relative_entropy_to_mixed(reduce_to_qubit(state, k))
-                    for k in range(cfg.n_qubits)
-                ]
-            )
-        )
-
-    per_point = parallel_map(one, points, threads)
-    return float(np.mean(per_point))
+    """Relative entropy to the maximally mixed state, averaged over the n
+    one-qubit reduced states of every embedded point."""
+    table = reduced_component_table(points, cfg, cap=cap, threads=threads)
+    return float(np.mean(component_relative_entropy(table)))

@@ -50,7 +50,6 @@ from .kernels import (
     components_to_matrices,
     gram_matrix,
     kernel_statistics,
-    reduced_component_table,
 )
 from .measurement import NoiseModel, sample_gram
 from .resources import (
@@ -240,12 +239,7 @@ def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> 
         threads=threads,
     )
     stats = kernel_statistics(kernel)
-    if family == PROJECTED:
-        table = reduced_component_table(
-            subset.features, fmap, cap=cap, threads=threads
-        )
-    else:
-        table = None
+    table = kernel.component_table
     dataset_level = dataset_budget(
         kernel, eps=eps, p_spread=p_spread, p_ca=p_ca,
         noise=noise if noise.p_error > 0 else None, rho_table=table,

@@ -8,6 +8,11 @@ carries no trainable parameters; it is a function of the data alone.
 
 A data point is a plain 1-D float array with at least ``n_qubits`` finite
 entries; only the first ``n_qubits`` features are encoded.
+
+All points are simulated together: one matmul of the (m, n + P) angle
+table with the (n + P, 2**n) Z-sign table gives every point's phases, and
+the Hadamard layers run as an in-place Walsh-Hadamard butterfly over fixed
+row blocks of the (m, 2**n) amplitude batch.
 """
 
 from __future__ import annotations
@@ -16,17 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import parallel_map
 from .statevector import (
     ConfigurationError,
     StateVector,
-    apply_diagonal_phase,
-    apply_hadamard_layer,
-    vacuum_state,
+    check_qubit_count,
+    qubit_components,
+    walsh_hadamard,
 )
 
 LINEAR = "linear"
 FULL = "full"
 ENTANGLEMENT_STRATEGIES = (LINEAR, FULL)
+
+# amplitudes per row block of the batched path (2 MB of complex128); larger
+# blocks made the butterfly no faster but raised peak memory by their
+# per-thread temporaries
+ROW_BLOCK_AMPLITUDES = 2**17
 
 
 @dataclass(frozen=True)
@@ -59,15 +70,21 @@ class FeatureMapConfig:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _as_features(x, n_qubits: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size < n_qubits:
+def angle_table(points, cfg: FeatureMapConfig) -> np.ndarray:
+    """(m, n + P) rotation angles of m data points: ``x_i`` for each of the
+    n qubits, then ``(pi - x_i) * (pi - x_j)`` for each of the P coupled
+    pairs in :meth:`FeatureMapConfig.pair_indices` order."""
+    n = cfg.n_qubits
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    if x.shape[1] < n:
         raise ValueError(
-            f"data point has {x.size} features, need at least {n_qubits}"
+            f"data point has {x.shape[1]} features, need at least {n}"
         )
-    if not np.all(np.isfinite(x[:n_qubits])):
+    x = x[:, :n]
+    if not np.all(np.isfinite(x)):
         raise ValueError("data point contains non-finite features")
-    return x[:n_qubits]
+    i, j = np.array(cfg.pair_indices(), dtype=int).reshape(-1, 2).T
+    return np.concatenate([x, (np.pi - x[:, i]) * (np.pi - x[:, j])], axis=1)
 
 
 def encoding_angles(x, cfg: FeatureMapConfig):
@@ -76,20 +93,20 @@ def encoding_angles(x, cfg: FeatureMapConfig):
     Returns ``(singles, pairs)`` where ``singles[i] = x_i`` and
     ``pairs[(i, j)] = (pi - x_i) * (pi - x_j)`` for every coupled pair.
     """
-    feats = _as_features(x, cfg.n_qubits)
-    singles = feats.copy()
-    pairs = {
-        (i, j): (np.pi - feats[i]) * (np.pi - feats[j])
-        for i, j in cfg.pair_indices()
-    }
-    return singles, pairs
+    row = angle_table(np.reshape(x, (1, -1)), cfg)[0]
+    n = cfg.n_qubits
+    return row[:n], dict(zip(cfg.pair_indices(), row[n:]))
 
 
-def _z_sign_table(n_qubits: int) -> np.ndarray:
-    """(n, 2**n) table of Z eigenvalues: +1 where the qubit's bit is 0."""
-    idx = np.arange(2**n_qubits)
-    bits = (idx[None, :] >> np.arange(n_qubits)[:, None]) & 1
-    return 1.0 - 2.0 * bits
+def sign_table(cfg: FeatureMapConfig) -> np.ndarray:
+    """(n + P, 2**n) Z eigenvalues matching :func:`angle_table`: ``z_i(b)``
+    for each qubit, then ``z_i(b) z_j(b)`` for each coupled pair, where
+    ``z_i(b) = +1`` when bit ``i`` of ``b`` is 0."""
+    n = cfg.n_qubits
+    bits = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1
+    z = 1.0 - 2.0 * bits
+    i, j = np.array(cfg.pair_indices(), dtype=int).reshape(-1, 2).T
+    return np.concatenate([z, z[i] * z[j]])
 
 
 def phase_profile(x, cfg: FeatureMapConfig) -> np.ndarray:
@@ -98,20 +115,48 @@ def phase_profile(x, cfg: FeatureMapConfig) -> np.ndarray:
     Entry ``b`` is ``sum_i singles[i] z_i(b) + sum_(i,j) pairs[i,j] z_i(b) z_j(b)``
     with ``z_i(b) = +1`` when bit ``i`` of ``b`` is 0.
     """
-    singles, pairs = encoding_angles(x, cfg)
-    signs = _z_sign_table(cfg.n_qubits)
-    phases = singles @ signs
-    for (i, j), angle in pairs.items():
-        phases += angle * signs[i] * signs[j]
-    return phases
+    return angle_table(np.reshape(x, (1, -1)), cfg)[0] @ sign_table(cfg)
+
+
+def embed_batch(
+    points, cfg: FeatureMapConfig, components: bool = False,
+    cap: int | None = None, threads: int = 1,
+) -> np.ndarray:
+    """Embed every data point, one fixed row block at a time.
+
+    Returns the (m, 2**n) amplitude matrix, or with ``components`` the
+    (m, n, 3) table of :func:`qubit_components`, for which amplitudes live
+    one block at a time. Blocks go to ``threads`` pool threads; their
+    boundaries depend on (m, n) only, so results are bit-identical for any
+    thread count.
+    """
+    angles = angle_table(points, cfg)
+    check_qubit_count(cfg.n_qubits, cap)
+    signs = sign_table(cfg)
+    m, n = angles.shape[0], cfg.n_qubits
+    out = np.empty((m, n, 3)) if components else np.empty((m, 2**n), dtype=complex)
+    step = max(1, ROW_BLOCK_AMPLITUDES >> n)
+
+    def one(start: int) -> None:
+        rows = slice(start, start + step)
+        # H|0...0> is the uniform superposition, so the first repetition is
+        # the scaled rotation itself; the 2**(-n/2) of later Hadamard layers
+        # rides on the rotation too
+        rotation = np.exp(1j * (angles[rows] @ signs)) * 2.0 ** (-n / 2)
+        amps = np.empty_like(rotation) if components else out[rows]
+        amps[...] = rotation
+        for _ in range(cfg.repetitions - 1):
+            walsh_hadamard(amps, n)
+            amps *= rotation
+        if components:
+            out[rows] = qubit_components(amps, n)
+
+    parallel_map(one, range(0, m, step), threads)
+    return out
 
 
 def embed(x, cfg: FeatureMapConfig, cap: int | None = None) -> StateVector:
     """Embed a data point: apply ``repetitions`` blocks of (Hadamard layer,
     diagonal phase) to the vacuum state."""
-    phases = phase_profile(x, cfg)
-    state = vacuum_state(cfg.n_qubits, cap=cap)
-    for _ in range(cfg.repetitions):
-        state = apply_hadamard_layer(state)
-        state = apply_diagonal_phase(state, phases)
-    return state
+    amps = embed_batch(np.reshape(x, (1, -1)), cfg, cap=cap)
+    return StateVector(cfg.n_qubits, amps[0])

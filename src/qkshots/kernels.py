@@ -19,15 +19,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
-from ._util import parallel_map
-from .feature_map import FeatureMapConfig, embed
+from .feature_map import FeatureMapConfig, embed_batch
 from .statevector import (
     ConfigurationError,
     ReducedDensityMatrix,
     StateVector,
     inner_product,
-    reduce_to_qubit,
 )
 
 FIDELITY = "fidelity"
@@ -40,7 +39,9 @@ class KernelMatrix:
     """Symmetric m x m kernel matrix plus the configuration that produced it.
 
     ``metadata`` records provenance (dataset id, sampling parameters, ...);
-    exact and shot-estimated matrices share this container.
+    exact and shot-estimated matrices share this container. An exact
+    projected matrix also keeps the (m, n, 3) ``component_table`` it was
+    built from, so callers need not embed the points again.
     """
 
     values: np.ndarray
@@ -48,6 +49,7 @@ class KernelMatrix:
     config: FeatureMapConfig
     gamma: float | None = None
     metadata: dict = field(default_factory=dict)
+    component_table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in KERNEL_FAMILIES:
@@ -114,9 +116,7 @@ def embedding_matrix(
     points, cfg: FeatureMapConfig, cap: int | None = None, threads: int = 1
 ) -> np.ndarray:
     """Embed every data point once; rows are statevector amplitudes."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    states = parallel_map(lambda x: embed(x, cfg, cap=cap), points, threads)
-    return np.stack([s.amplitudes for s in states])
+    return embed_batch(points, cfg, cap=cap, threads=threads)
 
 
 def reduced_component_table(
@@ -124,18 +124,10 @@ def reduced_component_table(
 ) -> np.ndarray:
     """(m, n_qubits, 3) table of reduced-matrix components per data point.
 
-    The last axis holds (population, Re offdiag, Im offdiag).
+    The last axis holds (population, Re offdiag, Im offdiag). Amplitudes
+    live one row block at a time.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-
-    def one(x):
-        state = embed(x, cfg, cap=cap)
-        return [
-            reduce_to_qubit(state, k).components for k in range(cfg.n_qubits)
-        ]
-
-    rows = parallel_map(one, points, threads)
-    return np.asarray(rows, dtype=float)
+    return embed_batch(points, cfg, components=True, cap=cap, threads=threads)
 
 
 def components_to_matrices(row: np.ndarray) -> list[ReducedDensityMatrix]:
@@ -155,7 +147,9 @@ def _symmetrised(upper: np.ndarray) -> np.ndarray:
 
 def fidelity_gram_values(embeddings: np.ndarray) -> np.ndarray:
     """|<psi_j|psi_i>|^2 for all pairs, bit-exactly symmetric, unit diagonal."""
-    overlaps = embeddings @ embeddings.conj().T
+    # Hermitian rank-k product: only the upper triangle, and no conjugated
+    # copy of the (m, 2**n) embeddings
+    overlaps = zherk(1.0, np.asarray(embeddings, dtype=complex).T, trans=2)
     values = np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
     return _symmetrised(values)
 
@@ -186,6 +180,7 @@ def gram_matrix(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {points.shape[0]}")
+    table = None
     if family == FIDELITY:
         values = fidelity_gram_values(
             embedding_matrix(points, cfg, cap=cap, threads=threads)
@@ -205,6 +200,7 @@ def gram_matrix(
         config=cfg,
         gamma=gamma_out,
         metadata=dict(metadata or {}),
+        component_table=table,
     )
 
 

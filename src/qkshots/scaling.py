@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset, select_features
-from .kernels import (
-    FIDELITY,
-    PROJECTED,
-    gram_matrix,
-    kernel_statistics,
-    reduced_component_table,
-)
+from .kernels import gram_matrix, kernel_statistics
 from .measurement import NoiseModel
 from .shot_bounds import dataset_budget
 from .statevector import ConfigurationError
@@ -224,14 +218,9 @@ def sweep(
         columns["median"].append(stats.median)
         columns["iqr"].append(stats.iqr)
         if include_budgets:
-            table = (
-                reduced_component_table(subset.features, cfg, cap=cap, threads=threads)
-                if family == PROJECTED
-                else None
-            )
             budget = dataset_budget(
                 kernel, eps=eps, p_spread=p_spread, p_ca=p_ca, noise=noise,
-                rho_table=table,
+                rho_table=kernel.component_table,
             )
             columns["n_spread"].append(float(budget.n_spread))
             columns["n_ca"].append(float(budget.n_ca))

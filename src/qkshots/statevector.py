@@ -9,7 +9,8 @@ Conventions used throughout the package:
   (overlap magnitudes, reduced matrices) is insensitive to it.
 
 States are pure and immutable; operations return new :class:`StateVector`
-instances. Memory is the only hard limit, enforced by a configurable qubit
+instances; the batched path works in place on (rows, 2**n) amplitude
+blocks instead. Memory is the only hard limit, enforced by a configurable qubit
 cap (default 14, i.e. 16384 amplitudes).
 """
 
@@ -22,7 +23,6 @@ DEFAULT_QUBIT_CAP = 14
 _NORM_TOL = 1e-10
 _HERMITICITY_TOL = 1e-10
 _EIGENVALUE_TOL = -1e-10
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 class ConfigurationError(ValueError):
@@ -138,31 +138,45 @@ class ReducedDensityMatrix:
         return f"ReducedDensityMatrix(population={d:.6g}, offdiag={r:.6g}{i:+.6g}j)"
 
 
-def vacuum_state(n_qubits: int, cap: int | None = None) -> StateVector:
-    """All-zeros computational basis state on ``n_qubits`` qubits.
-
-    Raises :class:`ConfigurationError` when ``n_qubits`` is outside
-    ``[1, cap]``; the cap (default ``DEFAULT_QUBIT_CAP``) bounds memory use.
-    """
+def check_qubit_count(n_qubits: int, cap: int | None = None) -> None:
+    """Raise :class:`ConfigurationError` when ``n_qubits`` is outside
+    ``[1, cap]``; the cap (default ``DEFAULT_QUBIT_CAP``) bounds memory use."""
     limit = DEFAULT_QUBIT_CAP if cap is None else cap
     if not 1 <= n_qubits <= limit:
         raise ConfigurationError(
             f"n_qubits must be in [1, {limit}], got {n_qubits}"
         )
+
+
+def vacuum_state(n_qubits: int, cap: int | None = None) -> StateVector:
+    """All-zeros computational basis state on ``n_qubits`` qubits, within the
+    qubit cap of :func:`check_qubit_count`."""
+    check_qubit_count(n_qubits, cap)
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
 
 
+def walsh_hadamard(block: np.ndarray, n_qubits: int) -> None:
+    """Apply an unnormalised Hadamard gate to every qubit of every row of a
+    C-contiguous (rows, 2**n) amplitude block, in place. A Hadamard layer
+    is this butterfly times ``2**(-n/2)``."""
+    rows = block.shape[0]
+    for k in range(n_qubits):
+        # index b = high * 2**(k+1) + bit_k * 2**k + low
+        halves = block.reshape(rows, -1, 2, 2**k)
+        lo, hi = halves[:, :, 0], halves[:, :, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+
+
 def apply_hadamard_layer(state: StateVector) -> StateVector:
     """Apply a Hadamard gate to every qubit."""
     n = state.n_qubits
-    tensor = state.amplitudes.reshape((2,) * n)
-    for axis in range(n):
-        lo = np.take(tensor, 0, axis=axis)
-        hi = np.take(tensor, 1, axis=axis)
-        tensor = np.stack((lo + hi, lo - hi), axis=axis) * _INV_SQRT2
-    return StateVector(n, tensor.reshape(-1))
+    amps = state.amplitudes.reshape(1, -1).copy()
+    walsh_hadamard(amps, n)
+    return StateVector(n, amps[0] * 2.0 ** (-n / 2))
 
 
 def apply_diagonal_phase(state: StateVector, phases) -> StateVector:
@@ -194,3 +208,19 @@ def reduce_to_qubit(state: StateVector, k: int) -> ReducedDensityMatrix:
     blocks = state.amplitudes.reshape(2 ** (n - 1 - k), 2, 2**k)
     rho = np.einsum("hil,hjl->ij", blocks, blocks.conj())
     return ReducedDensityMatrix(rho)
+
+
+def qubit_components(block: np.ndarray, n_qubits: int) -> np.ndarray:
+    """(rows, n, 3) one-qubit reduced-matrix components of every row of a
+    (rows, 2**n) amplitude block: per qubit, the |0> population and the
+    real and imaginary parts of the upper off-diagonal entry."""
+    rows = block.shape[0]
+    out = np.empty((rows, n_qubits, 3))
+    probs = block.real**2 + block.imag**2
+    for k in range(n_qubits):
+        out[:, k, 0] = probs.reshape(rows, -1, 2, 2**k)[:, :, 0].sum(axis=(1, 2))
+        halves = block.reshape(rows, -1, 2, 2**k)
+        coherence = np.einsum("rhl,rhl->r", halves[:, :, 0], halves[:, :, 1].conj())
+        out[:, k, 1] = coherence.real
+        out[:, k, 2] = coherence.imag
+    return out

@@ -9,6 +9,7 @@ from qkshots import (
     mean_relative_entropy,
     relative_entropy_to_mixed,
 )
+from qkshots.characteristics import component_relative_entropy
 
 LN2 = np.log(2.0)
 
@@ -64,6 +65,23 @@ class TestRelativeEntropy:
                 ReducedDensityMatrix.from_components(d, r, i)
             )
             assert -1e-12 <= value <= LN2 + 1e-12
+
+    def test_component_table_matches_single_matrix_form(self):
+        rng = np.random.default_rng(13)
+        rows = [(1.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.0)]
+        for _ in range(200):
+            d = rng.uniform(0, 1)
+            radius = np.sqrt(d * (1 - d)) * rng.uniform(0, 1)
+            angle = rng.uniform(0, 2 * np.pi)
+            rows.append((d, radius * np.cos(angle), radius * np.sin(angle)))
+        table = np.array(rows).reshape(-1, 2, 3)
+        got = component_relative_entropy(table)
+        assert got.shape == (len(rows) // 2, 2)
+        want = [
+            relative_entropy_to_mixed(ReducedDensityMatrix.from_components(*row))
+            for row in rows
+        ]
+        assert np.max(np.abs(got.reshape(-1) - want)) < 1e-12
 
     def test_mean_over_dataset_in_range(self):
         rng = np.random.default_rng(5)
