@@ -53,12 +53,14 @@ from .measurement import (
     sample_tomography,
 )
 from .shot_bounds import (
+    EntryBudgets,
     ErrorBudget,
     ShotBudget,
     ShotCount,
     dataset_budget,
     entry_budget_fq,
     entry_budget_pq,
+    entry_budgets,
     epsilon_r_from_components,
     epsilon_r_from_kernel,
     error_budget,
@@ -85,6 +87,7 @@ from .scaling import (
     sweep,
 )
 from .characteristics import (
+    embedding_diagnostics,
     expressibility,
     haar_second_moment,
     mean_relative_entropy,

@@ -20,6 +20,7 @@ from scipy.special import xlogy
 
 from .feature_map import FeatureMapConfig
 from .kernels import embedding_matrix, fidelity_gram_values, reduced_component_table
+from .statevector import qubit_components
 
 LN2 = float(np.log(2.0))
 
@@ -39,8 +40,12 @@ def expressibility(
     near 0 indicate a 2-design-like embedding.
     """
     amplitudes = embedding_matrix(points, cfg, cap=cap, threads=threads)
+    return _expressibility(amplitudes, cfg.n_qubits)
+
+
+def _expressibility(amplitudes: np.ndarray, n_qubits: int) -> float:
     fidelities = fidelity_gram_values(amplitudes)
-    return float(np.mean(fidelities**2) - haar_second_moment(cfg.n_qubits))
+    return float(np.mean(fidelities**2) - haar_second_moment(n_qubits))
 
 
 def relative_entropy_to_mixed(rho) -> float:
@@ -75,3 +80,14 @@ def mean_relative_entropy(
     one-qubit reduced states of every embedded point."""
     table = reduced_component_table(points, cfg, cap=cap, threads=threads)
     return float(np.mean(component_relative_entropy(table)))
+
+
+def embedding_diagnostics(
+    points, cfg: FeatureMapConfig, cap: int | None = None, threads: int = 1
+) -> tuple[float, float]:
+    """(expressibility, mean relative entropy) from one embedding of the
+    points: the component table is read off the same amplitude rows."""
+    amplitudes = embedding_matrix(points, cfg, cap=cap, threads=threads)
+    table = qubit_components(amplitudes, cfg.n_qubits)
+    entropy = float(np.mean(component_relative_entropy(table)))
+    return _expressibility(amplitudes, cfg.n_qubits), entropy

@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .characteristics import expressibility, mean_relative_entropy
+from .characteristics import embedding_diagnostics
 from .datasets import (
     Dataset,
     generate_random_angles,
@@ -45,9 +45,8 @@ from .datasets import (
 from .feature_map import ENTANGLEMENT_STRATEGIES, FeatureMapConfig
 from .kernels import (
     FIDELITY,
-    KERNEL_FAMILIES,
     PROJECTED,
-    components_to_matrices,
+    check_family,
     gram_matrix,
     kernel_statistics,
 )
@@ -68,12 +67,7 @@ from .serialize import (
     write_kernel_csv,
     write_series_csv,
 )
-from .shot_bounds import (
-    dataset_budget,
-    entry_budget_fq,
-    entry_budget_pq,
-    error_budget,
-)
+from .shot_bounds import dataset_budget, entry_budgets, error_budget
 from .statevector import ConfigurationError
 
 
@@ -163,11 +157,7 @@ def _resolve_feature_map(config: dict, n_qubits: int | None = None) -> FeatureMa
 
 def _resolve_kernel(config: dict) -> tuple[str, float]:
     section = _section(config, "kernel")
-    family = section.get("family", FIDELITY)
-    if family not in KERNEL_FAMILIES:
-        raise ConfigurationError(
-            f"kernel.family must be one of {KERNEL_FAMILIES}, got {family!r}"
-        )
+    family = check_family(section.get("family", FIDELITY), "kernel.family")
     gamma = float(section.get("gamma", 1.0))
     if family == PROJECTED and gamma <= 0:
         raise ConfigurationError(f"kernel.gamma must be > 0, got {gamma}")
@@ -239,33 +229,15 @@ def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> 
         threads=threads,
     )
     stats = kernel_statistics(kernel)
-    table = kernel.component_table
     dataset_level = dataset_budget(
         kernel, eps=eps, p_spread=p_spread, p_ca=p_ca,
-        noise=noise if noise.p_error > 0 else None, rho_table=table,
+        noise=noise if noise.p_error > 0 else None,
+        rho_table=kernel.component_table,
     )
-
-    entries = []
-    m = kernel.m
-    noise_arg = noise if noise.p_error > 0 else None
-    rhos = (
-        [components_to_matrices(table[i]) for i in range(m)]
-        if table is not None
-        else None
-    )
-    for i in range(m):
-        for j in range(i + 1, m):
-            if family == FIDELITY:
-                budget = entry_budget_fq(
-                    kernel.values[i, j], eps, stats.iqr, p_spread, p_ca,
-                    noise=noise_arg, n_qubits=fmap.n_qubits,
-                )
-            else:
-                budget = entry_budget_pq(
-                    rhos[i], rhos[j], gamma, eps, stats.iqr, p_spread, p_ca,
-                    noise=noise_arg,
-                )
-            entries.append({"i": i, "j": j, **budget.to_dict()})
+    entries = entry_budgets(
+        family, kernel.values, eps, stats.iqr, p_spread, p_ca, noise.p_error,
+        table=kernel.component_table, gamma=gamma, n_qubits=fmap.n_qubits,
+    ).entries()
 
     p_budget = error_budget(
         family, stats.median, eps, stats.iqr, n_qubits=fmap.n_qubits
@@ -423,10 +395,11 @@ def cmd_characterize(config: dict, out_dir: Path, seed: int, threads: int) -> li
     for n in n_values:
         subset = select_features(dataset, n)
         fmap = _resolve_feature_map({"feature_map": fm_section}, n_qubits=n)
-        expr.append(expressibility(subset.features, fmap, cap=cap, threads=threads))
-        entropy.append(
-            mean_relative_entropy(subset.features, fmap, cap=cap, threads=threads)
+        expressive, entangled = embedding_diagnostics(
+            subset.features, fmap, cap=cap, threads=threads
         )
+        expr.append(expressive)
+        entropy.append(entangled)
     meta = {
         "dataset_id": dataset.dataset_id,
         "repetitions": int(fm_section.get("repetitions", 1)),

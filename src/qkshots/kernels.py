@@ -24,7 +24,6 @@ from scipy.linalg.blas import zherk
 from .feature_map import FeatureMapConfig, embed_batch
 from .statevector import (
     ConfigurationError,
-    ReducedDensityMatrix,
     StateVector,
     inner_product,
 )
@@ -32,6 +31,16 @@ from .statevector import (
 FIDELITY = "fidelity"
 PROJECTED = "projected"
 KERNEL_FAMILIES = (FIDELITY, PROJECTED)
+
+
+def check_family(family: str, name: str = "family") -> str:
+    """Return ``family`` if it names a kernel family, else raise a
+    ConfigurationError; ``name`` is the field the message reports."""
+    if family not in KERNEL_FAMILIES:
+        raise ConfigurationError(
+            f"{name} must be one of {KERNEL_FAMILIES}, got {family!r}"
+        )
+    return family
 
 
 @dataclass
@@ -52,10 +61,7 @@ class KernelMatrix:
     component_table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.family not in KERNEL_FAMILIES:
-            raise ConfigurationError(
-                f"family must be one of {KERNEL_FAMILIES}, got {self.family!r}"
-            )
+        check_family(self.family)
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError(f"kernel matrix must be square, got {vals.shape}")
@@ -130,13 +136,6 @@ def reduced_component_table(
     return embed_batch(points, cfg, components=True, cap=cap, threads=threads)
 
 
-def components_to_matrices(row: np.ndarray) -> list[ReducedDensityMatrix]:
-    """Rebuild ReducedDensityMatrix objects from one table row (n, 3)."""
-    return [
-        ReducedDensityMatrix.from_components(d, r, i) for d, r, i in row
-    ]
-
-
 def _symmetrised(upper: np.ndarray) -> np.ndarray:
     """Mirror the strict upper triangle and set the diagonal to exactly 1."""
     sym = np.triu(upper, k=1)
@@ -181,19 +180,15 @@ def gram_matrix(
     if points.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {points.shape[0]}")
     table = None
-    if family == FIDELITY:
+    if check_family(family) == FIDELITY:
         values = fidelity_gram_values(
             embedding_matrix(points, cfg, cap=cap, threads=threads)
         )
         gamma_out = None
-    elif family == PROJECTED:
+    else:
         table = reduced_component_table(points, cfg, cap=cap, threads=threads)
         values = projected_gram_values(table, gamma)
         gamma_out = gamma
-    else:
-        raise ConfigurationError(
-            f"family must be one of {KERNEL_FAMILIES}, got {family!r}"
-        )
     return KernelMatrix(
         values=values,
         family=family,

@@ -30,9 +30,8 @@ from ._util import parallel_map
 from .feature_map import FeatureMapConfig
 from .kernels import (
     FIDELITY,
-    PROJECTED,
-    KERNEL_FAMILIES,
     KernelMatrix,
+    check_family,
     embedding_matrix,
     fidelity_gram_values,
     projected_gram_values,
@@ -197,13 +196,9 @@ def total_shot_count(family: str, m: int, n_shots: int) -> int:
     Fidelity estimates each of the m(m-1)/2 independent entries with
     n_shots runs; projected tomography spends 3 n_shots runs per data
     point."""
-    if family == FIDELITY:
+    if check_family(family) == FIDELITY:
         return n_shots * m * (m - 1) // 2
-    if family == PROJECTED:
-        return 3 * m * n_shots
-    raise ConfigurationError(
-        f"family must be one of {KERNEL_FAMILIES}, got {family!r}"
-    )
+    return 3 * m * n_shots
 
 
 def sample_gram(
@@ -230,7 +225,7 @@ def sample_gram(
     if m < 2:
         raise ValueError(f"need at least 2 points, got {m}")
 
-    if family == FIDELITY:
+    if check_family(family) == FIDELITY:
         exact = fidelity_gram_values(
             embedding_matrix(points, cfg, cap=cap, threads=threads)
         )
@@ -250,7 +245,7 @@ def sample_gram(
         values = sym + sym.T
         np.fill_diagonal(values, 1.0)
         gamma_out = None
-    elif family == PROJECTED:
+    else:
         table = reduced_component_table(points, cfg, cap=cap, threads=threads)
 
         def tomo(i):
@@ -266,10 +261,6 @@ def sample_gram(
         estimated = np.asarray(parallel_map(tomo, range(m), threads))
         values = projected_gram_values(estimated, gamma)
         gamma_out = gamma
-    else:
-        raise ConfigurationError(
-            f"family must be one of {KERNEL_FAMILIES}, got {family!r}"
-        )
 
     return KernelMatrix(
         values=values,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feature_map import FULL, FeatureMapConfig
-from .kernels import FIDELITY, PROJECTED, KERNEL_FAMILIES
+from .kernels import FIDELITY, PROJECTED, check_family
 from .measurement import total_shot_count
 from .statevector import ConfigurationError
 
@@ -140,13 +140,9 @@ def circuit_depth(cfg: FeatureMapConfig, family: str) -> int:
     embed_layers = cfg.repetitions * (
         1 + pair_layer_count(cfg.n_qubits, cfg.entanglement)
     )
-    if family == FIDELITY:
+    if check_family(family) == FIDELITY:
         return 2 * embed_layers
-    if family == PROJECTED:
-        return embed_layers + 1
-    raise ConfigurationError(
-        f"family must be one of {KERNEL_FAMILIES}, got {family!r}"
-    )
+    return embed_layers + 1
 
 
 def logical_error_rate(code_distance: int, physical_error_rate: float) -> float:
@@ -232,13 +228,9 @@ def quantum_cost(
 
 
 def _entry_count(family: str, m: int) -> int:
-    if family == FIDELITY:
+    if check_family(family) == FIDELITY:
         return m * (m - 1) // 2
-    if family == PROJECTED:
-        return m
-    raise ConfigurationError(
-        f"family must be one of {KERNEL_FAMILIES}, got {family!r}"
-    )
+    return m
 
 
 def classical_cost(

@@ -25,6 +25,8 @@ probabilities towards their mixed-state values, the spread numerator picks
 up a factor 4 (the error budget consumes half the allowed deviation) and
 the binomial variance must be replaced by its worst-case bound.
 
+Per-entry budgets are array functions: :func:`entry_budgets` computes all
+pairs of a kernel matrix at once; the one-pair budgets are its m = 2 case.
 All bounds return integer shot counts: ceilings of the real-valued
 expressions (with a 1e-9 guard against floating dust), floored at 1.
 """
@@ -42,8 +44,8 @@ from scipy.special import ndtri
 from .kernels import (
     FIDELITY,
     PROJECTED,
-    KERNEL_FAMILIES,
     KernelMatrix,
+    check_family,
     kernel_statistics,
     projected_kernel,
 )
@@ -51,15 +53,18 @@ from .measurement import (
     NoiseModel,
     depolarized_component_probability,
     depolarized_fidelity_probability,
-    measured_proportions,
 )
-from .statevector import ConfigurationError, ReducedDensityMatrix
+from .statevector import ConfigurationError
 
 PQ_CONCENTRATION_VALUE = 0.5  # measured tomography proportions concentrate here
 FQ_CONCENTRATION_VALUE = 0.0
 
 _CEIL_GUARD = 1e-9
 _SEARCH_CAP = 1 << 50
+
+# projected pairs are budgeted in blocks of whole kernel rows holding about
+# this many (pair, qubit) cells, so temporaries stay O(block) whatever m is
+PAIR_BLOCK = 2**16
 
 
 class ShotCount(int):
@@ -82,7 +87,12 @@ def _ceil_shots(x: float, degenerate: bool = False) -> ShotCount:
     return ShotCount(max(1, math.ceil(x - _CEIL_GUARD)), degenerate)
 
 
-def _check_spread_params(eps: float, delta_ensemble: float, p_spread: float) -> None:
+def _ceil_array(x):
+    """``_ceil_shots`` elementwise, as integer-valued floats."""
+    return np.maximum(1.0, np.ceil(x - _CEIL_GUARD))
+
+
+def _spread_denominator(eps: float, delta_ensemble: float, p_spread: float) -> float:
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
     if delta_ensemble <= 0.0:
@@ -92,6 +102,7 @@ def _check_spread_params(eps: float, delta_ensemble: float, p_spread: float) -> 
         )
     if not 0.0 < p_spread < 1.0:
         raise ValueError(f"p_spread must be in (0, 1), got {p_spread}")
+    return (1.0 - p_spread) * eps**2 * delta_ensemble**2
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -99,63 +110,94 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
+def _check_gamma(gamma: float) -> None:
+    if gamma <= 0:
+        raise ConfigurationError(f"gamma must be > 0, got {gamma}")
+
+
 # ---------------------------------------------------------------------------
 # spread bounds
 # ---------------------------------------------------------------------------
+
+def _proportions(table, p_error: float = 0.0) -> np.ndarray:
+    """Measured proportions (z, x, y) = (d, re + 1/2, 1/2 - im) of a
+    (..., 3) component table, depolarised towards 1/2 by ``p_error``."""
+    table = np.asarray(table, dtype=float)
+    props = np.stack([table[..., 0], table[..., 1] + 0.5, 0.5 - table[..., 2]], axis=-1)
+    return depolarized_component_probability(props, p_error) if p_error else props
+
+
+def _pair_table(rho_x, rho_y) -> np.ndarray:
+    """(2, n, 3) component table of two reduced-matrix lists."""
+    if len(rho_x) != len(rho_y) or len(rho_x) == 0:
+        raise ValueError("reduced-matrix lists must have equal nonzero length")
+    return np.array([[rho.components for rho in rho_x], [rho.components for rho in rho_y]])
+
+
+def _variance_terms(zx, zy, noise_robust: bool) -> np.ndarray:
+    """Per-qubit V_k of proportion pairs (..., n, 3) -> (..., n).
+
+    With Z the six measured proportions of a qubit pair, the derivative
+    magnitudes are |dX/dZ_i| = 4 |Z_i - Z_(i+-3)| and
+
+        V_k = (sum_i |dX/dZ_i| sqrt(Z_i (1 - Z_i)))^2,
+
+    the closed form of the full variance-plus-covariance double sum. The
+    noise-robust form bounds every variance factor by 1.
+    """
+    grads = 4.0 * np.abs(zx - zy)
+    if noise_robust:
+        return (2.0 * grads.sum(axis=-1)) ** 2
+    weights = (np.sqrt(np.clip(zx * (1.0 - zx), 0.0, None))
+               + np.sqrt(np.clip(zy * (1.0 - zy), 0.0, None)))
+    return (grads * weights).sum(axis=-1) ** 2
+
+
+def _spread_shots(numerator, denominator: float, degenerate):
+    """Chebyshev spread shots numerator / denominator; 1 where degenerate."""
+    return np.where(degenerate, 1.0, _ceil_array(numerator / denominator))
+
+
+def _pq_spread(v_total, n: int, kappa, gamma: float, denominator: float, noisy: bool):
+    """Spread shots and degeneracy (all derivatives vanish) of projected
+    entries from sum_k V_k and the kernel value, both depolarised when
+    ``noisy``."""
+    numerator = (4.0 if noisy else 1.0) * n * gamma**2 * kappa**2 * v_total
+    return _spread_shots(numerator, denominator, v_total == 0.0), v_total == 0.0
+
+
+def _fq_spread(kappa, denominator: float):
+    """Noiseless fidelity spread shots and degeneracy (kappa in {0, 1})."""
+    outside = (kappa < 0.0) | (kappa > 1.0)
+    if outside.any():
+        raise ValueError(f"kappa must be in [0, 1], got {kappa[outside][0]}")
+    degenerate = (kappa == 0.0) | (kappa == 1.0)
+    return _spread_shots(kappa * (1.0 - kappa), denominator, degenerate), degenerate
+
 
 def n_spread_fq(
     kappa: float, eps: float, delta_ensemble: float, p_spread: float
 ) -> ShotCount:
     """Chebyshev spread bound for a fidelity-kernel entry with true value
     ``kappa``. Degenerate at kappa in {0, 1} (zero binomial variance)."""
-    _check_spread_params(eps, delta_ensemble, p_spread)
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError(f"kappa must be in [0, 1], got {kappa}")
-    if kappa in (0.0, 1.0):
-        return ShotCount(1, degenerate=True)
-    bound = kappa * (1.0 - kappa) / (
-        (1.0 - p_spread) * eps**2 * delta_ensemble**2
-    )
-    return _ceil_shots(bound)
-
-
-def _proportion_vector(rho_x, rho_y) -> np.ndarray:
-    """(n, 6) measured proportions: the three of x then the three of y."""
-    rows = [
-        list(measured_proportions(rx)) + list(measured_proportions(ry))
-        for rx, ry in zip(rho_x, rho_y)
-    ]
-    return np.asarray(rows, dtype=float)
+    denominator = _spread_denominator(eps, delta_ensemble, p_spread)
+    shots, degenerate = _fq_spread(np.asarray(kappa, dtype=float), denominator)
+    return ShotCount(int(shots), bool(degenerate))
 
 
 def pq_variance_terms(rho_x, rho_y) -> np.ndarray:
-    """Per-qubit delta-method variance factor V_k of the projected kernel.
-
-    With Z the six measured proportions of the pair, the derivative
-    magnitudes are |dX/dZ_i| = 4 |Z_i - Z_(i+-3)| and
-
-        V_k = (sum_i |dX/dZ_i| sqrt(Z_i (1 - Z_i)))^2,
-
-    the closed form of the full variance-plus-covariance double sum.
-    """
-    if len(rho_x) != len(rho_y) or len(rho_x) == 0:
-        raise ValueError("reduced-matrix lists must have equal nonzero length")
-    z = _proportion_vector(rho_x, rho_y)
-    grads = 4.0 * np.abs(z[:, :3] - z[:, 3:])
-    grads = np.concatenate([grads, grads], axis=1)
-    weights = np.sqrt(np.clip(z * (1.0 - z), 0.0, None))
-    return np.sum(grads * weights, axis=1) ** 2
+    """Per-qubit delta-method variance factor V_k of the projected kernel
+    (see :func:`_variance_terms`)."""
+    z = _proportions(_pair_table(rho_x, rho_y))
+    return _variance_terms(z[0], z[1], noise_robust=False)
 
 
 def pq_variance_terms_noise_robust(rho_x, rho_y) -> np.ndarray:
     """Worst-case V_k with every variance/covariance factor bounded by 1
     (the binomial variance formula is unavailable for noisy estimators):
     the plain double sum of derivative magnitudes."""
-    if len(rho_x) != len(rho_y) or len(rho_x) == 0:
-        raise ValueError("reduced-matrix lists must have equal nonzero length")
-    z = _proportion_vector(rho_x, rho_y)
-    grads = 4.0 * np.abs(z[:, :3] - z[:, 3:])
-    return (2.0 * np.sum(grads, axis=1)) ** 2
+    z = _proportions(_pair_table(rho_x, rho_y))
+    return _variance_terms(z[0], z[1], noise_robust=True)
 
 
 def n_spread_pq(
@@ -171,20 +213,8 @@ def n_spread_pq(
     their reduced matrices. ``kappa`` defaults to the exact kernel value of
     the pair. Degenerate when the matrices coincide (all derivatives
     vanish)."""
-    _check_spread_params(eps, delta_ensemble, p_spread)
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma must be > 0, got {gamma}")
-    if kappa is None:
-        kappa = projected_kernel(rho_x, rho_y, gamma)
-    v_total = float(np.sum(pq_variance_terms(rho_x, rho_y)))
-    if v_total == 0.0:
-        return ShotCount(1, degenerate=True)
-    n = len(rho_x)
-    bound = (
-        n * gamma**2 * kappa**2 * v_total
-        / ((1.0 - p_spread) * eps**2 * delta_ensemble**2)
-    )
-    return _ceil_shots(bound)
+    return _pair_spread(rho_x, rho_y, gamma, kappa,
+                        _spread_denominator(eps, delta_ensemble, p_spread))
 
 
 def n_spread_noisy_fq(
@@ -193,23 +223,7 @@ def n_spread_noisy_fq(
     """Noisy spread bound for fidelity entries: 4 in the numerator (half
     the deviation is budgeted to circuit errors) and worst-case variance 1,
     so the bound no longer depends on the kernel value."""
-    _check_spread_params(eps, delta_ensemble, p_spread)
-    bound = 4.0 / ((1.0 - p_spread) * eps**2 * delta_ensemble**2)
-    return _ceil_shots(bound)
-
-
-def _depolarized_matrices(rho_list, p_error: float):
-    out = []
-    for rho in rho_list:
-        d, r, i = rho.components
-        out.append(
-            ReducedDensityMatrix.from_components(
-                (1.0 - p_error) * d + p_error * 0.5,
-                (1.0 - p_error) * r,
-                (1.0 - p_error) * i,
-            )
-        )
-    return out
+    return _ceil_shots(4.0 / _spread_denominator(eps, delta_ensemble, p_spread))
 
 
 def n_spread_noisy_pq(
@@ -225,34 +239,62 @@ def n_spread_noisy_pq(
     """Noisy spread bound for a projected-kernel entry.
 
     The kernel value and derivatives are evaluated at the depolarised
-    reduced matrices; variance factors are bounded by 1.
+    reduced matrices (every component difference shrinks by 1 - p, so the
+    kernel value becomes kappa^((1-p)^2)); variance factors are bounded
+    by 1.
     """
-    _check_spread_params(eps, delta_ensemble, p_spread)
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma must be > 0, got {gamma}")
-    if p_error:
-        rho_x = _depolarized_matrices(rho_x, p_error)
-        rho_y = _depolarized_matrices(rho_y, p_error)
+    return _pair_spread(rho_x, rho_y, gamma, kappa,
+                        _spread_denominator(eps, delta_ensemble, p_spread), p_error, noisy=True)
+
+
+def _pair_spread(rho_x, rho_y, gamma, kappa, denominator, p_error=0.0, noisy=False):
+    """The spread half of :func:`entry_budgets` for one pair. The spread
+    bounds accept proportions at 0 or 1, which its concentration half
+    rejects, so they do not go through it."""
+    _check_gamma(gamma)
+    z = _proportions(_pair_table(rho_x, rho_y), p_error)
     if kappa is None:
-        kappa = projected_kernel(rho_x, rho_y, gamma)
-    v_total = float(np.sum(pq_variance_terms_noise_robust(rho_x, rho_y)))
-    if v_total == 0.0:
-        return ShotCount(1, degenerate=True)
-    n = len(rho_x)
-    bound = (
-        4.0 * n * gamma**2 * kappa**2 * v_total
-        / ((1.0 - p_spread) * eps**2 * delta_ensemble**2)
-    )
-    return _ceil_shots(bound)
+        kappa = projected_kernel(rho_x, rho_y, gamma) ** ((1.0 - p_error) ** 2)
+    v_total = _variance_terms(z[0], z[1], noisy).sum()
+    shots, degenerate = _pq_spread(v_total, len(rho_x), kappa, gamma, denominator, noisy)
+    return ShotCount(int(shots), bool(degenerate))
 
 
 # ---------------------------------------------------------------------------
 # concentration avoidance bounds
 # ---------------------------------------------------------------------------
 
-def _at_least_one_success(m_true: float, n: int) -> float:
-    # 1 - (1 - m)^n, stable for tiny m and large n
-    return -math.expm1(n * math.log1p(-m_true))
+def _first_success_shots(m_true, p_ca: float) -> np.ndarray:
+    """Smallest N with 1 - (1 - m)^N >= p_ca, elementwise.
+
+    inf at m = 0 and where N exceeds the float range (m below about
+    1e-308). Beyond 2**53 counts are floats, so N is the smallest float
+    that reaches p_ca rather than the smallest integer.
+    """
+    m_true = np.asarray(m_true, dtype=float)
+    outside = (m_true < 0.0) | (m_true > 1.0)
+    if outside.any():
+        raise ValueError(f"success probability must be in [0, 1], got {m_true[outside][0]}")
+    out = np.where(m_true == 0.0, math.inf, 1.0)
+    inner = (m_true > 0.0) & (m_true < 1.0)
+    log_miss = np.log1p(-m_true[inner])
+    with np.errstate(over="ignore"):
+        n = _ceil_array(math.log1p(-p_ca) / log_miss)
+
+    def reached(shots):
+        return -np.expm1(shots * log_miss) >= p_ca
+
+    def step(shots):
+        return np.maximum(1.0, np.spacing(np.where(np.isfinite(shots), shots, 1.0)))
+
+    # absorb ceiling rounding on both sides; every step moves n, and
+    # reached() is monotone in n, so both loops end
+    while (down := (n > 1.0) & np.isfinite(n) & reached(n - step(n))).any():
+        n[down] -= step(n[down])
+    while (up := ~reached(n)).any():
+        n[up] += step(n[up])
+    out[inner] = n
+    return out
 
 
 def n_ca_fq(m_true: float, p_ca: float) -> ShotCount | float:
@@ -262,16 +304,8 @@ def n_ca_fq(m_true: float, p_ca: float) -> ShotCount | float:
     Returns ``math.inf`` when ``m_true == 0`` (no N suffices).
     """
     _check_probability("p_ca", p_ca)
-    if not 0.0 <= m_true <= 1.0:
-        raise ValueError(f"success probability must be in [0, 1], got {m_true}")
-    if m_true == 0.0:
-        return math.inf
-    if m_true == 1.0:
-        return ShotCount(1)
-    n = int(_ceil_shots(math.log(1.0 - p_ca) / math.log(1.0 - m_true)))
-    while _at_least_one_success(m_true, n) < p_ca:  # absorb ceiling rounding
-        n += 1
-    return ShotCount(n)
+    shots = float(_first_success_shots(m_true, p_ca))
+    return shots if math.isinf(shots) else ShotCount(int(shots))
 
 
 def ca_condition_probability(n, m_true: float, mu: float):
@@ -289,23 +323,82 @@ def ca_condition_probability(n, m_true: float, mu: float):
     return prob
 
 
-def _ca_condition_holds(n: int, m_true: float, mu: float, p_ca: float) -> bool:
-    return bool(ca_condition_probability(n, m_true, mu) >= p_ca)
+# N given back at each certified edge against rounding: a fixed number plus
+# a share of the edge
+_EDGE_MARGIN = 8
+_EDGE_MARGIN_REL = 1e-6
 
 
-_FULL_SCAN_CAP = 4_000_000
+def _certified_failures(m_true: float, mu: float, p_ca: float) -> list[tuple[int, int]]:
+    """Ranges [a, b) of N where the correct-side condition provably fails.
+
+    The failure event is Z >= k = ceil(N mu_t - guard), Z ~ Bin(N, p_t),
+    with (p_t, mu_t) = (m, mu) below mu and (1 - m, 1 - mu) above it (the
+    failure X <= floor(N mu) mirrored). Two lower bounds on its probability:
+
+    * P(Z = N) = p_t^N > 1 - p_ca for every N < ln(1 - p_ca) / ln p_t;
+    * Slud's inequality (Ann. Probab. 5, 1977): P(Z >= k) >=
+      1 - Phi((k - N p_t) / sqrt(N p_t (1 - p_t))) when p_t <= 1/2 and
+      N p_t <= k <= N (1 - p_t), which holds once N d > guard and
+      N (1 - p_t - mu_t) >= 1 (d = |m - mu|). As k < N mu_t + 1, failure
+      is certain where (N d + 1) / (s sqrt(N)) <= z_(p_ca), s^2 = m (1 - m):
+      between the roots of d N - s z sqrt(N) + 1 = 0.
+
+    Every edge gives back ``_EDGE_MARGIN`` plus ``_EDGE_MARGIN_REL`` of
+    itself, so rounding in the CDF evaluation cannot flip an N inside.
+    """
+    # ln p_t and 1 - p_t - mu_t from m and mu directly: 1 - m would lose
+    # the digits of a proportion near 0 or 1
+    below_mu = m_true < mu
+    d = abs(m_true - mu)
+    log_p_t = math.log(m_true) if below_mu else math.log1p(-m_true)
+    room = 1.0 - m_true - mu if below_mu else m_true + mu - 1.0
+    tail_below_half = m_true <= 0.5 if below_mu else m_true >= 0.5
+
+    def below(edge: float) -> int:
+        return math.floor(edge * (1.0 - _EDGE_MARGIN_REL)) - _EDGE_MARGIN
+
+    ranges = [(1, below(math.log1p(-p_ca) / log_p_t))]
+    z = float(ndtri(p_ca))
+    s = math.sqrt(m_true * (1.0 - m_true))
+    disc = (s * z) ** 2 - 4.0 * d
+    if tail_below_half and z > 0.0 and disc >= 0.0 and room > 0.0:
+        x_hi = (s * z + math.sqrt(disc)) / (2.0 * d)
+        x_lo = 1.0 / (d * x_hi)  # the product of the roots is 1 / d
+        start = max(x_lo**2, 1.0 / room, 2.0 * _CEIL_GUARD / d)
+        ranges.append((math.ceil(start * (1.0 + _EDGE_MARGIN_REL)) + _EDGE_MARGIN,
+                       below(x_hi**2)))
+    return sorted((a, b) for a, b in ranges if a < b)
 
 
 def n_ca_binomial_exact(m_true: float, mu: float, p_ca: float) -> ShotCount:
     """Smallest N satisfying the exact binomial correct-side condition.
 
-    Doubling finds an upper bound; the minimum below it is then located by
-    an exhaustive vectorised CDF scan. The strict-side condition is not
-    monotone in N (the cut n*mu drifts across integers, so adjacent N can
-    flip back to failing), which is why plain bisection would return a
-    non-minimal crossing; above the scan cap, bisection plus a wide
-    backward-scan window is used instead.
+    The condition is not monotone in N (the cut N mu drifts across
+    integers, so adjacent N can flip back to failing), so the minimum is
+    the first passing N of an upward scan in growing blocks. The scan
+    skips the ranges :func:`_certified_failures` proves failing; where no
+    certificate applies (small N, a proportion on the far side of 1/2 from
+    mu) it evaluates the CDF at every N from 1.
     """
+    _check_ca_inputs(m_true, mu, p_ca)
+    skips = _certified_failures(m_true, mu, p_ca)
+    n, block = 1, 1024
+    while n <= _SEARCH_CAP:
+        for a, b in skips:
+            if a <= n < b:
+                n = b
+        stop = min([a for a, _ in skips if a > n], default=n + block)
+        candidates = np.arange(n, min(n + block, stop))
+        ok = ca_condition_probability(candidates, m_true, mu) >= p_ca
+        if ok.any():
+            return ShotCount(int(candidates[np.argmax(ok)]))
+        n, block = int(candidates[-1]) + 1, min(2 * block, 1 << 16)
+    raise RuntimeError(f"no N <= {_SEARCH_CAP} satisfies the condition "
+                       f"(m={m_true}, mu={mu}, p_ca={p_ca})")
+
+
+def _check_ca_inputs(m_true: float, mu: float, p_ca: float) -> None:
     _check_probability("p_ca", p_ca)
     if not 0.0 < m_true < 1.0:
         raise ValueError(f"success probability must be in (0, 1), got {m_true}")
@@ -315,48 +408,35 @@ def n_ca_binomial_exact(m_true: float, mu: float, p_ca: float) -> ShotCount:
         raise ValueError(
             "bound not imposed: the true proportion equals the concentration value"
         )
-    hi = 1
-    while not _ca_condition_holds(hi, m_true, mu, p_ca):
-        hi *= 2
-        if hi > _SEARCH_CAP:
-            raise RuntimeError(
-                f"no N <= {_SEARCH_CAP} satisfies the condition "
-                f"(m={m_true}, mu={mu}, p_ca={p_ca})"
-            )
-    if hi <= _FULL_SCAN_CAP:
-        candidates = np.arange(1, hi + 1)
-        ok = ca_condition_probability(candidates, m_true, mu) >= p_ca
-        return ShotCount(int(candidates[np.argmax(ok)]))
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _ca_condition_holds(mid, m_true, mu, p_ca):
-            hi = mid
-        else:
-            lo = mid
-    window = max(4096, hi // 8)
-    start = max(1, hi - window)
-    candidates = np.arange(start, hi + 1)
-    ok = ca_condition_probability(candidates, m_true, mu) >= p_ca
-    return ShotCount(int(candidates[np.argmax(ok)]))
+
+
+def _z_score_shots(m_true, mu: float, p_ca: float) -> np.ndarray:
+    """z^2 m (1 - m) / (m - mu)^2 shots elementwise (callers mask m = mu)."""
+    z = float(ndtri(p_ca))
+    if z <= 0.0:
+        return np.ones(np.shape(m_true))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _ceil_array(z**2 * m_true * (1.0 - m_true) / (m_true - mu) ** 2)
 
 
 def n_ca_pq_normal(m_true: float, mu: float, p_ca: float) -> ShotCount:
     """Gaussian z-score approximation of the correct-side condition,
     appropriate for proportions concentrating away from the range edges:
     N >= z^2 m (1 - m) / (m - mu)^2 with z the p_ca normal quantile."""
-    _check_probability("p_ca", p_ca)
-    if not 0.0 < m_true < 1.0:
-        raise ValueError(f"success probability must be in (0, 1), got {m_true}")
-    if m_true == mu:
-        raise ValueError(
-            "bound not imposed: the true proportion equals the concentration value"
-        )
-    z = float(ndtri(p_ca))
-    if z <= 0.0:
-        return ShotCount(1)
-    bound = z**2 * m_true * (1.0 - m_true) / (m_true - mu) ** 2
-    return _ceil_shots(bound)
+    _check_ca_inputs(m_true, mu, p_ca)
+    return ShotCount(int(_z_score_shots(m_true, mu, p_ca)))
+
+
+def _pq_point_ca(props: np.ndarray, p_ca: float):
+    """Worst z-score bound over each point's 3 n proportions, skipping those
+    equal to 1/2 (no bound imposed there), and whether any was imposed."""
+    flat = props.reshape(props.shape[0], -1)
+    imposed = np.abs(flat - PQ_CONCENTRATION_VALUE) >= 1e-15
+    outside = imposed & ((flat <= 0.0) | (flat >= 1.0))
+    if outside.any():
+        raise ValueError(f"success probability must be in (0, 1), got {flat[outside][0]}")
+    bounds = np.where(imposed, _z_score_shots(flat, PQ_CONCENTRATION_VALUE, p_ca), 1.0)
+    return bounds.max(axis=1, initial=1.0), imposed.any(axis=1)
 
 
 def n_ca_noisy_fq(
@@ -388,16 +468,12 @@ def n_ca_noisy_binomial_exact(
     n_qubits: int | None = None,
 ) -> ShotCount:
     """Noisy exact-CDF bound with the family's depolarised proportion."""
-    if family == FIDELITY:
+    if check_family(family) == FIDELITY:
         if n_qubits is None:
             raise ValueError("n_qubits is required for the fidelity family")
         shifted = depolarized_fidelity_probability(m_true, p_error, n_qubits)
-    elif family == PROJECTED:
-        shifted = depolarized_component_probability(m_true, p_error)
     else:
-        raise ConfigurationError(
-            f"family must be one of {KERNEL_FAMILIES}, got {family!r}"
-        )
+        shifted = depolarized_component_probability(m_true, p_error)
     return n_ca_binomial_exact(shifted, mu, p_ca)
 
 
@@ -454,15 +530,11 @@ def error_budget(
     delta_ensemble: float,
     n_qubits: int | None = None,
 ) -> ErrorBudget:
-    if family == FIDELITY:
+    if check_family(family) == FIDELITY:
         if n_qubits is None:
             raise ValueError("n_qubits is required for the fidelity family")
         return error_budget_fq(kappa, eps, delta_ensemble, n_qubits)
-    if family == PROJECTED:
-        return error_budget_pq(kappa, eps, delta_ensemble)
-    raise ConfigurationError(
-        f"family must be one of {KERNEL_FAMILIES}, got {family!r}"
-    )
+    return error_budget_pq(kappa, eps, delta_ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +623,116 @@ class ShotBudget:
         }
 
 
+@dataclass
+class EntryBudgets:
+    """Budgets of every upper-triangle pair (i < j) in row-major order, one
+    array per quantity. Shot counts are integer-valued floats, ``n_ca`` is
+    inf where no N suffices; ``ca_imposed`` (projected only) is False where
+    all of a pair's proportions sit at 1/2; ``inputs`` holds the shared
+    parameters."""
+
+    family: str
+    noisy: bool
+    i: np.ndarray
+    j: np.ndarray
+    kappa: np.ndarray
+    n_spread: np.ndarray
+    n_ca: np.ndarray
+    degenerate: np.ndarray
+    ca_imposed: np.ndarray | None
+    inputs: dict
+
+    @property
+    def unbounded(self) -> np.ndarray:
+        return np.isinf(self.n_ca)
+
+    def budget(self, k: int) -> ShotBudget:
+        """The ShotBudget of pair k."""
+        inputs = {"kappa": float(self.kappa[k]), **self.inputs}
+        if self.ca_imposed is not None:
+            inputs["ca_imposed"] = bool(self.ca_imposed[k])
+        n_ca = float(self.n_ca[k])
+        return ShotBudget(self.family, int(self.n_spread[k]),
+                          n_ca if math.isinf(n_ca) else int(n_ca), self.noisy,
+                          bool(self.degenerate[k]), inputs)
+
+    def entries(self) -> list[dict]:
+        """``ShotBudget.to_dict`` of every pair, with its "i" and "j"."""
+        return [{"i": i, "j": j, **self.budget(k).to_dict()}
+                for k, (i, j) in enumerate(zip(self.i.tolist(), self.j.tolist()))]
+
+
+def _pair_blocks(m: int, n: int):
+    """Index arrays (i, j) of the upper-triangle pairs i < j in row-major
+    order, in blocks of whole rows; boundaries depend on (m, n) only."""
+    rows = max(1, PAIR_BLOCK // max(1, m * n))
+    for start in range(0, max(m - 1, 1), rows):
+        first = np.arange(start, min(start + rows, m - 1))
+        counts = m - 1 - first
+        i = np.repeat(first, counts)
+        offsets = np.repeat(np.cumsum(counts) - counts, counts)
+        yield i, np.arange(i.size) - offsets + i + 1
+
+
+def entry_budgets(
+    family: str, values, eps: float, delta_ensemble: float, p_spread: float,
+    p_ca: float, p_error: float = 0.0, *, table=None, gamma: float = 1.0,
+    n_qubits: int | None = None,
+) -> EntryBudgets:
+    """Per-entry budgets of all pairs of an exact kernel matrix ``values``;
+    ``p_error > 0`` selects the noisy bounds.
+
+    Fidelity: n_spread from kappa (1 - kappa) (noisy: the worst case 4),
+    n_ca the fewest shots giving one success at the depolarised value.
+    Projected (needs the (m, n, 3) component ``table``): n_spread from the
+    pair's variance factors (noise-robust and at kappa^((1-p)^2) when
+    noisy), n_ca the worst z-score bound over its 6 n depolarised
+    proportions, skipping those at 1/2. Pairs run in blocks of whole rows
+    (:data:`PAIR_BLOCK`), so temporaries stay O(block).
+    """
+    check_family(family)
+    _check_probability("p_ca", p_ca)
+    denominator = _spread_denominator(eps, delta_ensemble, p_spread)
+    values = np.asarray(values, dtype=float)
+    noisy = p_error > 0.0
+    inputs = dict(eps=eps, delta_ensemble=delta_ensemble, p_spread=p_spread,
+                  p_ca=p_ca, p_error=p_error)
+    if family == FIDELITY:
+        i, j = np.triu_indices(values.shape[0], k=1)
+        kappa = values[i, j]
+        if not noisy:
+            n_spread, degenerate = _fq_spread(kappa, denominator)
+            n_ca = _first_success_shots(kappa, p_ca)
+        elif n_qubits is None:
+            raise ValueError("n_qubits is required for noisy fidelity budgets")
+        else:
+            n_spread = np.full(kappa.shape, float(n_spread_noisy_fq(eps, delta_ensemble, p_spread)))
+            degenerate = np.zeros(kappa.shape, dtype=bool)
+            q = depolarized_fidelity_probability(kappa, p_error, n_qubits)
+            n_ca = _first_success_shots(q, p_ca)
+        return EntryBudgets(FIDELITY, noisy, i, j, kappa, n_spread, n_ca, degenerate,
+                            None, inputs)
+
+    _check_gamma(gamma)
+    if table is None:
+        raise ValueError("projected budgets need the component table")
+    props = _proportions(table, p_error)
+    worst, imposed = _pq_point_ca(props, p_ca)
+    blocks = []
+    for i, j in _pair_blocks(values.shape[0], props.shape[1]):
+        kappa = values[i, j]
+        v_total = _variance_terms(props[i], props[j], noisy).sum(axis=-1)
+        n_spread, degenerate = _pq_spread(
+            v_total, props.shape[1], kappa ** ((1.0 - p_error) ** 2), gamma,
+            denominator, noisy,
+        )
+        pair_imposed = imposed[i] | imposed[j]
+        blocks.append((i, j, kappa, n_spread, np.maximum(worst[i], worst[j]),
+                       degenerate | ~pair_imposed, pair_imposed))
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    return EntryBudgets(PROJECTED, noisy, *columns, inputs={"gamma": gamma, **inputs})
+
+
 def entry_budget_fq(
     kappa: float,
     eps: float,
@@ -561,30 +743,10 @@ def entry_budget_fq(
     n_qubits: int | None = None,
 ) -> ShotBudget:
     """Per-entry budget for one fidelity kernel value."""
-    noisy = noise is not None and noise.p_error > 0.0
-    if noisy:
-        if n_qubits is None:
-            raise ValueError("n_qubits is required for noisy fidelity budgets")
-        n_spread = n_spread_noisy_fq(eps, delta_ensemble, p_spread)
-        n_ca = n_ca_noisy_fq(kappa, p_ca, noise.p_error, n_qubits)
-    else:
-        n_spread = n_spread_fq(kappa, eps, delta_ensemble, p_spread)
-        n_ca = n_ca_fq(kappa, p_ca)
-    return ShotBudget(
-        family=FIDELITY,
-        n_spread=int(n_spread),
-        n_ca=n_ca if math.isinf(n_ca) else int(n_ca),
-        noisy=noisy,
-        degenerate=getattr(n_spread, "degenerate", False),
-        inputs={
-            "kappa": kappa,
-            "eps": eps,
-            "delta_ensemble": delta_ensemble,
-            "p_spread": p_spread,
-            "p_ca": p_ca,
-            "p_error": noise.p_error if noise else 0.0,
-        },
-    )
+    return entry_budgets(
+        FIDELITY, [[1.0, kappa], [kappa, 1.0]], eps, delta_ensemble, p_spread, p_ca,
+        noise.p_error if noise else 0.0, n_qubits=n_qubits,
+    ).budget(0)
 
 
 def entry_budget_pq(
@@ -603,55 +765,12 @@ def entry_budget_pq(
     takes the worst case over the 6 n proportions of the pair, skipping
     proportions equal to 1/2 (no bound imposed there).
     """
-    noisy = noise is not None and noise.p_error > 0.0
-    p_error = noise.p_error if noise else 0.0
-    if noisy:
-        n_spread = n_spread_noisy_pq(
-            rho_x, rho_y, gamma, eps, delta_ensemble, p_spread, p_error
-        )
-    else:
-        n_spread = n_spread_pq(
-            rho_x, rho_y, gamma, eps, delta_ensemble, p_spread
-        )
-    proportions = _proportion_vector(rho_x, rho_y).reshape(-1)
-    n_ca = 1
-    imposed = False
-    for q in proportions:
-        q_eff = depolarized_component_probability(q, p_error)
-        if abs(q_eff - PQ_CONCENTRATION_VALUE) < 1e-15:
-            continue
-        imposed = True
-        n_ca = max(n_ca, int(n_ca_pq_normal(q_eff, PQ_CONCENTRATION_VALUE, p_ca)))
+    table = _pair_table(rho_x, rho_y)
     kappa = projected_kernel(rho_x, rho_y, gamma)
-    return ShotBudget(
-        family=PROJECTED,
-        n_spread=int(n_spread),
-        n_ca=n_ca,
-        noisy=noisy,
-        degenerate=getattr(n_spread, "degenerate", False) or not imposed,
-        inputs={
-            "kappa": kappa,
-            "gamma": gamma,
-            "eps": eps,
-            "delta_ensemble": delta_ensemble,
-            "p_spread": p_spread,
-            "p_ca": p_ca,
-            "p_error": p_error,
-            "ca_imposed": imposed,
-        },
-    )
-
-
-def _representative_pair(scale: float):
-    """Synthetic pair of reduced matrices whose measured proportions sit at
-    1/2 +- scale in every component; used when only kernel entries are
-    available."""
-    # population 1/2 +- s, offdiag components +-s (x) / -+s (y) so that every
-    # measured proportion is offset by exactly +-s from 1/2
-    s = scale
-    rx = ReducedDensityMatrix.from_components(0.5 + s, s, -s, validate=False)
-    ry = ReducedDensityMatrix.from_components(0.5 - s, -s, s, validate=False)
-    return [rx], [ry]
+    return entry_budgets(
+        PROJECTED, [[1.0, kappa], [kappa, 1.0]], eps, delta_ensemble, p_spread, p_ca,
+        noise.p_error if noise else 0.0, table=table, gamma=gamma,
+    ).budget(0)
 
 
 def dataset_budget(
@@ -664,17 +783,16 @@ def dataset_budget(
 ) -> ShotBudget:
     """Whole-dataset shot budget from kernel-matrix statistics.
 
-    Fidelity: the representative entry is the ensemble median and the
-    spread is its inter-quartile range; the concentration bound swaps the
-    per-entry value for the median.
+    Fidelity: the per-entry budget of the ensemble median, with the
+    inter-quartile range as the spread.
 
     Projected: the concentration bound uses the z-score formula at the
     root-mean-square proportion offset inferred from the kernel entries
     (``epsilon_r_from_kernel``). The spread bound averages the per-pair
     variance factors over the component table when one is supplied
     (``inputs["spread_path"] == "components"``), otherwise it evaluates a
-    representative pair displaced by the inferred offset
-    (``"kernel_scale"``).
+    representative pair whose proportions all sit at 1/2 +- the inferred
+    offset (``"kernel_scale"``).
     """
     stats_ = kernel_statistics(kernel)
     if stats_.iqr <= 0.0:
@@ -697,23 +815,13 @@ def dataset_budget(
     }
 
     if kernel.family == FIDELITY:
+        budget = entry_budget_fq(kappa_repr, eps, delta_ensemble, p_spread, p_ca, noise, n)
         if noisy:
-            n_spread = n_spread_noisy_fq(eps, delta_ensemble, p_spread)
-            n_ca = n_ca_noisy_fq(kappa_repr, p_ca, p_error, n)
             inputs["kappa_repr_noisy"] = depolarized_fidelity_probability(
                 kappa_repr, p_error, n
             )
-        else:
-            n_spread = n_spread_fq(kappa_repr, eps, delta_ensemble, p_spread)
-            n_ca = n_ca_fq(kappa_repr, p_ca)
-        return ShotBudget(
-            family=FIDELITY,
-            n_spread=int(n_spread),
-            n_ca=n_ca if math.isinf(n_ca) else int(n_ca),
-            noisy=noisy,
-            degenerate=getattr(n_spread, "degenerate", False),
-            inputs=inputs,
-        )
+        budget.inputs = inputs
+        return budget
 
     gamma = kernel.gamma if kernel.gamma is not None else 1.0
     scale = epsilon_r_from_kernel(kernel, gamma, n)
@@ -725,59 +833,28 @@ def dataset_budget(
     z = float(ndtri(p_ca))
     n_ca = _ceil_shots(z**2 * mu * (1.0 - mu) / scale_eff**2) if z > 0 else ShotCount(1)
 
-    kappa_eff = kappa_repr ** ((1.0 - p_error) ** 2) if noisy else kappa_repr
     if rho_table is not None:
-        table = np.asarray(rho_table, dtype=float)
-        v_mean = _mean_pair_variance_terms(table, p_error if noisy else 0.0, noisy)
+        v_mean = _mean_pair_variance_terms(rho_table, p_error if noisy else 0.0, noisy)
         inputs["spread_path"] = "components"
     else:
-        rx, ry = _representative_pair(scale_eff)
-        terms = (
-            pq_variance_terms_noise_robust(rx, ry)
-            if noisy
-            else pq_variance_terms(rx, ry)
-        )
-        v_mean = n * float(terms[0])
+        offset = np.full((1, 3), scale_eff)
+        v_mean = n * float(_variance_terms(0.5 + offset, 0.5 - offset, noisy)[0])
         inputs["spread_path"] = "kernel_scale"
-    if v_mean == 0.0:
-        n_spread = ShotCount(1, degenerate=True)
-    else:
-        numerator = n * gamma**2 * kappa_eff**2 * v_mean
-        if noisy:
-            numerator *= 4.0
-        n_spread = _ceil_shots(
-            numerator / ((1.0 - p_spread) * eps**2 * delta_ensemble**2)
-        )
-    return ShotBudget(
-        family=PROJECTED,
-        n_spread=int(n_spread),
-        n_ca=int(n_ca),
-        noisy=noisy,
-        degenerate=getattr(n_spread, "degenerate", False),
-        inputs=inputs,
+    n_spread, degenerate = _pq_spread(
+        v_mean, n, kappa_repr ** ((1.0 - p_error) ** 2) if noisy else kappa_repr, gamma,
+        _spread_denominator(eps, delta_ensemble, p_spread), noisy,
     )
+    return ShotBudget(PROJECTED, int(n_spread), int(n_ca), noisy, bool(degenerate), inputs)
 
 
-def _mean_pair_variance_terms(
-    table: np.ndarray, p_error: float, noise_robust: bool
-) -> float:
-    """Mean over all point pairs of sum_k V_k, vectorised over the
-    component table."""
-    props = np.stack(
-        [table[..., 0], table[..., 1] + 0.5, 0.5 - table[..., 2]], axis=-1
-    )
-    if p_error:
-        props = (1.0 - p_error) * props + p_error * 0.5
+def _mean_pair_variance_terms(table, p_error: float, noise_robust: bool) -> float:
+    """Mean over all point pairs of sum_k V_k, accumulated over the row
+    blocks of :func:`_pair_blocks`."""
+    props = _proportions(table, p_error)
     m = props.shape[0]
     if m < 2:
         raise ValueError("component table needs at least two points")
-    diffs = 4.0 * np.abs(props[:, None, :, :] - props[None, :, :, :])
-    if noise_robust:
-        v = (2.0 * diffs.sum(axis=-1)) ** 2
-    else:
-        w = np.sqrt(np.clip(props * (1.0 - props), 0.0, None))
-        cross = diffs * (w[:, None, :, :] + w[None, :, :, :])
-        v = cross.sum(axis=-1) ** 2
-    v_sum = v.sum(axis=-1)  # over qubits
-    iu = np.triu_indices(m, k=1)
-    return float(np.mean(v_sum[iu]))
+    total = 0.0
+    for i, j in _pair_blocks(m, props.shape[1]):
+        total += float(_variance_terms(props[i], props[j], noise_robust).sum())
+    return total / (m * (m - 1) // 2)

@@ -11,6 +11,7 @@ import math
 from functools import reduce
 
 import numpy as np
+from scipy import stats
 
 H1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -89,6 +90,56 @@ def correct_side_probability(n: int, p: float, mu: float) -> float:
         return 1.0 - binom_cdf(cut, n, p)
     cut = math.ceil(n * mu - 1e-9) - 1
     return binom_cdf(cut, n, p)
+
+
+def correct_side_probabilities(n, p: float, mu: float) -> np.ndarray:
+    """``correct_side_probability`` over an integer array of n, from the
+    scipy binomial tail."""
+    n = np.asarray(n)
+    if p > mu:
+        return stats.binom.sf(np.floor(n * mu + 1e-9), n, p)
+    top = np.ceil(n * mu - 1e-9) - 1.0
+    return np.where(top >= 0, stats.binom.cdf(np.maximum(top, 0.0), n, p), 0.0)
+
+
+def exhaustive_ca_shots(
+    p: float, mu: float, p_ca: float, skip=(), max_chunk: int = 1 << 16
+) -> int:
+    """Smallest N whose correct-side probability reaches ``p_ca``, by
+    evaluating the binomial tail at every N from 1 upward, in chunks that
+    double up to ``max_chunk`` candidates (memory stays bounded however
+    large N is). The cut follows the library's convention: the count must
+    exceed floor(N mu + 1e-9) when p > mu and stay below
+    ceil(N mu - 1e-9) otherwise. N inside the ranges [a, b) of ``skip``
+    are left out; a caller that skips must check those N fail itself."""
+    start, chunk = 1, 256
+    while True:
+        n = np.arange(start, start + chunk)
+        for a, b in skip:
+            n = n[(n < a) | (n >= b)]
+        passing = np.flatnonzero(correct_side_probabilities(n, p, mu) >= p_ca)
+        if passing.size:
+            return int(n[passing[0]])
+        start += chunk
+        chunk = min(2 * chunk, max_chunk)
+
+
+def first_success_shots(q: float, p_ca: float) -> int:
+    """Smallest N with 1 - (1 - q)^N >= p_ca, stepping up from just below
+    the logarithmic estimate."""
+    n = max(1, math.floor(math.log(1.0 - p_ca) / math.log(1.0 - q)) - 2)
+    while 1.0 - (1.0 - q) ** n < p_ca:
+        n += 1
+    return n
+
+
+def pq_noise_robust_term_sum(zx, zy) -> float:
+    """Literal 6 x 6 double sum of derivative magnitudes |dX/dZ_i dX/dZ_j|
+    (every variance and covariance factor bounded by 1), with the six
+    measured proportions ordered (x1, x2, x3, y1, y2, y3)."""
+    z = list(zx) + list(zy)
+    grads = [4.0 * abs(z[i % 3] - z[i % 3 + 3]) for i in range(6)]
+    return sum(grads[i] * grads[j] for i in range(6) for j in range(6))
 
 
 def pq_variance_term_sum(zx, zy) -> float:

@@ -4,6 +4,7 @@ import pytest
 from qkshots import (
     FeatureMapConfig,
     ReducedDensityMatrix,
+    embedding_diagnostics,
     expressibility,
     haar_second_moment,
     mean_relative_entropy,
@@ -104,3 +105,12 @@ class TestRelativeEntropy:
             points, FeatureMapConfig(n_qubits=8, repetitions=2, entanglement="full")
         )
         assert large < small
+
+
+@pytest.mark.parametrize("n, entanglement", [(3, "linear"), (7, "full"), (11, "full")])
+def test_embedding_diagnostics_match_separate_calls(n, entanglement):
+    points = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(40, n))
+    cfg = FeatureMapConfig(n_qubits=n, repetitions=2, entanglement=entanglement)
+    expressive, entangled = embedding_diagnostics(points, cfg)
+    assert expressive == pytest.approx(expressibility(points, cfg), rel=0, abs=1e-12)
+    assert entangled == pytest.approx(mean_relative_entropy(points, cfg), rel=0, abs=1e-12)

@@ -1,0 +1,140 @@
+"""The exact concentration-avoidance search against the exhaustive scan.
+
+``n_ca_binomial_exact`` skips ranges of N where a certificate proves the
+condition fails; these tests pin its result to ``oracles.exhaustive_ca_shots``,
+which evaluates the CDF at every N from 1. Where the minimal N runs into
+the millions (gaps of 1e-3 and 5e-4 from 1/2 at p_ca >= 0.9) a full scan
+takes seconds per case, so the oracle scans every N outside the certified
+range and the test probes the range itself.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qkshots import n_ca_binomial_exact, n_ca_fq, n_ca_noisy_binomial_exact
+from qkshots.shot_bounds import _certified_failures, ca_condition_probability
+
+from oracles import correct_side_probabilities, exhaustive_ca_shots
+
+P_ERROR = 1e-3
+N_QUBITS = 6
+
+
+def _cases():
+    cases = []
+    for p_ca in (0.6, 0.9, 0.99):
+        # mu = 0 is the fidelity concentration value: only q > mu exists
+        cases += [(q, 0.0, p_ca) for q in (0.02, 2.0**-12)]
+        # away from 1/2 one side of mu lacks the certificate's preconditions
+        # (q < mu above 1/2, q > mu below it) and is scanned exhaustively
+        for mu in (0.1, 0.3, 0.7):
+            cases += [(mu + s * gap, mu, p_ca) for gap in (0.05, 0.02) for s in (-1, 1)]
+    for gap, p_ca in [(2e-3, 0.6), (1e-3, 0.6), (5e-4, 0.6), (2e-3, 0.9), (2e-3, 0.99)]:
+        cases += [(0.5 + s * gap, 0.5, p_ca) for s in (-1, 1)]
+    return cases
+
+
+def _shifted(q, mu):
+    """Depolarised proportion of the noisy entry point for this mu."""
+    if mu == 0.0:
+        return (1.0 - P_ERROR) * q + P_ERROR * 2.0**-N_QUBITS, "fidelity"
+    return (1.0 - P_ERROR) * q + P_ERROR * 0.5, "projected"
+
+
+@pytest.mark.parametrize("q, mu, p_ca", _cases())
+def test_search_equals_exhaustive_scan(q, mu, p_ca):
+    assert n_ca_binomial_exact(q, mu, p_ca) == exhaustive_ca_shots(q, mu, p_ca)
+
+
+@pytest.mark.parametrize("q, mu, p_ca", [c for c in _cases() if c[1] != 0.5 or c[2] == 0.6])
+def test_noisy_search_equals_exhaustive_scan(q, mu, p_ca):
+    shifted, family = _shifted(q, mu)
+    got = n_ca_noisy_binomial_exact(
+        q, mu, p_ca, P_ERROR, family=family, n_qubits=N_QUBITS
+    )
+    assert got == exhaustive_ca_shots(shifted, mu, p_ca)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 5e-4])
+@pytest.mark.parametrize("p_ca", [0.9, 0.99])
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_million_shot_cases_equal_exhaustive_scan(gap, p_ca, side, noisy):
+    """Minima of 0.4M to 5.4M shots. Every N within 1,024 of a certified
+    edge and 2,048 evenly spaced N between the edges fail; the oracle scans
+    every N outside the certified range."""
+    q = 0.5 + side * gap
+    if noisy:
+        shifted, _ = _shifted(q, 0.5)
+        got = n_ca_noisy_binomial_exact(q, 0.5, p_ca, P_ERROR)
+    else:
+        shifted, got = q, n_ca_binomial_exact(q, 0.5, p_ca)
+    ranges = _certified_failures(shifted, 0.5, p_ca)
+    assert sum(b - a for a, b in ranges) > 0.99 * got
+    for a, b in ranges:
+        probe = np.unique(np.concatenate([
+            np.arange(a, min(a + 1024, b)),
+            np.arange(max(a, b - 1024), b),
+            np.linspace(a, b - 1, 2048).astype(int),
+        ]))
+        assert np.all(correct_side_probabilities(probe, shifted, 0.5) < p_ca)
+    assert got == exhaustive_ca_shots(shifted, 0.5, p_ca, skip=ranges)
+
+
+def test_certified_ranges_fail():
+    """Every N inside a certified range fails the evaluated condition,
+    including its edges."""
+    rng = np.random.default_rng(31)
+    ranges_seen = 0
+    for _ in range(300):
+        mu = float(rng.choice([0.0, 0.2, 0.5, 0.5, 0.8]))
+        q = mu + float(rng.choice([-1, 1])) * 10 ** rng.uniform(-3.5, -0.5)
+        if not 0.0 < q < 1.0:
+            continue
+        p_ca = float(rng.uniform(0.51, 0.9999))
+        for a, b in _certified_failures(q, mu, p_ca):
+            ranges_seen += 1
+            probe = np.unique(np.concatenate(
+                [[a, b - 1], rng.integers(a, b, size=64)]
+            ))
+            assert np.all(ca_condition_probability(probe, q, mu) < p_ca)
+    assert ranges_seen > 100
+
+
+def test_fidelity_search_is_tight_for_tiny_probabilities():
+    """At mu = 0 the certificate is the closed form, so the scan window is a
+    handful of N even where the minimum is in the billions."""
+    q, p_ca = 1e-9, 0.99
+    got = n_ca_binomial_exact(q, 0.0, p_ca)
+    expected = math.ceil(math.log(1.0 - p_ca) / math.log1p(-q))
+    assert abs(got - expected) <= 1
+    assert ca_condition_probability(got, q, 0.0) >= p_ca
+    assert ca_condition_probability(got - 1, q, 0.0) < p_ca
+
+
+def test_first_success_bound_is_minimal_for_tiny_probabilities():
+    """ln(1 - q) loses digits for tiny q; the bound must still be the
+    smallest N with 1 - (1 - q)^N >= p_ca."""
+    rng = np.random.default_rng(5)
+    for q in 10 ** rng.uniform(-11, -6, size=300):
+        n = int(n_ca_fq(q, 0.99))
+        assert -math.expm1(n * math.log1p(-q)) >= 0.99
+        assert -math.expm1((n - 1) * math.log1p(-q)) < 0.99
+
+
+def test_first_success_bound_finishes_beyond_exact_integers():
+    """For q below about 5e-16 the count passes 2**53, where floats no
+    longer hold every integer; the bound must still end, at the smallest
+    float count that reaches p_ca in float arithmetic, and be inf only past
+    the float range."""
+    rng = np.random.default_rng(6)
+    for p_ca in (0.6, 0.99):
+        for q in 10 ** rng.uniform(-20, -15, size=300):
+            n = float(n_ca_fq(q, p_ca))
+            step = max(1.0, float(np.spacing(n)))
+            assert -np.expm1(n * np.log1p(-q)) >= p_ca
+            assert -np.expm1((n - step) * np.log1p(-q)) < p_ca
+    assert n_ca_fq(1e-33, 0.99) == pytest.approx(-math.log(0.01) * 1e33, rel=1e-12)
+    assert math.isinf(n_ca_fq(1e-310, 0.99))

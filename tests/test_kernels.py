@@ -2,18 +2,26 @@ import numpy as np
 import pytest
 
 from qkshots import (
+    ClassicalProfile,
     ConfigurationError,
     FeatureMapConfig,
     KernelMatrix,
     ReducedDensityMatrix,
     StateVector,
+    circuit_depth,
+    classical_cost,
     embed,
+    entry_budgets,
+    error_budget,
     fidelity_kernel,
     gram_matrix,
     kernel_statistics,
+    n_ca_noisy_binomial_exact,
     projected_kernel,
+    sample_gram,
     vacuum_state,
 )
+from qkshots.measurement import total_shot_count
 
 from oracles import quantile_type7
 
@@ -190,3 +198,23 @@ class TestKernelMatrixValidation:
     def test_rejects_unknown_family(self):
         with pytest.raises(ConfigurationError):
             KernelMatrix(values=np.eye(2), family="swap", config=FeatureMapConfig(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: KernelMatrix(values=np.eye(2), family="swap", config=FeatureMapConfig(2)),
+        lambda: gram_matrix(np.zeros((2, 2)), FeatureMapConfig(2), family="swap"),
+        lambda: sample_gram(np.zeros((2, 2)), FeatureMapConfig(2), family="swap"),
+        lambda: total_shot_count("swap", 4, 10),
+        lambda: circuit_depth(FeatureMapConfig(2), "swap"),
+        lambda: classical_cost("swap", 2, 4, ClassicalProfile(c0=1.0, alpha=1.0)),
+        lambda: error_budget("swap", 0.5, 1.0, 0.2),
+        lambda: n_ca_noisy_binomial_exact(0.4, 0.5, 0.9, 0.01, family="swap"),
+        lambda: entry_budgets("swap", np.eye(2), 1.0, 0.2, 0.9, 0.99),
+    ],
+)
+def test_every_family_dispatch_shares_one_check(call):
+    with pytest.raises(ConfigurationError) as err:
+        call()
+    assert str(err.value) == "family must be one of ('fidelity', 'projected'), got 'swap'"
