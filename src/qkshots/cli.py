@@ -237,7 +237,7 @@ def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> 
     entries = entry_budgets(
         family, kernel.values, eps, stats.iqr, p_spread, p_ca, noise.p_error,
         table=kernel.component_table, gamma=gamma, n_qubits=fmap.n_qubits,
-    ).entries()
+    )
 
     p_budget = error_budget(
         family, stats.median, eps, stats.iqr, n_qubits=fmap.n_qubits

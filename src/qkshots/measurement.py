@@ -14,10 +14,13 @@ per-qubit binomials; every estimator in scope depends only on its own
 marginal, so joint bitstring correlations never matter and sampling stays
 O(n) per batch.
 
-Reproducibility: all draws come from generators keyed by
-``SeedSequence(entropy=seed, spawn_key=(stream, *indices))``, so results
-are bit-identical for a given seed regardless of scheduling or thread
-count.
+Reproducibility: every draw comes from a generator keyed by
+``SeedSequence(entropy=seed, spawn_key=(key,))``. A sampled fidelity Gram
+matrix draws row i of its upper triangle, one vectorised binomial, from key
+i; a sampled projected one draws point i's (n, 3) basis counts from key i,
+and ``sample_tomography`` is that one-point case with key ``stream``.
+Draws run after the embedding, in one thread, so results are bit-identical
+for a given seed whatever the thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import parallel_map
 from .feature_map import FeatureMapConfig
 from .kernels import (
     FIDELITY,
@@ -89,6 +91,14 @@ def components_from_proportions(z: float, x: float, y: float) -> tuple[float, fl
     return (z, x - 0.5, 0.5 - y)
 
 
+def component_proportions(table, p_error: float = 0.0) -> np.ndarray:
+    """``measured_proportions`` of a (..., 3) component table, depolarised
+    towards 1/2 by ``p_error``."""
+    table = np.asarray(table, dtype=float)
+    props = np.stack([table[..., 0], table[..., 1] + 0.5, 0.5 - table[..., 2]], axis=-1)
+    return depolarized_component_probability(props, p_error) if p_error else props
+
+
 @dataclass(frozen=True)
 class ShotResult:
     """One finite-shot estimate of a fidelity-kernel entry."""
@@ -143,21 +153,31 @@ def sample_fidelity(
     )
 
 
-def _clip_physical(d: float, r: float, i: float) -> tuple[float, float, float]:
+def _clip_physical(d, r, i) -> tuple[np.ndarray, np.ndarray]:
     """Project estimated components onto the physical (PSD) set.
 
     The population is a binomial proportion and already lies in [0, 1]; the
-    off-diagonal pair is radially rescaled when it exceeds the PSD radius
-    sqrt(d (1-d)).
+    off-diagonal pair is radially rescaled where it exceeds the PSD radius
+    sqrt(d (1-d)). Returns the (..., 3) components and the mask of the
+    rescaled estimates.
     """
-    d = min(max(d, 0.0), 1.0)
+    d = np.clip(d, 0.0, 1.0)
     radius_sq = d * (1.0 - d)
     coh_sq = r * r + i * i
-    if coh_sq > radius_sq:
-        scale = np.sqrt(radius_sq / coh_sq) if coh_sq > 0 else 0.0
-        r *= scale
-        i *= scale
-    return d, r, i
+    outside = coh_sq > radius_sq  # so coh_sq > 0 wherever it is used
+    scale = np.where(outside, np.sqrt(radius_sq / np.where(outside, coh_sq, 1.0)), 1.0)
+    return np.stack([d, r * scale, i * scale], axis=-1), outside
+
+
+def _tomography_probabilities(table, p_error: float) -> np.ndarray:
+    """Basis success probabilities of a (..., 3) component table."""
+    # the clip guards rounding dust at the edges
+    return np.clip(component_proportions(table, p_error), 0.0, 1.0)
+
+
+def _estimated_components(counts, n_shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Physical components from (..., 3) basis counts, and the clip mask."""
+    return _clip_physical(*components_from_proportions(*np.moveaxis(counts / n_shots, -1, 0)))
 
 
 def sample_tomography(
@@ -170,23 +190,20 @@ def sample_tomography(
     """Estimate every one-qubit reduced matrix of one data point.
 
     Each qubit and basis is an independent Binomial(n_shots, q_f) draw with
-    q_f the depolarised basis success probability; the estimated
-    proportions are inverted to components and clipped to the physical set.
+    q_f the depolarised basis success probability, all (n, 3) of them from
+    the generator keyed ``stream``; the estimated proportions are inverted
+    to components and clipped to the physical set (``metadata["psd_clipped"]``
+    counts the rescaled qubits).
     """
     _check_shots(n_shots)
-    counts = np.zeros((len(rho_list), len(BASES)), dtype=int)
-    matrices = []
-    for k, rho in enumerate(rho_list):
-        estimates = []
-        for b, q in enumerate(measured_proportions(rho)):
-            q_f = depolarized_component_probability(q, noise.p_error)
-            q_f = min(max(q_f, 0.0), 1.0)  # guard rounding dust at the edges
-            counts[k, b] = _rng(seed, stream, k, b).binomial(n_shots, q_f)
-            estimates.append(counts[k, b] / n_shots)
-        d, r, i = _clip_physical(*components_from_proportions(*estimates))
-        matrices.append(ReducedDensityMatrix.from_components(d, r, i))
+    table = np.array([rho.components for rho in rho_list], dtype=float).reshape(-1, 3)
+    q = _tomography_probabilities(table, noise.p_error)
+    counts = _rng(seed, stream).binomial(n_shots, q)
+    estimated, clipped = _estimated_components(counts, n_shots)
     return TomographyResult(
-        matrices=matrices, successes=counts, n_shots=n_shots, seed=seed
+        matrices=[ReducedDensityMatrix.from_components(*c) for c in estimated.tolist()],
+        successes=counts, n_shots=n_shots, seed=seed,
+        metadata={"psd_clipped": int(clipped.sum())},
     )
 
 
@@ -217,7 +234,9 @@ def sample_gram(
     Fidelity: every upper-triangle entry is sampled independently.
     Projected: each point's tomography is sampled once (per basis), then
     all entries follow by classical post-processing, so estimation errors
-    of entries sharing a data point are correlated, exactly as on hardware.
+    of entries sharing a data point are correlated, exactly as on hardware;
+    ``metadata["psd_clipped"]`` counts the (point, qubit) estimates that
+    were rescaled onto the physical set.
     """
     _check_shots(n_shots)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -225,53 +244,37 @@ def sample_gram(
     if m < 2:
         raise ValueError(f"need at least 2 points, got {m}")
 
+    metadata = {
+        "estimated": True,
+        "n_shots": n_shots,
+        "p_error": noise.p_error,
+        "seed": seed,
+        "total_shots": total_shot_count(family, m, n_shots),
+    }
     if check_family(family) == FIDELITY:
         exact = fidelity_gram_values(
             embedding_matrix(points, cfg, cap=cap, threads=threads)
         )
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-        def draw(pair):
-            i, j = pair
-            q = depolarized_fidelity_probability(
-                exact[i, j], noise.p_error, cfg.n_qubits
-            )
-            return _rng(seed, i, j).binomial(n_shots, q) / n_shots
-
+        q = depolarized_fidelity_probability(exact, noise.p_error, cfg.n_qubits)
         values = np.zeros((m, m))
-        for (i, j), est in zip(pairs, parallel_map(draw, pairs, threads)):
-            values[i, j] = est
-        sym = np.triu(values, k=1)
-        values = sym + sym.T
+        for i in range(m - 1):
+            values[i, i + 1:] = _rng(seed, i).binomial(n_shots, q[i, i + 1:]) / n_shots
+        values = values + values.T
         np.fill_diagonal(values, 1.0)
         gamma_out = None
     else:
         table = reduced_component_table(points, cfg, cap=cap, threads=threads)
-
-        def tomo(i):
-            rhos = [
-                ReducedDensityMatrix.from_components(*table[i, k])
-                for k in range(cfg.n_qubits)
-            ]
-            result = sample_tomography(
-                rhos, n_shots, noise=noise, seed=seed, stream=i
-            )
-            return [rho.components for rho in result.matrices]
-
-        estimated = np.asarray(parallel_map(tomo, range(m), threads))
+        q = _tomography_probabilities(table, noise.p_error)
+        counts = np.stack([_rng(seed, i).binomial(n_shots, q[i]) for i in range(m)])
+        estimated, clipped = _estimated_components(counts, n_shots)
         values = projected_gram_values(estimated, gamma)
         gamma_out = gamma
+        metadata["psd_clipped"] = int(clipped.sum())
 
     return KernelMatrix(
         values=values,
         family=family,
         config=cfg,
         gamma=gamma_out,
-        metadata={
-            "estimated": True,
-            "n_shots": n_shots,
-            "p_error": noise.p_error,
-            "seed": seed,
-            "total_shots": total_shot_count(family, m, n_shots),
-        },
+        metadata=metadata,
     )

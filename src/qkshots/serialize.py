@@ -1,9 +1,11 @@
 """File formats: kernel matrices as CSV with a JSON metadata sidecar,
 scaling series as long-format CSV, budgets and fits as JSON.
 
-All JSON is written UTF-8 with sorted keys; every file (or its sidecar)
-embeds a provenance block with the tool version and the fully resolved
-configuration that produced it.
+All JSON is written UTF-8 with sorted keys and an indent of 2; every file
+(or its sidecar) embeds a provenance block with the tool version and the
+fully resolved configuration that produced it. Per-entry shot budgets are
+streamed straight from their arrays, in the bytes ``json.dump`` would
+give their ``EntryBudgets.entries()`` records.
 """
 
 from __future__ import annotations
@@ -20,6 +22,13 @@ from . import __version__
 from .feature_map import FeatureMapConfig
 from .kernels import KernelMatrix
 from .scaling import ScalingFit, ScalingSeries
+from .shot_bounds import CONCENTRATION_AVOIDANCE, SPREAD, EntryBudgets
+
+# budget records encoded per write: one big string would cost its size in
+# peak memory, one write per record the call overhead
+ENTRY_BLOCK = 1024
+# stands in for a streamed value while the rest of a payload is encoded
+_SLOT = "\x00"
 
 
 def _jsonable(value):
@@ -48,12 +57,103 @@ def provenance(command: str, config: dict, seed: int | None) -> dict:
     }
 
 
+def _dumps(value) -> str:
+    return json.dumps(_jsonable(value), indent=2, sort_keys=True)
+
+
+def _slot(name: str) -> str:
+    """The encoded placeholder of ``name`` in a template."""
+    return json.dumps(_SLOT + name)
+
+
+def _record_template(budgets: EntryBudgets) -> tuple[str, list[str]]:
+    """%-format template of one budget record, indented as an item of a
+    top-level list, and its per-entry fields in template order. Everything
+    else in the record is the same for every pair and encoded once."""
+    record = {"i": 0, "j": 0, **budgets.budget(0).to_dict()}
+    fields = ["i", "j", "n_spread", "n_ca", "n_required", "unbounded",
+              "effect_dominant", "degenerate"]
+    inputs = ["kappa"] + (["ca_imposed"] if budgets.ca_imposed is not None else [])
+    record.update((name, _SLOT + name) for name in fields)
+    record["inputs"].update((name, _SLOT + name) for name in inputs)
+    text = "    " + _dumps(record).replace("%", "%%").replace("\n", "\n    ")
+    fields = sorted(fields + inputs, key=lambda name: text.index(_slot(name)))
+    for name in fields:
+        text = text.replace(_slot(name), "%s")
+    return text, fields
+
+
+def _tokens(flags) -> list[str]:
+    return np.where(flags, "true", "false").tolist()
+
+
+def _counts(values, null) -> list:
+    """``int()`` of every Python float, "null" where ``null``."""
+    tokens = [int(v) for v in np.where(null, 0.0, values).tolist()]
+    for k in np.flatnonzero(null).tolist():
+        tokens[k] = "null"
+    return tokens
+
+
+def _entry_columns(budgets: EntryBudgets, rows: slice) -> dict[str, list]:
+    """JSON tokens of every per-entry field of the pairs in ``rows``, as
+    ``ShotBudget.to_dict`` and ``_jsonable`` would encode them."""
+    kappa = budgets.kappa[rows]
+    n_spread = np.trunc(budgets.n_spread[rows])
+    n_ca = np.trunc(budgets.n_ca[rows])
+    unbounded = np.isinf(n_ca)
+    columns = {
+        "i": budgets.i[rows].tolist(),
+        "j": budgets.j[rows].tolist(),
+        "kappa": [repr(v) for v in kappa.tolist()],
+        "n_spread": _counts(n_spread, False),
+        "n_ca": _counts(n_ca, unbounded),
+        "n_required": _counts(np.maximum(n_spread, n_ca), unbounded),
+        "unbounded": _tokens(unbounded),
+        "effect_dominant": np.where(n_spread >= n_ca, json.dumps(SPREAD),
+                                    json.dumps(CONCENTRATION_AVOIDANCE)).tolist(),
+        "degenerate": _tokens(budgets.degenerate[rows]),
+    }
+    for k in np.flatnonzero(~np.isfinite(kappa)).tolist():
+        columns["kappa"][k] = json.dumps(_jsonable(float(kappa[k])))
+    if budgets.ca_imposed is not None:
+        columns["ca_imposed"] = _tokens(budgets.ca_imposed[rows])
+    return columns
+
+
+def _write_entries(handle, budgets: EntryBudgets) -> None:
+    """Write the budget records of all pairs as an indented JSON list, one
+    block of :data:`ENTRY_BLOCK` records per write."""
+    size = budgets.i.size
+    if size == 0:
+        handle.write("[]")
+        return
+    template, fields = _record_template(budgets)
+    separator = "[\n"
+    for start in range(0, size, ENTRY_BLOCK):
+        columns = _entry_columns(budgets, slice(start, start + ENTRY_BLOCK))
+        records = zip(*(columns[name] for name in fields))
+        handle.write(separator + ",\n".join(template % record for record in records))
+        separator = ",\n"
+    handle.write("\n  ]")
+
+
 def write_json(path, payload: dict) -> Path:
+    """Write ``payload`` as indented JSON with sorted keys. Top-level
+    :class:`EntryBudgets` values are written as their ``entries()`` lists,
+    streamed from the arrays."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    streamed = {key: value for key, value in payload.items()
+                if isinstance(value, EntryBudgets)}
+    text = _dumps({key: _SLOT + key if key in streamed else value
+                   for key, value in payload.items()}) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        for key in sorted(streamed):
+            head, text = text.split(_slot(key), 1)
+            handle.write(head)
+            _write_entries(handle, streamed[key])
+        handle.write(text)
     return path
 
 
@@ -62,11 +162,11 @@ def write_kernel_csv(path, kernel: KernelMatrix, extra: dict | None = None) -> t
     family, feature-map and sampling metadata."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # the bytes csv.writer would write: no field needs quoting, \r\n line ends
+    row_format = ",".join(["%.17g"] * kernel.m) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"k{i}" for i in range(kernel.m)])
-        for row in kernel.values:
-            writer.writerow([f"{v:.17g}" for v in row])
+        handle.write(",".join(f"k{i}" for i in range(kernel.m)) + "\r\n")
+        handle.writelines(row_format % tuple(row.tolist()) for row in kernel.values)
     meta = {
         "family": kernel.family,
         "gamma": kernel.gamma,

@@ -51,6 +51,7 @@ from .kernels import (
 )
 from .measurement import (
     NoiseModel,
+    component_proportions,
     depolarized_component_probability,
     depolarized_fidelity_probability,
 )
@@ -119,14 +120,6 @@ def _check_gamma(gamma: float) -> None:
 # spread bounds
 # ---------------------------------------------------------------------------
 
-def _proportions(table, p_error: float = 0.0) -> np.ndarray:
-    """Measured proportions (z, x, y) = (d, re + 1/2, 1/2 - im) of a
-    (..., 3) component table, depolarised towards 1/2 by ``p_error``."""
-    table = np.asarray(table, dtype=float)
-    props = np.stack([table[..., 0], table[..., 1] + 0.5, 0.5 - table[..., 2]], axis=-1)
-    return depolarized_component_probability(props, p_error) if p_error else props
-
-
 def _pair_table(rho_x, rho_y) -> np.ndarray:
     """(2, n, 3) component table of two reduced-matrix lists."""
     if len(rho_x) != len(rho_y) or len(rho_x) == 0:
@@ -188,7 +181,7 @@ def n_spread_fq(
 def pq_variance_terms(rho_x, rho_y) -> np.ndarray:
     """Per-qubit delta-method variance factor V_k of the projected kernel
     (see :func:`_variance_terms`)."""
-    z = _proportions(_pair_table(rho_x, rho_y))
+    z = component_proportions(_pair_table(rho_x, rho_y))
     return _variance_terms(z[0], z[1], noise_robust=False)
 
 
@@ -196,7 +189,7 @@ def pq_variance_terms_noise_robust(rho_x, rho_y) -> np.ndarray:
     """Worst-case V_k with every variance/covariance factor bounded by 1
     (the binomial variance formula is unavailable for noisy estimators):
     the plain double sum of derivative magnitudes."""
-    z = _proportions(_pair_table(rho_x, rho_y))
+    z = component_proportions(_pair_table(rho_x, rho_y))
     return _variance_terms(z[0], z[1], noise_robust=True)
 
 
@@ -252,7 +245,7 @@ def _pair_spread(rho_x, rho_y, gamma, kappa, denominator, p_error=0.0, noisy=Fal
     bounds accept proportions at 0 or 1, which its concentration half
     rejects, so they do not go through it."""
     _check_gamma(gamma)
-    z = _proportions(_pair_table(rho_x, rho_y), p_error)
+    z = component_proportions(_pair_table(rho_x, rho_y), p_error)
     if kappa is None:
         kappa = projected_kernel(rho_x, rho_y, gamma) ** ((1.0 - p_error) ** 2)
     v_total = _variance_terms(z[0], z[1], noisy).sum()
@@ -716,7 +709,7 @@ def entry_budgets(
     _check_gamma(gamma)
     if table is None:
         raise ValueError("projected budgets need the component table")
-    props = _proportions(table, p_error)
+    props = component_proportions(table, p_error)
     worst, imposed = _pq_point_ca(props, p_ca)
     blocks = []
     for i, j in _pair_blocks(values.shape[0], props.shape[1]):
@@ -850,7 +843,7 @@ def dataset_budget(
 def _mean_pair_variance_terms(table, p_error: float, noise_robust: bool) -> float:
     """Mean over all point pairs of sum_k V_k, accumulated over the row
     blocks of :func:`_pair_blocks`."""
-    props = _proportions(table, p_error)
+    props = component_proportions(table, p_error)
     m = props.shape[0]
     if m < 2:
         raise ValueError("component table needs at least two points")

@@ -7,6 +7,8 @@ matrices, log-space sums), so agreement is meaningful.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 from functools import reduce
 
@@ -182,3 +184,15 @@ def ols_line(xs, ys) -> tuple[float, float, float]:
     if syy == 0.0:
         return slope, intercept, 1.0
     return slope, intercept, (sxy * sxy) / (sxx * syy)
+
+
+def budget_json(payload: dict, budgets) -> str:
+    """The shot-budget file as the standard-library encoder writes it: the
+    per-pair ``EntryBudgets.entries()`` dicts under "entries", through
+    ``json.dump`` with indent 2 and sorted keys."""
+    from qkshots.serialize import _jsonable
+
+    text = io.StringIO()
+    json.dump(_jsonable({**payload, "entries": budgets.entries()}), text,
+              indent=2, sort_keys=True)
+    return text.getvalue() + "\n"

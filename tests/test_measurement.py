@@ -11,6 +11,7 @@ from qkshots import (
     sample_gram,
     sample_tomography,
 )
+from qkshots.kernels import projected_gram_values, reduced_component_table
 from qkshots.measurement import (
     depolarized_component_probability,
     depolarized_fidelity_probability,
@@ -196,3 +197,41 @@ class TestSampleGram:
             points, cfg, family="projected", gamma=1.0, n_shots=1_000_000, seed=6
         )
         assert np.max(np.abs(sampled.values - exact.values)) < 5e-3
+
+    @pytest.mark.parametrize("p_error", [0.0, 0.05])
+    def test_projected_point_is_one_point_tomography(self, p_error):
+        """Point i of the batch draws what sample_tomography draws with
+        stream i, so the estimated tables and Gram matrices agree exactly."""
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(5, 3))
+        cfg = FeatureMapConfig(n_qubits=3, repetitions=2, entanglement="full")
+        noise = NoiseModel(p_error)
+        batch = sample_gram(points, cfg, family="projected", gamma=0.7, n_shots=16,
+                            noise=noise, seed=19)
+        table = reduced_component_table(points, cfg)
+        results = [
+            sample_tomography([ReducedDensityMatrix.from_components(*c) for c in row],
+                              16, noise=noise, seed=19, stream=i)
+            for i, row in enumerate(table)
+        ]
+        estimated = np.array([[rho.components for rho in r.matrices] for r in results])
+        assert np.array_equal(batch.values, projected_gram_values(estimated, 0.7))
+        assert batch.metadata["psd_clipped"] == sum(
+            r.metadata["psd_clipped"] for r in results)
+
+    def test_psd_clipped_counts_rescaled_estimates(self):
+        """At 4 shots many estimates leave the Bloch ball; the count equals a
+        per-(point, qubit) check of the drawn proportions."""
+        rng = np.random.default_rng(13)
+        points = rng.normal(size=(8, 3))
+        cfg = FeatureMapConfig(n_qubits=3, repetitions=2, entanglement="full")
+        sampled = sample_gram(points, cfg, family="projected", n_shots=4, seed=23)
+        table = reduced_component_table(points, cfg)
+        expected = 0
+        for i, row in enumerate(table):
+            rhos = [ReducedDensityMatrix.from_components(*c) for c in row]
+            counts = sample_tomography(rhos, 4, seed=23, stream=i).successes
+            for z, x, y in counts / 4:
+                expected += (x - 0.5) ** 2 + (0.5 - y) ** 2 > z * (1 - z)
+        assert sampled.metadata["psd_clipped"] == expected > 0
+        assert "psd_clipped" not in sample_gram(points, cfg, n_shots=4, seed=23).metadata

@@ -1,0 +1,111 @@
+"""File writers against the standard-library encoders they replace.
+
+``write_json`` streams per-entry shot budgets straight from the
+``EntryBudgets`` arrays and ``write_kernel_csv`` formats whole rows; the
+references here are ``json.dump`` of ``EntryBudgets.entries()`` and
+``csv.writer``, and the bytes must be equal.
+"""
+
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+
+from qkshots import FeatureMapConfig, KernelMatrix, entry_budgets, gram_matrix, serialize
+from qkshots.kernels import projected_gram_values
+from qkshots.serialize import _jsonable, read_kernel_csv, write_json, write_kernel_csv
+
+from oracles import budget_json
+
+EPS, DELTA, P_SPREAD, P_CA, GAMMA, N_QUBITS = 0.8, 0.2, 0.9, 0.99, 0.7, 3
+
+
+def reference_json(payload: dict, budgets) -> bytes:
+    return budget_json(payload, budgets).encode("utf-8")
+
+
+def written_json(tmp_path, payload: dict, budgets) -> bytes:
+    return write_json(tmp_path / "budgets.json", {**payload, "entries": budgets}).read_bytes()
+
+
+def _payload():
+    # keys sorting before and after "entries", nested values, inf -> null
+    return {"dataset_budget": {"n_ca": 12, "inputs": {"m": float("inf")}},
+            "statistics": {"iqr": np.float64(0.25), "median": 0.5},
+            "provenance": {"version": "x", "config": {"seed": 3}}}
+
+
+def _fidelity_values():
+    """Random entries plus an orthogonal pair (kappa = 0: unbounded at
+    p_error 0, and degenerate), a nearly orthogonal one (1e-33: n_ca about
+    4.6e33, past int64) and a duplicated point (kappa = 1: degenerate)."""
+    points = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, size=(7, N_QUBITS))
+    points[6] = points[5]
+    values = gram_matrix(points, FeatureMapConfig(N_QUBITS, 2, "full")).values.copy()
+    values[0, 1] = values[1, 0] = 0.0
+    values[0, 2] = values[2, 0] = 1e-33
+    return values
+
+
+def _projected_table():
+    """Random points plus two maximally mixed ones: their pair has no
+    proportion off 1/2 (ca_imposed false, degenerate)."""
+    points = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, size=(6, N_QUBITS))
+    kernel = gram_matrix(points, FeatureMapConfig(N_QUBITS, 2, "full"),
+                         family="projected", gamma=GAMMA)
+    mixed = np.tile([0.5, 0.0, 0.0], (2, N_QUBITS, 1))
+    return np.concatenate([kernel.component_table, mixed])
+
+
+@pytest.mark.parametrize("p_error", [0.0, 0.05])
+def test_fidelity_budget_bytes_equal_stdlib_encoder(tmp_path, p_error):
+    budgets = entry_budgets("fidelity", _fidelity_values(), EPS, DELTA, P_SPREAD, P_CA,
+                            p_error, n_qubits=N_QUBITS)
+    if p_error == 0.0:
+        assert budgets.n_ca[1] > 2.0**63
+        assert budgets.unbounded[0] and budgets.degenerate[0] and budgets.degenerate[-1]
+    assert written_json(tmp_path, _payload(), budgets) == reference_json(_payload(), budgets)
+
+
+@pytest.mark.parametrize("p_error", [0.0, 0.05])
+def test_projected_budget_bytes_equal_stdlib_encoder(tmp_path, p_error):
+    table = _projected_table()
+    budgets = entry_budgets("projected", projected_gram_values(table, GAMMA), EPS, DELTA,
+                            P_SPREAD, P_CA, p_error, table=table, gamma=GAMMA)
+    assert not budgets.ca_imposed[-1] and budgets.degenerate[-1]
+    assert budgets.ca_imposed[:-1].all()
+    assert written_json(tmp_path, _payload(), budgets) == reference_json(_payload(), budgets)
+
+
+def test_budget_blocks_join_like_one_list(tmp_path, monkeypatch):
+    """Records spanning several write blocks give the same bytes."""
+    budgets = entry_budgets("fidelity", _fidelity_values(), EPS, DELTA, P_SPREAD, P_CA)
+    monkeypatch.setattr(serialize, "ENTRY_BLOCK", 4)
+    assert written_json(tmp_path, {}, budgets) == reference_json({}, budgets)
+
+
+def test_empty_budgets_and_plain_payloads(tmp_path):
+    budgets = entry_budgets("fidelity", np.ones((1, 1)), EPS, DELTA, P_SPREAD, P_CA)
+    assert written_json(tmp_path, _payload(), budgets) == reference_json(_payload(), budgets)
+    plain = write_json(tmp_path / "plain.json", _payload()).read_text(encoding="utf-8")
+    assert plain == json.dumps(_jsonable(_payload()), indent=2, sort_keys=True) + "\n"
+
+
+def test_gram_csv_bytes_equal_csv_writer_and_round_trip(tmp_path):
+    rng = np.random.default_rng(8)
+    values = rng.uniform(size=(5, 5))
+    values[0, 1:] = [0.0, 1e-33, 1.0, 1.0 / 3.0]
+    values = np.triu(values, 1) + np.triu(values, 1).T + np.eye(5)
+    kernel = KernelMatrix(values=values, family="fidelity", config=FeatureMapConfig(2))
+    path, _ = write_kernel_csv(tmp_path / "gram.csv", kernel)
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow([f"k{i}" for i in range(5)])
+    for row in values:
+        writer.writerow([f"{v:.17g}" for v in row])
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+    loaded = read_kernel_csv(path)
+    assert np.array_equal(loaded.values, values)
+    assert (loaded.family, loaded.config) == ("fidelity", FeatureMapConfig(2))
