@@ -16,6 +16,10 @@ seed: stream k of a run uses SeedSequence(entropy=seed, spawn_key=(k,)),
 with stream 0 for dataset synthesis, 1 for stratification and 2 for shot
 sampling.
 
+The optional sections (``budget``, ``sampling``, ``resources.hardware`` and
+``resources.classical``) must be mappings when present; an absent or null
+section takes its defaults.
+
 Exit codes: 0 on success, 2 for configuration problems, 1 for any other
 failure; errors are reported as one JSON object on stderr.
 """
@@ -26,6 +30,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +52,7 @@ from .kernels import (
     FIDELITY,
     PROJECTED,
     check_family,
+    check_gamma,
     gram_matrix,
     kernel_statistics,
 )
@@ -59,7 +65,7 @@ from .resources import (
     find_crossover,
     quantum_cost,
 )
-from .scaling import ScalingSeries, extrapolate, fit_exponential, sweep
+from .scaling import ScalingSeries, extrapolate, sweep
 from .serialize import (
     fit_payload,
     provenance,
@@ -77,12 +83,16 @@ def _require(section: dict, key: str, context: str):
     return section[key]
 
 
-def _section(config: dict, key: str) -> dict:
+def _section(config: dict, key: str, required: bool = True, prefix: str = "") -> dict | None:
+    """The mapping at ``config[key]``; an optional section that is absent
+    or null gives None. ``prefix`` names the parent section in messages."""
     value = config.get(key)
     if value is None:
-        raise ConfigurationError(f"config section {key!r} is required")
+        if required:
+            raise ConfigurationError(f"config section {prefix + key!r} is required")
+        return None
     if not isinstance(value, dict):
-        raise ConfigurationError(f"config section {key!r} must be a mapping")
+        raise ConfigurationError(f"config section {prefix + key!r} must be a mapping")
     return value
 
 
@@ -140,6 +150,8 @@ def _resolve_dataset(config: dict, seed: int) -> Dataset:
 
 
 def _resolve_feature_map(config: dict, n_qubits: int | None = None) -> FeatureMapConfig:
+    """The feature map of the config; ``n_qubits`` overrides the section's.
+    Commands that set n per point pass 1 to resolve the rest of it."""
     section = _section(config, "feature_map")
     entanglement = section.get("entanglement", "linear")
     if entanglement not in ENTANGLEMENT_STRATEGIES:
@@ -159,13 +171,25 @@ def _resolve_kernel(config: dict) -> tuple[str, float]:
     section = _section(config, "kernel")
     family = check_family(section.get("family", FIDELITY), "kernel.family")
     gamma = float(section.get("gamma", 1.0))
-    if family == PROJECTED and gamma <= 0:
-        raise ConfigurationError(f"kernel.gamma must be > 0, got {gamma}")
+    if family == PROJECTED:
+        check_gamma(gamma, "kernel.gamma")
     return family, gamma
 
 
 def _resolve_noise(section: dict) -> NoiseModel:
     return NoiseModel(p_error=float(section.get("p_error", 0.0)))
+
+
+def _resolve_budget(config: dict) -> dict:
+    """Keyword arguments eps, p_spread, p_ca and noise of the budget
+    section, with their defaults."""
+    section = _section(config, "budget", required=False) or {}
+    return {
+        "eps": float(section.get("eps", 1.0)),
+        "p_spread": float(section.get("p_spread", 0.9)),
+        "p_ca": float(section.get("p_ca", 0.99)),
+        "noise": _resolve_noise(section),
+    }
 
 
 def _resolve_cap(config: dict) -> int | None:
@@ -185,7 +209,7 @@ def cmd_kernels(config: dict, out_dir: Path, seed: int, threads: int) -> list[Pa
     fmap = _resolve_feature_map(config)
     cap = _resolve_cap(config)
     subset = select_features(dataset, fmap.n_qubits)
-    sampling = config.get("sampling")
+    sampling = _section(config, "sampling", required=False)
     if sampling:
         kernel = sample_gram(
             subset.features,
@@ -218,29 +242,22 @@ def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> 
     fmap = _resolve_feature_map(config)
     cap = _resolve_cap(config)
     subset = select_features(dataset, fmap.n_qubits)
-    budget_cfg = config.get("budget", {})
-    eps = float(budget_cfg.get("eps", 1.0))
-    p_spread = float(budget_cfg.get("p_spread", 0.9))
-    p_ca = float(budget_cfg.get("p_ca", 0.99))
-    noise = _resolve_noise(budget_cfg)
+    budget = _resolve_budget(config)
 
     kernel = gram_matrix(
         subset.features, fmap, family=family, gamma=gamma, cap=cap,
         threads=threads,
     )
     stats = kernel_statistics(kernel)
-    dataset_level = dataset_budget(
-        kernel, eps=eps, p_spread=p_spread, p_ca=p_ca,
-        noise=noise if noise.p_error > 0 else None,
-        rho_table=kernel.component_table,
-    )
+    dataset_level = dataset_budget(kernel, **budget, rho_table=kernel.component_table)
     entries = entry_budgets(
-        family, kernel.values, eps, stats.iqr, p_spread, p_ca, noise.p_error,
+        family, kernel.values, budget["eps"], stats.iqr, budget["p_spread"],
+        budget["p_ca"], budget["noise"].p_error,
         table=kernel.component_table, gamma=gamma, n_qubits=fmap.n_qubits,
     )
 
     p_budget = error_budget(
-        family, stats.median, eps, stats.iqr, n_qubits=fmap.n_qubits
+        family, stats.median, budget["eps"], stats.iqr, n_qubits=fmap.n_qubits
     )
     payload = {
         "dataset_budget": dataset_level.to_dict(),
@@ -289,22 +306,17 @@ def _fits_for_series(series_map: dict[str, ScalingSeries], targets) -> dict:
 def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     dataset = _resolve_dataset(config, seed)
     family, gamma = _resolve_kernel(config)
-    fm_section = _section(config, "feature_map")
+    shape = _resolve_feature_map(config, n_qubits=1)
     sweep_cfg = _section(config, "sweep")
     n_values = [int(n) for n in _require(sweep_cfg, "n_values", "sweep")]
-    budget_cfg = config.get("budget", {})
-    noise = _resolve_noise(budget_cfg)
     series_map = sweep(
         dataset,
         family=family,
-        repetitions=int(fm_section.get("repetitions", 1)),
-        entanglement=fm_section.get("entanglement", "linear"),
+        repetitions=shape.repetitions,
+        entanglement=shape.entanglement,
         n_values=n_values,
         gamma=gamma,
-        eps=float(budget_cfg.get("eps", 1.0)),
-        p_spread=float(budget_cfg.get("p_spread", 0.9)),
-        p_ca=float(budget_cfg.get("p_ca", 0.99)),
-        noise=noise if noise.p_error > 0 else None,
+        **_resolve_budget(config),
         include_budgets=bool(sweep_cfg.get("include_budgets", True)),
         cap=_resolve_cap(config),
         threads=threads,
@@ -328,18 +340,19 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path
 
 def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     family, _ = _resolve_kernel(config)
-    fm_section = _section(config, "feature_map")
+    shape = _resolve_feature_map(config, n_qubits=1)
     res_cfg = _section(config, "resources")
     m = int(_require(res_cfg, "m", "resources"))
     shots = int(_require(res_cfg, "shots_per_estimate", "resources"))
     n_values = [int(n) for n in _require(res_cfg, "n_values", "resources")]
     corrected = bool(res_cfg.get("corrected", False))
     budget = res_cfg.get("error_budget")
+    hardware_section = _section(res_cfg, "hardware", required=False, prefix="resources.")
     try:
-        hardware = HardwareProfile(**_float_values(res_cfg.get("hardware", {})))
+        hardware = HardwareProfile(**_float_values(hardware_section or {}))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"resources.hardware: {exc}") from None
-    classical_section = res_cfg.get("classical")
+    classical_section = _section(res_cfg, "classical", required=False, prefix="resources.")
     classical_profile = None
     if classical_section is not None:
         try:
@@ -351,9 +364,8 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
 
     rows = []
     for n in n_values:
-        fmap = _resolve_feature_map({"feature_map": fm_section}, n_qubits=n)
         cost = quantum_cost(
-            shots, fmap, family, m, profile=hardware,
+            shots, replace(shape, n_qubits=n), family, m, profile=hardware,
             corrected=corrected,
             error_budget=float(budget) if budget is not None else None,
         )
@@ -387,23 +399,22 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
 
 def cmd_characterize(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     dataset = _resolve_dataset(config, seed)
-    fm_section = _section(config, "feature_map")
+    shape = _resolve_feature_map(config, n_qubits=1)
     char_cfg = _section(config, "characterize")
     n_values = sorted(int(n) for n in _require(char_cfg, "n_values", "characterize"))
     cap = _resolve_cap(config)
     expr, entropy = [], []
     for n in n_values:
         subset = select_features(dataset, n)
-        fmap = _resolve_feature_map({"feature_map": fm_section}, n_qubits=n)
         expressive, entangled = embedding_diagnostics(
-            subset.features, fmap, cap=cap, threads=threads
+            subset.features, replace(shape, n_qubits=n), cap=cap, threads=threads
         )
         expr.append(expressive)
         entropy.append(entangled)
     meta = {
         "dataset_id": dataset.dataset_id,
-        "repetitions": int(fm_section.get("repetitions", 1)),
-        "entanglement": fm_section.get("entanglement", "linear"),
+        "repetitions": shape.repetitions,
+        "entanglement": shape.entanglement,
     }
     series = [
         ScalingSeries("expressibility", np.array(n_values), np.array(expr), meta),

@@ -135,14 +135,12 @@ def generate_twonorm(m: int, n_features: int = 20, seed: int = 0) -> Dataset:
     )
 
 
-def generate_random_angles(
-    m: int, n_features: int, seed: int = 0, low: float = 0.0,
-    high: float = 2.0 * np.pi,
-) -> Dataset:
-    """Uniform random angle vectors (labels alternate and carry no signal);
-    useful as a scrambling, Haar-like input for embedding diagnostics."""
+def generate_random_angles(m: int, n_features: int, seed: int = 0) -> Dataset:
+    """Uniform random angle vectors in [0, 2 pi) (labels alternate and carry
+    no signal); useful as a scrambling, Haar-like input for embedding
+    diagnostics."""
     rng = np.random.default_rng(seed)
-    features = rng.uniform(low, high, size=(m, n_features))
+    features = rng.uniform(0.0, 2.0 * np.pi, size=(m, n_features))
     labels = np.arange(m) % 2
     return Dataset(
         features=features,

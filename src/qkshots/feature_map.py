@@ -17,11 +17,11 @@ row blocks of the (m, 2**n) amplitude batch.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import parallel_map
 from .statevector import (
     ConfigurationError,
     StateVector,
@@ -151,7 +151,13 @@ def embed_batch(
         if components:
             out[rows] = qubit_components(amps, n)
 
-    parallel_map(one, range(0, m, step), threads)
+    starts = range(0, m, step)
+    if threads <= 1 or len(starts) <= 1:
+        for start in starts:
+            one(start)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(one, starts))  # re-raises a block's exception
     return out
 
 

@@ -43,6 +43,14 @@ def check_family(family: str, name: str = "family") -> str:
     return family
 
 
+def check_gamma(gamma: float, name: str = "gamma") -> float:
+    """Return ``gamma`` if it is > 0, else raise a ConfigurationError;
+    ``name`` is the field the message reports."""
+    if gamma <= 0:
+        raise ConfigurationError(f"{name} must be > 0, got {gamma}")
+    return gamma
+
+
 @dataclass
 class KernelMatrix:
     """Symmetric m x m kernel matrix plus the configuration that produced it.
@@ -102,8 +110,7 @@ def projected_kernel(
     rho_x, rho_y, gamma: float = 1.0
 ) -> float:
     """Gaussian kernel of one-qubit reduced-matrix differences."""
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma must be > 0, got {gamma}")
+    check_gamma(gamma)
     if len(rho_x) != len(rho_y) or len(rho_x) == 0:
         raise ValueError(
             f"reduced-matrix lists must have equal nonzero length, "
@@ -155,8 +162,7 @@ def fidelity_gram_values(embeddings: np.ndarray) -> np.ndarray:
 
 def projected_gram_values(table: np.ndarray, gamma: float) -> np.ndarray:
     """Projected-kernel matrix from a component table (m, n, 3)."""
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma must be > 0, got {gamma}")
+    check_gamma(gamma)
     flat = table.reshape(table.shape[0], -1)
     sq = np.sum(flat**2, axis=1)
     dists = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T), 0.0)
@@ -172,7 +178,6 @@ def gram_matrix(
     gamma: float = 1.0,
     cap: int | None = None,
     threads: int = 1,
-    metadata: dict | None = None,
 ) -> KernelMatrix:
     """Exact Gram matrix over a dataset; embeddings are computed once per
     point and reused for all pairs."""
@@ -194,7 +199,6 @@ def gram_matrix(
         family=family,
         config=cfg,
         gamma=gamma_out,
-        metadata=dict(metadata or {}),
         component_table=table,
     )
 

@@ -41,9 +41,6 @@ from .kernels import (
 )
 from .statevector import ConfigurationError, ReducedDensityMatrix
 
-# basis order for tomography draws: computational, Hadamard, Hadamard-phase
-BASES = ("z", "x", "y")
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -114,7 +111,7 @@ class TomographyResult:
     """Finite-shot single-qubit tomography of one embedded data point."""
 
     matrices: list[ReducedDensityMatrix]
-    successes: np.ndarray  # (n_qubits, 3) counts per basis, order BASES
+    successes: np.ndarray  # (n_qubits, 3) counts per basis, order (z, x, y)
     n_shots: int
     seed: int
     metadata: dict = field(default_factory=dict)
@@ -208,11 +205,14 @@ def sample_tomography(
 
 
 def total_shot_count(family: str, m: int, n_shots: int) -> int:
-    """Circuit runs needed for a full m-point Gram matrix.
+    """Circuit runs needed for a full m-point Gram matrix (m >= 2).
 
     Fidelity estimates each of the m(m-1)/2 independent entries with
     n_shots runs; projected tomography spends 3 n_shots runs per data
     point."""
+    if m < 2:
+        raise ValueError(f"need at least 2 points, got {m}")
+    _check_shots(n_shots)
     if check_family(family) == FIDELITY:
         return n_shots * m * (m - 1) // 2
     return 3 * m * n_shots
@@ -238,12 +238,8 @@ def sample_gram(
     ``metadata["psd_clipped"]`` counts the (point, qubit) estimates that
     were rescaled onto the physical set.
     """
-    _check_shots(n_shots)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m = points.shape[0]
-    if m < 2:
-        raise ValueError(f"need at least 2 points, got {m}")
-
     metadata = {
         "estimated": True,
         "n_shots": n_shots,
@@ -251,7 +247,7 @@ def sample_gram(
         "seed": seed,
         "total_shots": total_shot_count(family, m, n_shots),
     }
-    if check_family(family) == FIDELITY:
+    if family == FIDELITY:
         exact = fidelity_gram_values(
             embedding_matrix(points, cfg, cap=cap, threads=threads)
         )

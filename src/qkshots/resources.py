@@ -106,14 +106,9 @@ class ClassicalCost:
         }
 
 
-def total_shots(family: str, m: int, shots_per_estimate: int) -> int:
-    """Circuit runs for a full m-point Gram matrix at the given per-entry
-    (fidelity) or per-basis (projected) shot count."""
-    if m < 2:
-        raise ValueError(f"need at least 2 points, got {m}")
-    if shots_per_estimate < 1:
-        raise ValueError("shots_per_estimate must be >= 1")
-    return total_shot_count(family, m, shots_per_estimate)
+# circuit runs for a full m-point Gram matrix at the given per-entry
+# (fidelity) or per-basis (projected) shot count
+total_shots = total_shot_count
 
 
 def pair_layer_count(n_qubits: int, entanglement: str) -> int:
@@ -228,6 +223,8 @@ def quantum_cost(
 
 
 def _entry_count(family: str, m: int) -> int:
+    """Kernel entries (fidelity) or data points (projected): not the 3 m
+    runs per shot that total_shot_count counts for projected tomography."""
     if check_family(family) == FIDELITY:
         return m * (m - 1) // 2
     return m

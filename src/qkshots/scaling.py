@@ -9,7 +9,7 @@ points are discarded by an elbow rule on the R^2 of the candidate fits:
   ``2 R^2(d) - R^2(d-1) - R^2(d+1)`` when a strictly positive bend exists,
 * otherwise the smallest d with R^2 >= threshold, otherwise argmax R^2.
 
-A fit is valid when its R^2 reaches the threshold (default 0.99); only
+A fit is valid when its R^2 reaches the threshold 0.99; only
 valid fits may be extrapolated. Exponential value concentration holds when
 the deviation-from-mu series admits a valid fit with negative alpha, i.e.
 decay like 1/b**n with b = 2**(-alpha) > 1.
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset, select_features
+from .feature_map import FeatureMapConfig
 from .kernels import gram_matrix, kernel_statistics
 from .measurement import NoiseModel
 from .shot_bounds import dataset_budget
@@ -51,8 +52,8 @@ class ScalingSeries:
         if np.any(np.diff(self.qubit_counts) <= 0):
             raise ValueError("qubit counts must be strictly increasing")
 
-    def fit(self, threshold: float = R_SQUARED_THRESHOLD) -> "ScalingFit":
-        return fit_exponential(self.qubit_counts, self.values, threshold)
+    def fit(self) -> "ScalingFit":
+        return fit_exponential(self.qubit_counts, self.values)
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,7 @@ def _line_fit(ns: np.ndarray, logs: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r_squared
 
 
-def fit_exponential(
-    qubit_counts, values, threshold: float = R_SQUARED_THRESHOLD
-) -> ScalingFit:
+def fit_exponential(qubit_counts, values) -> ScalingFit:
     """Fit ``value = C * 2**(alpha n)`` with elbow-selected prefix drop."""
     ns = np.asarray(qubit_counts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -117,7 +116,7 @@ def fit_exponential(
         if best > _CURVATURE_TOL:
             chosen = 1 + int(np.argmax(curvature >= best - _CURVATURE_TOL))
     if chosen is None:
-        above = np.nonzero(r2_arr >= threshold)[0]
+        above = np.nonzero(r2_arr >= R_SQUARED_THRESHOLD)[0]
         chosen = int(above[0]) if above.size else int(np.argmax(r2_arr))
 
     return ScalingFit(
@@ -125,8 +124,7 @@ def fit_exponential(
         alpha=slopes[chosen],
         r_squared=float(r2_arr[chosen]),
         dropped_prefix=chosen,
-        valid=bool(r2_arr[chosen] >= threshold),
-        threshold=threshold,
+        valid=bool(r2_arr[chosen] >= R_SQUARED_THRESHOLD),
     )
 
 
@@ -151,9 +149,7 @@ class ConcentrationReport:
     mu: float
 
 
-def concentration_check(
-    series: ScalingSeries, mu: float = 0.0, threshold: float = R_SQUARED_THRESHOLD
-) -> ConcentrationReport:
+def concentration_check(series: ScalingSeries, mu: float = 0.0) -> ConcentrationReport:
     """Decide exponential concentration towards ``mu``.
 
     ``series`` must hold statistics of the deviation |kernel - mu|: the
@@ -162,7 +158,7 @@ def concentration_check(
     negative alpha (below -1e-9, guarding least-squares dust on flat
     series); the decay base is then b = 2**(-alpha) > 1.
     """
-    fit = series.fit(threshold)
+    fit = series.fit()
     concentrated = bool(fit.valid and fit.alpha < -1e-9)
     base = float(2.0 ** (-fit.alpha)) if concentrated else None
     return ConcentrationReport(
@@ -192,8 +188,6 @@ def sweep(
     recorded; with ``include_budgets`` the dataset-level spread and
     concentration shot counts are recorded as well.
     """
-    from .feature_map import FeatureMapConfig  # deferred: keeps import graph flat
-
     n_values = sorted(int(n) for n in n_values)
     if not n_values:
         raise ConfigurationError("n_values must be non-empty")

@@ -32,14 +32,13 @@ _SLOT = "\x00"
 
 
 def _jsonable(value):
-    if isinstance(value, (np.integer,)):
+    """Plain JSON values; every float or array element at +-inf becomes None."""
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, float) and math.isinf(value):
-        return None
+        return _jsonable(value.tolist())
+    if isinstance(value, (float, np.floating)):
+        return None if math.isinf(value) else float(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

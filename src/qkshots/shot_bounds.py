@@ -38,7 +38,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.special import ndtri
 
 from .kernels import (
@@ -46,6 +45,7 @@ from .kernels import (
     PROJECTED,
     KernelMatrix,
     check_family,
+    check_gamma,
     kernel_statistics,
     projected_kernel,
 )
@@ -55,10 +55,8 @@ from .measurement import (
     depolarized_component_probability,
     depolarized_fidelity_probability,
 )
-from .statevector import ConfigurationError
 
 PQ_CONCENTRATION_VALUE = 0.5  # measured tomography proportions concentrate here
-FQ_CONCENTRATION_VALUE = 0.0
 
 _CEIL_GUARD = 1e-9
 _SEARCH_CAP = 1 << 50
@@ -109,11 +107,6 @@ def _spread_denominator(eps: float, delta_ensemble: float, p_spread: float) -> f
 def _check_probability(name: str, value: float) -> None:
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must be in (0, 1), got {value}")
-
-
-def _check_gamma(gamma: float) -> None:
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma must be > 0, got {gamma}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +237,7 @@ def _pair_spread(rho_x, rho_y, gamma, kappa, denominator, p_error=0.0, noisy=Fal
     """The spread half of :func:`entry_budgets` for one pair. The spread
     bounds accept proportions at 0 or 1, which its concentration half
     rejects, so they do not go through it."""
-    _check_gamma(gamma)
+    check_gamma(gamma)
     z = component_proportions(_pair_table(rho_x, rho_y), p_error)
     if kappa is None:
         kappa = projected_kernel(rho_x, rho_y, gamma) ** ((1.0 - p_error) ** 2)
@@ -304,6 +297,7 @@ def n_ca_fq(m_true: float, p_ca: float) -> ShotCount | float:
 def ca_condition_probability(n, m_true: float, mu: float):
     """Exact probability that the success count of Binomial(n, m_true)
     lands strictly on the correct side of ``n * mu``. Vectorised over n."""
+    from scipy import stats  # here: only the exact search needs it, and it is slow to import
     n = np.asarray(n)
     if m_true > mu:
         k_cut = np.floor(n * mu + _CEIL_GUARD)
@@ -489,33 +483,6 @@ class ErrorBudget:
     unconstrained: bool = False
 
 
-def error_budget_fq(
-    kappa: float, eps: float, delta_ensemble: float, n_qubits: int
-) -> ErrorBudget:
-    """Depolarising error budget for a fidelity entry:
-    p <= eps * delta_ensemble / (2 |2**-n - kappa|)."""
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
-    denom = 2.0 * abs(2.0 ** (-n_qubits) - kappa)
-    if denom < _DENOMINATOR_FLOOR:
-        return ErrorBudget(p_max=1.0, unconstrained=True)
-    return ErrorBudget(p_max=min(1.0, eps * delta_ensemble / denom))
-
-
-def error_budget_pq(
-    kappa: float, eps: float, delta_ensemble: float
-) -> ErrorBudget:
-    """Depolarising error budget for a projected entry:
-    p <= eps * delta_ensemble / (4 |kappa ln kappa|). The feature-map gamma
-    cancels analytically."""
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
-    denom = 4.0 * abs(kappa * math.log(kappa))
-    if denom < _DENOMINATOR_FLOOR:
-        return ErrorBudget(p_max=1.0, unconstrained=True)
-    return ErrorBudget(p_max=min(1.0, eps * delta_ensemble / denom))
-
-
 def error_budget(
     family: str,
     kappa: float,
@@ -523,11 +490,21 @@ def error_budget(
     delta_ensemble: float,
     n_qubits: int | None = None,
 ) -> ErrorBudget:
-    if check_family(family) == FIDELITY:
-        if n_qubits is None:
-            raise ValueError("n_qubits is required for the fidelity family")
-        return error_budget_fq(kappa, eps, delta_ensemble, n_qubits)
-    return error_budget_pq(kappa, eps, delta_ensemble)
+    """Depolarising error budget for an entry of value ``kappa``:
+    p <= eps * delta_ensemble / D with D = 2 |2**-n - kappa| for fidelity
+    (needs ``n_qubits``) and D = 4 |kappa ln kappa| for projected entries,
+    where the feature-map gamma cancels analytically."""
+    if check_family(family) == FIDELITY and n_qubits is None:
+        raise ValueError("n_qubits is required for the fidelity family")
+    if not 0.0 < kappa < 1.0:
+        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
+    if family == FIDELITY:
+        denom = 2.0 * abs(2.0 ** (-n_qubits) - kappa)
+    else:
+        denom = 4.0 * abs(kappa * math.log(kappa))
+    if denom < _DENOMINATOR_FLOOR:
+        return ErrorBudget(p_max=1.0, unconstrained=True)
+    return ErrorBudget(p_max=min(1.0, eps * delta_ensemble / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -695,18 +672,17 @@ def entry_budgets(
         kappa = values[i, j]
         if not noisy:
             n_spread, degenerate = _fq_spread(kappa, denominator)
-            n_ca = _first_success_shots(kappa, p_ca)
         elif n_qubits is None:
             raise ValueError("n_qubits is required for noisy fidelity budgets")
         else:
             n_spread = np.full(kappa.shape, float(n_spread_noisy_fq(eps, delta_ensemble, p_spread)))
             degenerate = np.zeros(kappa.shape, dtype=bool)
-            q = depolarized_fidelity_probability(kappa, p_error, n_qubits)
-            n_ca = _first_success_shots(q, p_ca)
-        return EntryBudgets(FIDELITY, noisy, i, j, kappa, n_spread, n_ca, degenerate,
-                            None, inputs)
+        # the depolarised value is kappa itself at p_error = 0, whatever n
+        q = depolarized_fidelity_probability(kappa, p_error, n_qubits or 0)
+        return EntryBudgets(FIDELITY, noisy, i, j, kappa, n_spread,
+                            _first_success_shots(q, p_ca), degenerate, None, inputs)
 
-    _check_gamma(gamma)
+    check_gamma(gamma)
     if table is None:
         raise ValueError("projected budgets need the component table")
     props = component_proportions(table, p_error)
@@ -793,8 +769,8 @@ def dataset_budget(
             "ensemble IQR is zero; entries are indistinguishable and no "
             "finite spread budget exists"
         )
-    noisy = noise is not None and noise.p_error > 0.0
     p_error = noise.p_error if noise else 0.0
+    noisy = p_error > 0.0
     kappa_repr = stats_.median
     delta_ensemble = stats_.iqr
     n = kernel.config.n_qubits
@@ -827,14 +803,14 @@ def dataset_budget(
     n_ca = _ceil_shots(z**2 * mu * (1.0 - mu) / scale_eff**2) if z > 0 else ShotCount(1)
 
     if rho_table is not None:
-        v_mean = _mean_pair_variance_terms(rho_table, p_error if noisy else 0.0, noisy)
+        v_mean = _mean_pair_variance_terms(rho_table, p_error, noisy)
         inputs["spread_path"] = "components"
     else:
         offset = np.full((1, 3), scale_eff)
         v_mean = n * float(_variance_terms(0.5 + offset, 0.5 - offset, noisy)[0])
         inputs["spread_path"] = "kernel_scale"
     n_spread, degenerate = _pq_spread(
-        v_mean, n, kappa_repr ** ((1.0 - p_error) ** 2) if noisy else kappa_repr, gamma,
+        v_mean, n, kappa_repr ** ((1.0 - p_error) ** 2), gamma,
         _spread_denominator(eps, delta_ensemble, p_spread), noisy,
     )
     return ShotBudget(PROJECTED, int(n_spread), int(n_ca), noisy, bool(degenerate), inputs)

@@ -99,14 +99,11 @@ class ReducedDensityMatrix:
 
     @classmethod
     def from_components(
-        cls, population: float, coherence_re: float, coherence_im: float,
-        validate: bool = True,
+        cls, population: float, coherence_re: float, coherence_im: float
     ) -> "ReducedDensityMatrix":
         """Build the matrix from its (population, Re offdiag, Im offdiag) triple."""
         off = coherence_re + 1j * coherence_im
-        return cls(
-            [[population, off], [np.conj(off), 1.0 - population]], validate=validate
-        )
+        return cls([[population, off], [np.conj(off), 1.0 - population]])
 
     @classmethod
     def maximally_mixed(cls) -> "ReducedDensityMatrix":

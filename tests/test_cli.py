@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import qkshots
 from qkshots.cli import main
 from qkshots.serialize import read_kernel_csv, read_series_csv
 
@@ -234,6 +239,58 @@ class TestConfigEdgeCases:
         payload = base_config(qubit_cap=8)
         cfg = write_config(tmp_path, payload)
         assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def resources_config(**resources):
+    return {
+        "kernel": {"family": "fidelity"},
+        "feature_map": {"repetitions": 1, "entanglement": "linear"},
+        "resources": {"m": 10, "shots_per_estimate": 100, "n_values": [3, 5], **resources},
+    }
+
+
+class TestOptionalSections:
+    @pytest.mark.parametrize(
+        "command, payload, section",
+        [
+            ("estimate-shots", base_config(budget=5), "budget"),
+            ("sweep", base_config(budget=[1], sweep={"n_values": [2, 3]}), "budget"),
+            ("kernels", base_config(sampling=[1]), "sampling"),
+            ("resources", resources_config(hardware=[1, 2]), "resources.hardware"),
+            ("resources", resources_config(classical=3), "resources.classical"),
+        ],
+    )
+    def test_malformed_section_exits_two(self, tmp_path, capsys, command, payload, section):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration",
+            "message": f"config section {section!r} must be a mapping",
+        }
+
+    def test_empty_classical_section_turns_on_baseline(self, tmp_path):
+        cfg = write_config(tmp_path, resources_config(classical={}))
+        assert main(["resources", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "resources.json").read_text())
+        assert all(row["classical"]["flops"] > 0 for row in report["scenarios"])
+        assert set(report["crossover_n"]) == {"runtime", "energy"}
+
+    def test_characterize_without_sizes_writes_empty_series(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(characterize={"n_values": []}))
+        assert main(["characterize", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "characteristics.csv").read_bytes() == b"statistic,n,value\r\n"
+        fits = json.loads((tmp_path / "characteristics_fits.json").read_text())["fits"]
+        assert fits == {name: {"skipped": "fewer than 4 points"}
+                        for name in ("expressibility", "relative_entropy")}
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats roughly doubles the import time every CLI run pays
+    code = "import sys, qkshots.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(qkshots.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestKernelRoundTrip:

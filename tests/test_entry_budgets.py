@@ -17,6 +17,7 @@ from qkshots import (
     FeatureMapConfig,
     NoiseModel,
     ReducedDensityMatrix,
+    dataset_budget,
     entry_budget_pq,
     entry_budgets,
     gram_matrix,
@@ -132,6 +133,25 @@ def test_fidelity_nearly_orthogonal_entry_is_finite():
     assert not entry["unbounded"]
     assert entry["n_ca"] == pytest.approx(-math.log(0.01) * 1e33, rel=1e-12)
     assert json.loads(json.dumps(entry))["n_required"] == entry["n_ca"]
+
+
+@pytest.mark.parametrize("family", ["fidelity", "projected"])
+def test_zero_noise_model_is_noiseless(family):
+    kernel = _kernel(family, n=3)
+    quiet = dataset_budget(kernel, noise=NoiseModel(0.0), rho_table=kernel.component_table)
+    assert quiet.to_dict() == dataset_budget(kernel, rho_table=kernel.component_table).to_dict()
+
+
+def test_fidelity_qubit_count_unused_without_noise():
+    kernel = _kernel("fidelity", n=3)
+    delta = kernel_statistics(kernel).iqr
+    unset, given = (entry_budgets("fidelity", kernel.values, EPS, delta, P_SPREAD, P_CA, 0.0,
+                                  n_qubits=n) for n in (None, 3))
+    for name in ("i", "j", "kappa", "n_spread", "n_ca", "degenerate"):
+        assert np.array_equal(getattr(unset, name), getattr(given, name))
+    assert not unset.noisy and unset.ca_imposed is None
+    with pytest.raises(ValueError, match="n_qubits"):
+        entry_budgets("fidelity", kernel.values, EPS, delta, P_SPREAD, P_CA, 0.05)
 
 
 def test_mean_pair_variance_terms_chunked_equals_one_block(monkeypatch):

@@ -109,3 +109,13 @@ def test_gram_csv_bytes_equal_csv_writer_and_round_trip(tmp_path):
     loaded = read_kernel_csv(path)
     assert np.array_equal(loaded.values, values)
     assert (loaded.family, loaded.config) == ("fidelity", FeatureMapConfig(2))
+
+
+def test_jsonable_maps_every_infinity_to_null():
+    payload = {"f64": np.float64("inf"), "f32": np.float32("-inf"), "py": float("inf"),
+               "array": np.array([1.5, np.inf, -np.inf]), "finite": np.float32(0.5),
+               "ints": np.array([[1, 2]]), "count": np.int64(7)}
+    text = json.dumps(_jsonable(payload), allow_nan=False)
+    assert json.loads(text) == {"f64": None, "f32": None, "py": None,
+                                "array": [1.5, None, None], "finite": 0.5,
+                                "ints": [[1, 2]], "count": 7}
