@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import xlogy
 
-from .feature_map import FeatureMapConfig
+from .feature_map import FeatureMapConfig, block_rows
 from .kernels import embedding_matrix, fidelity_gram_values, reduced_component_table
 from .statevector import qubit_components
 
@@ -86,8 +86,13 @@ def embedding_diagnostics(
     points, cfg: FeatureMapConfig, cap: int | None = None, threads: int = 1
 ) -> tuple[float, float]:
     """(expressibility, mean relative entropy) from one embedding of the
-    points: the component table is read off the same amplitude rows."""
+    points: the component table is read off the same amplitude rows, one
+    row block at a time, so its temporaries stay block-sized."""
     amplitudes = embedding_matrix(points, cfg, cap=cap, threads=threads)
-    table = qubit_components(amplitudes, cfg.n_qubits)
+    step = block_rows(cfg.n_qubits)
+    table = np.concatenate([
+        qubit_components(amplitudes[start:start + step], cfg.n_qubits)
+        for start in range(0, len(amplitudes), step)
+    ])
     entropy = float(np.mean(component_relative_entropy(table)))
     return _expressibility(amplitudes, cfg.n_qubits), entropy

@@ -11,8 +11,9 @@ entries; only the first ``n_qubits`` features are encoded.
 
 All points are simulated together: one matmul of the (m, n + P) angle
 table with the (n + P, 2**n) Z-sign table gives every point's phases, and
-the Hadamard layers run as an in-place Walsh-Hadamard butterfly over fixed
-row blocks of the (m, 2**n) amplitude batch.
+the Hadamard layers run as Kronecker-factored Walsh-Hadamard transforms
+(a few real matrix products each) over fixed row blocks of the (m, 2**n)
+amplitude batch.
 """
 
 from __future__ import annotations
@@ -34,10 +35,16 @@ LINEAR = "linear"
 FULL = "full"
 ENTANGLEMENT_STRATEGIES = (LINEAR, FULL)
 
-# amplitudes per row block of the batched path (2 MB of complex128); larger
-# blocks made the butterfly no faster but raised peak memory by their
-# per-thread temporaries
+# amplitudes per row block of the batched path (2 MB of complex128); blocks
+# of 2**15 to 2**18 embedded 14 qubits equally fast, and larger blocks raise
+# peak memory by their per-thread temporaries
 ROW_BLOCK_AMPLITUDES = 2**17
+
+
+def block_rows(n_qubits: int) -> int:
+    """Rows per block of the batched path: ``ROW_BLOCK_AMPLITUDES`` amplitudes,
+    and at least one row."""
+    return max(1, ROW_BLOCK_AMPLITUDES >> n_qubits)
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ def embed_batch(
     signs = sign_table(cfg)
     m, n = angles.shape[0], cfg.n_qubits
     out = np.empty((m, n, 3)) if components else np.empty((m, 2**n), dtype=complex)
-    step = max(1, ROW_BLOCK_AMPLITUDES >> n)
+    step = block_rows(n)
 
     def one(start: int) -> None:
         rows = slice(start, start + step)

@@ -125,7 +125,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 def _check_shots(n_shots: int) -> None:
     if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+        raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
 
 
 def sample_fidelity(
@@ -211,7 +211,7 @@ def total_shot_count(family: str, m: int, n_shots: int) -> int:
     n_shots runs; projected tomography spends 3 n_shots runs per data
     point."""
     if m < 2:
-        raise ValueError(f"need at least 2 points, got {m}")
+        raise ConfigurationError(f"need at least 2 points, got {m}")
     _check_shots(n_shots)
     if check_family(family) == FIDELITY:
         return n_shots * m * (m - 1) // 2

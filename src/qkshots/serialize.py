@@ -32,13 +32,14 @@ _SLOT = "\x00"
 
 
 def _jsonable(value):
-    """Plain JSON values; every float or array element at +-inf becomes None."""
+    """Plain JSON values; every float or array element that is NaN or +-inf
+    becomes None."""
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
     if isinstance(value, (float, np.floating)):
-        return None if math.isinf(value) else float(value)
+        return float(value) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -57,7 +58,8 @@ def provenance(command: str, config: dict, seed: int | None) -> dict:
 
 
 def _dumps(value) -> str:
-    return json.dumps(_jsonable(value), indent=2, sort_keys=True)
+    # a non-finite float that bypasses _jsonable raises instead of writing NaN
+    return json.dumps(_jsonable(value), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _slot(name: str) -> str:

@@ -298,7 +298,9 @@ def ca_condition_probability(n, m_true: float, mu: float):
     """Exact probability that the success count of Binomial(n, m_true)
     lands strictly on the correct side of ``n * mu``. Vectorised over n."""
     from scipy import stats  # here: only the exact search needs it, and it is slow to import
-    n = np.asarray(n)
+    # float64 holds every N up to 2**53 exactly; a Python int past 2**63
+    # would otherwise reach scipy as an object array
+    n = np.asarray(n, dtype=float)
     if m_true > mu:
         k_cut = np.floor(n * mu + _CEIL_GUARD)
         prob = stats.binom.sf(k_cut, n, m_true)

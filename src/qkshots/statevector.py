@@ -16,9 +16,15 @@ cap (default 14, i.e. 16384 amplitudes).
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 DEFAULT_QUBIT_CAP = 14
+
+# qubits per Kronecker factor of :func:`walsh_hadamard`; larger groups trade
+# fewer matrix products for 2**g multiply-adds per amplitude each
+HADAMARD_GROUP_BITS = 4
 
 _NORM_TOL = 1e-10
 _HERMITICITY_TOL = 1e-10
@@ -154,18 +160,43 @@ def vacuum_state(n_qubits: int, cap: int | None = None) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+# unnormalised Hadamard matrices on g = 0..HADAMARD_GROUP_BITS qubits, and
+# the same with Re and Im riding along as interleaved columns
+_HADAMARD = [
+    reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * g, np.ones((1, 1)))
+    for g in range(HADAMARD_GROUP_BITS + 1)
+]
+_HADAMARD_RE_IM = [np.kron(h, np.eye(2)) for h in _HADAMARD]
+
+
 def walsh_hadamard(block: np.ndarray, n_qubits: int) -> None:
     """Apply an unnormalised Hadamard gate to every qubit of every row of a
     C-contiguous (rows, 2**n) amplitude block, in place. A Hadamard layer
-    is this butterfly times ``2**(-n/2)``."""
-    rows = block.shape[0]
-    for k in range(n_qubits):
-        # index b = high * 2**(k+1) + bit_k * 2**k + low
-        halves = block.reshape(rows, -1, 2, 2**k)
-        lo, hi = halves[:, :, 0], halves[:, :, 1]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
+    is this transform times ``2**(-n/2)``.
+
+    ``H^{⊗n}`` is the Kronecker product of one Hadamard matrix per group
+    of at most ``HADAMARD_GROUP_BITS`` qubits, and each factor is one real
+    matrix product on the float64 view of the block (Re and Im interleaved),
+    ping-ponging between the block and one scratch buffer.
+    """
+    src = view = block.view(np.float64)
+    dst = np.empty_like(view)
+    g = min(n_qubits, HADAMARD_GROUP_BITS)
+    # index b = high * 2**g + low, and float index 2 * low + (0: Re, 1: Im)
+    np.matmul(
+        src.reshape(-1, 2 ** (g + 1)), _HADAMARD_RE_IM[g],
+        out=dst.reshape(-1, 2 ** (g + 1)),
+    )
+    done = g
+    while done < n_qubits:
+        g = min(n_qubits - done, HADAMARD_GROUP_BITS)
+        src, dst = dst, src
+        # index b = high * 2**(done+g) + group * 2**done + low
+        shape = (-1, 2**g, 2 ** (done + 1))
+        np.matmul(_HADAMARD[g], src.reshape(shape), out=dst.reshape(shape))
+        done += g
+    if dst is not view:
+        view[...] = dst
 
 
 def apply_hadamard_layer(state: StateVector) -> StateVector:
@@ -213,11 +244,16 @@ def qubit_components(block: np.ndarray, n_qubits: int) -> np.ndarray:
     real and imaginary parts of the upper off-diagonal entry."""
     rows = block.shape[0]
     out = np.empty((rows, n_qubits, 3))
+    # index b = high * 2**(k+1) + bit_k * 2**k + low
     probs = block.real**2 + block.imag**2
     for k in range(n_qubits):
         out[:, k, 0] = probs.reshape(rows, -1, 2, 2**k)[:, :, 0].sum(axis=(1, 2))
-        halves = block.reshape(rows, -1, 2, 2**k)
-        coherence = np.einsum("rhl,rhl->r", halves[:, :, 0], halves[:, :, 1].conj())
+    del probs  # freed before the conjugate is made: one of them at a time
+    conj = block.conj()
+    for k in range(n_qubits):
+        ket = block.reshape(rows, -1, 2, 2**k)[:, :, 0]
+        bra = conj.reshape(rows, -1, 2, 2**k)[:, :, 1]
+        coherence = np.einsum("rhl,rhl->r", ket, bra)
         out[:, k, 1] = coherence.real
         out[:, k, 2] = coherence.imag
     return out

@@ -107,7 +107,9 @@ class TestRelativeEntropy:
         assert large < small
 
 
-@pytest.mark.parametrize("n, entanglement", [(3, "linear"), (7, "full"), (11, "full")])
+@pytest.mark.parametrize(
+    "n, entanglement", [(3, "linear"), (7, "full"), (11, "full"), (12, "full")]
+)
 def test_embedding_diagnostics_match_separate_calls(n, entanglement):
     points = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(40, n))
     cfg = FeatureMapConfig(n_qubits=n, repetitions=2, entanglement=entanglement)

@@ -268,6 +268,22 @@ class TestOptionalSections:
             "message": f"config section {section!r} must be a mapping",
         }
 
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("resources", resources_config(m=1), "need at least 2 points, got 1"),
+            ("kernels", base_config(sampling={"n_shots": 0}), "n_shots must be >= 1, got 0"),
+            ("resources", resources_config(shots_per_estimate=0),
+             "n_shots must be >= 1, got 0"),
+        ],
+    )
+    def test_invalid_counts_exit_two(self, tmp_path, capsys, command, payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration", "message": message,
+        }
+
     def test_empty_classical_section_turns_on_baseline(self, tmp_path):
         cfg = write_config(tmp_path, resources_config(classical={}))
         assert main(["resources", "--config", cfg, "--out", str(tmp_path)]) == 0

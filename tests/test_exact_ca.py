@@ -138,3 +138,13 @@ def test_first_success_bound_finishes_beyond_exact_integers():
             assert -np.expm1((n - step) * np.log1p(-q)) < p_ca
     assert n_ca_fq(1e-33, 0.99) == pytest.approx(-math.log(0.01) * 1e33, rel=1e-12)
     assert math.isinf(n_ca_fq(1e-310, 0.99))
+
+
+@pytest.mark.parametrize("n", [10**20, 2**64, 2**63, 2**50, 12345])
+@pytest.mark.parametrize("q, mu", [(0.3, 0.5), (0.7, 0.5), (1e-3, 0.0), (0.5 - 1e-9, 0.5)])
+def test_condition_probability_takes_python_ints_past_int64(n, q, mu):
+    """A Python int N is read as the float64 N: the same probability, in
+    [0, 1], also where N no longer fits an int64."""
+    got = ca_condition_probability(n, q, mu)
+    assert got == ca_condition_probability(float(n), q, mu)
+    assert 0.0 <= got <= 1.0

@@ -119,3 +119,15 @@ def test_jsonable_maps_every_infinity_to_null():
     assert json.loads(text) == {"f64": None, "f32": None, "py": None,
                                 "array": [1.5, None, None], "finite": 0.5,
                                 "ints": [[1, 2]], "count": 7}
+
+
+def test_jsonable_maps_nan_to_null():
+    payload = {"a": float("nan"), "b": np.array([np.nan, 2.0]), "c": np.float32("nan")}
+    text = json.dumps(_jsonable(payload), allow_nan=False)
+    assert json.loads(text) == {"a": None, "b": [None, 2.0], "c": None}
+
+
+def test_dumps_refuses_a_non_finite_float_that_skips_jsonable(monkeypatch):
+    monkeypatch.setattr(serialize, "_jsonable", lambda value: value)
+    with pytest.raises(ValueError):
+        serialize._dumps({"a": float("nan")})
