@@ -1,8 +1,9 @@
 """Embeddings and exact kernel matrices.
 
 Walks through the basic objects: embedding a data point into a
-statevector, evaluating fidelity and projected kernel values, and
-building Gram matrices with their ensemble statistics.
+statevector, evaluating fidelity and projected kernel values (a projected
+pair is a two-point Gram matrix), and building Gram matrices with their
+ensemble statistics.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from qkshots import (
     gram_matrix,
     kernel_statistics,
     preprocess,
-    projected_kernel,
     reduce_to_qubit,
     select_features,
 )
@@ -34,11 +34,11 @@ a, b = rng.normal(size=4), rng.normal(size=4)
 state_a, state_b = embed(a, cfg), embed(b, cfg)
 print(f"\nfidelity kernel:  {fidelity_kernel(state_a, state_b):.6f}")
 
-rho_a = [reduce_to_qubit(state_a, k) for k in range(4)]
-rho_b = [reduce_to_qubit(state_b, k) for k in range(4)]
+print("one-qubit reduced state of qubit 0 of a:")
+print(np.round(reduce_to_qubit(state_a, 0).entries, 4))
 for gamma in (0.5, 1.0, 2.0):
-    print(f"projected kernel (gamma={gamma}): "
-          f"{projected_kernel(rho_a, rho_b, gamma):.6f}")
+    pair = gram_matrix([a, b], cfg, family="projected", gamma=gamma)
+    print(f"projected kernel (gamma={gamma}): {pair.values[0, 1]:.6f}")
 
 # --- Gram matrices over a small dataset ------------------------------------
 dataset = select_features(preprocess(generate_twonorm(30, seed=5)), 4)

@@ -15,7 +15,6 @@ from qkshots import (
     generate_twonorm,
     gram_matrix,
     preprocess,
-    sample_fidelity,
     sample_gram,
     select_features,
 )
@@ -32,16 +31,17 @@ for n_shots in (100, 1_000, 10_000, 100_000):
           f"(binomial scale {0.5 / np.sqrt(n_shots):.5f}), "
           f"total runs {sampled.metadata['total_shots']}")
 
-print("\ndepolarising noise shifts estimates towards 2^-n:")
-kappa_true = 0.6
+print("\ndepolarising noise shifts estimates towards 2^-n "
+      "(one qubit: 1/2; kappa = cos^2(x - y) = 0.6):")
+kappa_true, k = 0.6, 15
+one_qubit = FeatureMapConfig(n_qubits=1)
+# k copies of x = 0 and of y = arccos(sqrt(kappa)): k^2 entries of value kappa
+points = [[0.0]] * k + [[np.arccos(np.sqrt(kappa_true))]] * k
 for p_error in (0.0, 0.1, 0.3):
-    noise = NoiseModel(p_error=p_error)
-    runs = [
-        sample_fidelity(kappa_true, 2_000, noise=noise, n_qubits=4, seed=5, stream=i)
-        for i in range(200)
-    ]
-    mean = np.mean([r.estimate for r in runs])
-    expected = (1 - p_error) * kappa_true + p_error * 2.0**-4
+    noisy = sample_gram(points, one_qubit, n_shots=2_000,
+                        noise=NoiseModel(p_error=p_error), seed=5)
+    mean = noisy.values[:k, k:].mean()
+    expected = (1 - p_error) * kappa_true + p_error * 0.5
     print(f"  p = {p_error:.1f}: mean estimate {mean:.4f}, "
           f"depolarised value {expected:.4f}")
 

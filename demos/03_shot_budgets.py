@@ -21,7 +21,6 @@ from qkshots import (
     n_ca_fq,
     n_spread_fq,
     preprocess,
-    reduced_component_table,
     select_features,
 )
 
@@ -41,15 +40,9 @@ data = select_features(preprocess(generate_twonorm(100, seed=9)), n)
 for family in ("fidelity", "projected"):
     kernel = gram_matrix(data.features, cfg, family=family, gamma=1.0)
     stats = kernel_statistics(kernel)
-    table = (
-        reduced_component_table(data.features, cfg)
-        if family == "projected"
-        else None
-    )
-    clean = dataset_budget(kernel, eps=1.0, p_spread=0.9, p_ca=0.99, rho_table=table)
+    clean = dataset_budget(kernel, eps=1.0, p_spread=0.9, p_ca=0.99)
     noisy = dataset_budget(
-        kernel, eps=1.0, p_spread=0.9, p_ca=0.99,
-        noise=NoiseModel(p_error=0.05), rho_table=table,
+        kernel, eps=1.0, p_spread=0.9, p_ca=0.99, noise=NoiseModel(p_error=0.05)
     )
     print(f"\n{family} dataset budget at n={n} "
           f"(median {stats.median:.4f}, IQR {stats.iqr:.4f}):")

@@ -8,26 +8,20 @@ concentration scaling laws, and converts shot budgets into runtime and
 energy estimates for ideal, error-corrected and classical execution.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .statevector import (
     DEFAULT_QUBIT_CAP,
     ConfigurationError,
     ReducedDensityMatrix,
     StateVector,
-    apply_diagonal_phase,
-    apply_hadamard_layer,
-    inner_product,
     reduce_to_qubit,
-    vacuum_state,
 )
 from .feature_map import (
     FULL,
     LINEAR,
     FeatureMapConfig,
     embed,
-    encoding_angles,
-    phase_profile,
 )
 from .kernels import (
     FIDELITY,
@@ -38,19 +32,14 @@ from .kernels import (
     fidelity_kernel,
     gram_matrix,
     kernel_statistics,
-    projected_kernel,
     reduced_component_table,
 )
 from .measurement import (
     IDEAL,
     NoiseModel,
-    ShotResult,
-    TomographyResult,
     depolarized_component_probability,
     depolarized_fidelity_probability,
-    sample_fidelity,
     sample_gram,
-    sample_tomography,
 )
 from .shot_bounds import (
     EntryBudgets,
@@ -58,10 +47,7 @@ from .shot_bounds import (
     ShotBudget,
     ShotCount,
     dataset_budget,
-    entry_budget_fq,
-    entry_budget_pq,
     entry_budgets,
-    epsilon_r_from_components,
     epsilon_r_from_kernel,
     error_budget,
     n_ca_binomial_exact,
@@ -72,10 +58,6 @@ from .shot_bounds import (
     n_ca_pq_normal,
     n_spread_fq,
     n_spread_noisy_fq,
-    n_spread_noisy_pq,
-    n_spread_pq,
-    pq_variance_terms,
-    pq_variance_terms_noise_robust,
 )
 from .scaling import (
     ConcentrationReport,
@@ -91,7 +73,6 @@ from .characteristics import (
     expressibility,
     haar_second_moment,
     mean_relative_entropy,
-    relative_entropy_to_mixed,
 )
 from .resources import (
     ClassicalCost,

@@ -48,25 +48,12 @@ def _expressibility(amplitudes: np.ndarray, n_qubits: int) -> float:
     return float(np.mean(fidelities**2) - haar_second_moment(n_qubits))
 
 
-def relative_entropy_to_mixed(rho) -> float:
-    """S(rho || I/2) in nats for a one-qubit state, from its eigenvalues.
-
-    Eigenvalues are clamped into [0, 1] to absorb numerical dust, and
-    0 ln 0 is taken as 0.
-    """
-    total = LN2
-    for lam in rho.eigenvalues():
-        lam = min(max(lam, 0.0), 1.0)
-        if lam > 0.0:
-            total += lam * np.log(lam)
-    return float(min(max(total, 0.0), LN2))
-
-
 def component_relative_entropy(table) -> np.ndarray:
     """S(rho || I/2) in nats for every one-qubit state of a (..., 3)
     component table, from the closed-form eigenvalues
-    1/2 +- sqrt((d - 1/2)^2 + re^2 + im^2), clamped as in
-    :func:`relative_entropy_to_mixed`."""
+    1/2 +- sqrt((d - 1/2)^2 + re^2 + im^2). Eigenvalues are clamped into
+    [0, 1] to absorb numerical dust, 0 ln 0 is taken as 0, and the result
+    is clamped into [0, ln 2]."""
     d, re, im = np.moveaxis(np.asarray(table, dtype=float), -1, 0)
     radius = np.sqrt((d - 0.5) ** 2 + re**2 + im**2)
     lo, hi = np.clip(0.5 - radius, 0.0, 1.0), np.clip(0.5 + radius, 0.0, 1.0)

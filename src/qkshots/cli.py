@@ -249,7 +249,7 @@ def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> 
         threads=threads,
     )
     stats = kernel_statistics(kernel)
-    dataset_level = dataset_budget(kernel, **budget, rho_table=kernel.component_table)
+    dataset_level = dataset_budget(kernel, **budget)
     entries = entry_budgets(
         family, kernel.values, budget["eps"], stats.iqr, budget["p_spread"],
         budget["p_ca"], budget["noise"].p_error,

@@ -94,17 +94,6 @@ def angle_table(points, cfg: FeatureMapConfig) -> np.ndarray:
     return np.concatenate([x, (np.pi - x[:, i]) * (np.pi - x[:, j])], axis=1)
 
 
-def encoding_angles(x, cfg: FeatureMapConfig):
-    """Rotation angles for one data point.
-
-    Returns ``(singles, pairs)`` where ``singles[i] = x_i`` and
-    ``pairs[(i, j)] = (pi - x_i) * (pi - x_j)`` for every coupled pair.
-    """
-    row = angle_table(np.reshape(x, (1, -1)), cfg)[0]
-    n = cfg.n_qubits
-    return row[:n], dict(zip(cfg.pair_indices(), row[n:]))
-
-
 def sign_table(cfg: FeatureMapConfig) -> np.ndarray:
     """(n + P, 2**n) Z eigenvalues matching :func:`angle_table`: ``z_i(b)``
     for each qubit, then ``z_i(b) z_j(b)`` for each coupled pair, where
@@ -114,15 +103,6 @@ def sign_table(cfg: FeatureMapConfig) -> np.ndarray:
     z = 1.0 - 2.0 * bits
     i, j = np.array(cfg.pair_indices(), dtype=int).reshape(-1, 2).T
     return np.concatenate([z, z[i] * z[j]])
-
-
-def phase_profile(x, cfg: FeatureMapConfig) -> np.ndarray:
-    """Diagonal phase accumulated per basis state for one repetition.
-
-    Entry ``b`` is ``sum_i singles[i] z_i(b) + sum_(i,j) pairs[i,j] z_i(b) z_j(b)``
-    with ``z_i(b) = +1`` when bit ``i`` of ``b`` is 0.
-    """
-    return angle_table(np.reshape(x, (1, -1)), cfg)[0] @ sign_table(cfg)
 
 
 def embed_batch(

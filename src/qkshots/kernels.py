@@ -22,11 +22,7 @@ import numpy as np
 from scipy.linalg.blas import zherk
 
 from .feature_map import FeatureMapConfig, embed_batch
-from .statevector import (
-    ConfigurationError,
-    StateVector,
-    inner_product,
-)
+from .statevector import ConfigurationError, StateVector
 
 FIDELITY = "fidelity"
 PROJECTED = "projected"
@@ -101,28 +97,14 @@ class KernelStatistics:
 
 
 def fidelity_kernel(a: StateVector, b: StateVector) -> float:
-    """Squared overlap |<b|a>|^2, clipped into [0, 1] against rounding."""
-    value = abs(inner_product(a, b)) ** 2
-    return float(min(max(value, 0.0), 1.0))
-
-
-def projected_kernel(
-    rho_x, rho_y, gamma: float = 1.0
-) -> float:
-    """Gaussian kernel of one-qubit reduced-matrix differences."""
-    check_gamma(gamma)
-    if len(rho_x) != len(rho_y) or len(rho_x) == 0:
+    """Squared overlap |<b|a>|^2 of two equally-sized states, clipped into
+    [0, 1] against rounding."""
+    if a.n_qubits != b.n_qubits:
         raise ValueError(
-            f"reduced-matrix lists must have equal nonzero length, "
-            f"got {len(rho_x)} and {len(rho_y)}"
+            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
         )
-    total = 0.0
-    for rx, ry in zip(rho_x, rho_y):
-        dd = rx.population - ry.population
-        dr = rx.coherence_re - ry.coherence_re
-        di = rx.coherence_im - ry.coherence_im
-        total += 2.0 * (dd * dd + dr * dr + di * di)
-    return float(np.exp(-gamma * total))
+    value = abs(np.vdot(b.amplitudes, a.amplitudes)) ** 2
+    return float(min(max(value, 0.0), 1.0))
 
 
 def embedding_matrix(

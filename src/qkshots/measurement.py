@@ -17,15 +17,14 @@ O(n) per batch.
 Reproducibility: every draw comes from a generator keyed by
 ``SeedSequence(entropy=seed, spawn_key=(key,))``. A sampled fidelity Gram
 matrix draws row i of its upper triangle, one vectorised binomial, from key
-i; a sampled projected one draws point i's (n, 3) basis counts from key i,
-and ``sample_tomography`` is that one-point case with key ``stream``.
+i; a sampled projected one draws point i's (n, 3) basis counts from key i.
 Draws run after the embedding, in one thread, so results are bit-identical
 for a given seed whatever the thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .kernels import (
     projected_gram_values,
     reduced_component_table,
 )
-from .statevector import ConfigurationError, ReducedDensityMatrix
+from .statevector import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -73,48 +72,14 @@ def depolarized_component_probability(q: float, p_error: float) -> float:
     return (1.0 - p_error) * q + p_error * 0.5
 
 
-def measured_proportions(rho: ReducedDensityMatrix) -> tuple[float, float, float]:
-    """Success probabilities of the three tomography bases (z, x, y).
-
-    z reads the population directly, x reads Re offdiag + 1/2 and y reads
-    1/2 - Im offdiag.
-    """
-    d, r, i = rho.components
-    return (d, r + 0.5, 0.5 - i)
-
-
-def components_from_proportions(z: float, x: float, y: float) -> tuple[float, float, float]:
-    """Invert ``measured_proportions``: estimated (population, Re, Im)."""
-    return (z, x - 0.5, 0.5 - y)
-
-
 def component_proportions(table, p_error: float = 0.0) -> np.ndarray:
-    """``measured_proportions`` of a (..., 3) component table, depolarised
-    towards 1/2 by ``p_error``."""
+    """Success probabilities of the three tomography bases (z, x, y) of a
+    (..., 3) component table, depolarised towards 1/2 by ``p_error``: z
+    reads the population, x reads Re offdiag + 1/2 and y reads
+    1/2 - Im offdiag."""
     table = np.asarray(table, dtype=float)
     props = np.stack([table[..., 0], table[..., 1] + 0.5, 0.5 - table[..., 2]], axis=-1)
     return depolarized_component_probability(props, p_error) if p_error else props
-
-
-@dataclass(frozen=True)
-class ShotResult:
-    """One finite-shot estimate of a fidelity-kernel entry."""
-
-    estimate: float
-    n_shots: int
-    successes: int
-    seed: int
-
-
-@dataclass
-class TomographyResult:
-    """Finite-shot single-qubit tomography of one embedded data point."""
-
-    matrices: list[ReducedDensityMatrix]
-    successes: np.ndarray  # (n_qubits, 3) counts per basis, order (z, x, y)
-    n_shots: int
-    seed: int
-    metadata: dict = field(default_factory=dict)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -126,28 +91,6 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 def _check_shots(n_shots: int) -> None:
     if n_shots < 1:
         raise ConfigurationError(f"n_shots must be >= 1, got {n_shots}")
-
-
-def sample_fidelity(
-    kappa_true: float,
-    n_shots: int,
-    noise: NoiseModel = IDEAL,
-    n_qubits: int = 1,
-    seed: int = 0,
-    stream: int = 0,
-) -> ShotResult:
-    """Draw the vacuum-projection statistics for one kernel entry."""
-    _check_shots(n_shots)
-    if not 0.0 <= kappa_true <= 1.0:
-        raise ValueError(f"kernel value must be in [0, 1], got {kappa_true}")
-    q = depolarized_fidelity_probability(kappa_true, noise.p_error, n_qubits)
-    successes = int(_rng(seed, stream).binomial(n_shots, q))
-    return ShotResult(
-        estimate=successes / n_shots,
-        n_shots=n_shots,
-        successes=successes,
-        seed=seed,
-    )
 
 
 def _clip_physical(d, r, i) -> tuple[np.ndarray, np.ndarray]:
@@ -173,35 +116,10 @@ def _tomography_probabilities(table, p_error: float) -> np.ndarray:
 
 
 def _estimated_components(counts, n_shots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Physical components from (..., 3) basis counts, and the clip mask."""
-    return _clip_physical(*components_from_proportions(*np.moveaxis(counts / n_shots, -1, 0)))
-
-
-def sample_tomography(
-    rho_list,
-    n_shots: int,
-    noise: NoiseModel = IDEAL,
-    seed: int = 0,
-    stream: int = 0,
-) -> TomographyResult:
-    """Estimate every one-qubit reduced matrix of one data point.
-
-    Each qubit and basis is an independent Binomial(n_shots, q_f) draw with
-    q_f the depolarised basis success probability, all (n, 3) of them from
-    the generator keyed ``stream``; the estimated proportions are inverted
-    to components and clipped to the physical set (``metadata["psd_clipped"]``
-    counts the rescaled qubits).
-    """
-    _check_shots(n_shots)
-    table = np.array([rho.components for rho in rho_list], dtype=float).reshape(-1, 3)
-    q = _tomography_probabilities(table, noise.p_error)
-    counts = _rng(seed, stream).binomial(n_shots, q)
-    estimated, clipped = _estimated_components(counts, n_shots)
-    return TomographyResult(
-        matrices=[ReducedDensityMatrix.from_components(*c) for c in estimated.tolist()],
-        successes=counts, n_shots=n_shots, seed=seed,
-        metadata={"psd_clipped": int(clipped.sum())},
-    )
+    """Physical components from (..., 3) basis counts, and the clip mask;
+    inverts :func:`component_proportions` at p_error = 0."""
+    z, x, y = np.moveaxis(counts / n_shots, -1, 0)
+    return _clip_physical(z, x - 0.5, 0.5 - y)
 
 
 def total_shot_count(family: str, m: int, n_shots: int) -> int:

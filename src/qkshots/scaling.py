@@ -214,7 +214,6 @@ def sweep(
         if include_budgets:
             budget = dataset_budget(
                 kernel, eps=eps, p_spread=p_spread, p_ca=p_ca, noise=noise,
-                rho_table=kernel.component_table,
             )
             columns["n_spread"].append(float(budget.n_spread))
             columns["n_ca"].append(float(budget.n_ca))

@@ -26,7 +26,9 @@ up a factor 4 (the error budget consumes half the allowed deviation) and
 the binomial variance must be replaced by its worst-case bound.
 
 Per-entry budgets are array functions: :func:`entry_budgets` computes all
-pairs of a kernel matrix at once; the one-pair budgets are its m = 2 case.
+pairs of a kernel matrix at once. One pair is its m = 2 case, the 2 x 2
+Gram matrix, which is how :func:`dataset_budget` budgets the fidelity
+median.
 All bounds return integer shot counts: ceilings of the real-valued
 expressions (with a 1e-9 guard against floating dust), floored at 1.
 """
@@ -38,7 +40,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import betainc, ndtri
 
 from .kernels import (
     FIDELITY,
@@ -47,7 +49,6 @@ from .kernels import (
     check_family,
     check_gamma,
     kernel_statistics,
-    projected_kernel,
 )
 from .measurement import (
     NoiseModel,
@@ -82,8 +83,8 @@ class ShotCount(int):
         return obj
 
 
-def _ceil_shots(x: float, degenerate: bool = False) -> ShotCount:
-    return ShotCount(max(1, math.ceil(x - _CEIL_GUARD)), degenerate)
+def _ceil_shots(x: float) -> ShotCount:
+    return ShotCount(max(1, math.ceil(x - _CEIL_GUARD)))
 
 
 def _ceil_array(x):
@@ -112,13 +113,6 @@ def _check_probability(name: str, value: float) -> None:
 # ---------------------------------------------------------------------------
 # spread bounds
 # ---------------------------------------------------------------------------
-
-def _pair_table(rho_x, rho_y) -> np.ndarray:
-    """(2, n, 3) component table of two reduced-matrix lists."""
-    if len(rho_x) != len(rho_y) or len(rho_x) == 0:
-        raise ValueError("reduced-matrix lists must have equal nonzero length")
-    return np.array([[rho.components for rho in rho_x], [rho.components for rho in rho_y]])
-
 
 def _variance_terms(zx, zy, noise_robust: bool) -> np.ndarray:
     """Per-qubit V_k of proportion pairs (..., n, 3) -> (..., n).
@@ -171,38 +165,6 @@ def n_spread_fq(
     return ShotCount(int(shots), bool(degenerate))
 
 
-def pq_variance_terms(rho_x, rho_y) -> np.ndarray:
-    """Per-qubit delta-method variance factor V_k of the projected kernel
-    (see :func:`_variance_terms`)."""
-    z = component_proportions(_pair_table(rho_x, rho_y))
-    return _variance_terms(z[0], z[1], noise_robust=False)
-
-
-def pq_variance_terms_noise_robust(rho_x, rho_y) -> np.ndarray:
-    """Worst-case V_k with every variance/covariance factor bounded by 1
-    (the binomial variance formula is unavailable for noisy estimators):
-    the plain double sum of derivative magnitudes."""
-    z = component_proportions(_pair_table(rho_x, rho_y))
-    return _variance_terms(z[0], z[1], noise_robust=True)
-
-
-def n_spread_pq(
-    rho_x,
-    rho_y,
-    gamma: float,
-    eps: float,
-    delta_ensemble: float,
-    p_spread: float,
-    kappa: float | None = None,
-) -> ShotCount:
-    """Spread bound for a projected-kernel entry between two points given
-    their reduced matrices. ``kappa`` defaults to the exact kernel value of
-    the pair. Degenerate when the matrices coincide (all derivatives
-    vanish)."""
-    return _pair_spread(rho_x, rho_y, gamma, kappa,
-                        _spread_denominator(eps, delta_ensemble, p_spread))
-
-
 def n_spread_noisy_fq(
     eps: float, delta_ensemble: float, p_spread: float
 ) -> ShotCount:
@@ -210,40 +172,6 @@ def n_spread_noisy_fq(
     the deviation is budgeted to circuit errors) and worst-case variance 1,
     so the bound no longer depends on the kernel value."""
     return _ceil_shots(4.0 / _spread_denominator(eps, delta_ensemble, p_spread))
-
-
-def n_spread_noisy_pq(
-    rho_x,
-    rho_y,
-    gamma: float,
-    eps: float,
-    delta_ensemble: float,
-    p_spread: float,
-    p_error: float = 0.0,
-    kappa: float | None = None,
-) -> ShotCount:
-    """Noisy spread bound for a projected-kernel entry.
-
-    The kernel value and derivatives are evaluated at the depolarised
-    reduced matrices (every component difference shrinks by 1 - p, so the
-    kernel value becomes kappa^((1-p)^2)); variance factors are bounded
-    by 1.
-    """
-    return _pair_spread(rho_x, rho_y, gamma, kappa,
-                        _spread_denominator(eps, delta_ensemble, p_spread), p_error, noisy=True)
-
-
-def _pair_spread(rho_x, rho_y, gamma, kappa, denominator, p_error=0.0, noisy=False):
-    """The spread half of :func:`entry_budgets` for one pair. The spread
-    bounds accept proportions at 0 or 1, which its concentration half
-    rejects, so they do not go through it."""
-    check_gamma(gamma)
-    z = component_proportions(_pair_table(rho_x, rho_y), p_error)
-    if kappa is None:
-        kappa = projected_kernel(rho_x, rho_y, gamma) ** ((1.0 - p_error) ** 2)
-    v_total = _variance_terms(z[0], z[1], noisy).sum()
-    shots, degenerate = _pq_spread(v_total, len(rho_x), kappa, gamma, denominator, noisy)
-    return ShotCount(int(shots), bool(degenerate))
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +225,17 @@ def n_ca_fq(m_true: float, p_ca: float) -> ShotCount | float:
 def ca_condition_probability(n, m_true: float, mu: float):
     """Exact probability that the success count of Binomial(n, m_true)
     lands strictly on the correct side of ``n * mu``. Vectorised over n."""
-    from scipy import stats  # here: only the exact search needs it, and it is slow to import
     # float64 holds every N up to 2**53 exactly; a Python int past 2**63
     # would otherwise reach scipy as an object array
     n = np.asarray(n, dtype=float)
+    # binomial tails as regularised incomplete beta functions, which stay
+    # accurate where scipy.stats.binom returns 0.5 (N past about 1e17):
+    # P(X > k) = I_m(k + 1, n - k) and P(X <= k) = I_(1-m)(n - k, k + 1)
     if m_true > mu:
-        k_cut = np.floor(n * mu + _CEIL_GUARD)
-        prob = stats.binom.sf(k_cut, n, m_true)
-    else:
-        k_top = np.ceil(n * mu - _CEIL_GUARD) - 1.0
-        prob = np.where(
-            k_top >= 0, stats.binom.cdf(np.maximum(k_top, 0.0), n, m_true), 0.0
-        )
-    return prob
+        k = np.floor(n * mu + _CEIL_GUARD)
+        return np.where(k < n, betainc(k + 1.0, n - k, m_true), 0.0)
+    k = np.ceil(n * mu - _CEIL_GUARD) - 1.0
+    return np.where(k >= 0, betainc(n - k, k + 1.0, 1.0 - m_true), 0.0)
 
 
 # N given back at each certified edge against rounding: a fixed number plus
@@ -513,19 +439,6 @@ def error_budget(
 # representative scales of tomography proportions
 # ---------------------------------------------------------------------------
 
-def epsilon_r_from_components(table) -> float:
-    """Mean absolute offset of measured proportions from 1/2, averaged over
-    data points, qubits and the three components. ``table`` is the
-    (m, n, 3) reduced-component table."""
-    table = np.asarray(table, dtype=float)
-    offsets = np.abs(
-        np.stack(
-            [table[..., 0] - 0.5, table[..., 1], table[..., 2]], axis=-1
-        )
-    )
-    return float(np.mean(offsets))
-
-
 def epsilon_r_from_kernel(
     kernel: KernelMatrix | np.ndarray, gamma: float, n_qubits: int
 ) -> float:
@@ -704,66 +617,26 @@ def entry_budgets(
     return EntryBudgets(PROJECTED, noisy, *columns, inputs={"gamma": gamma, **inputs})
 
 
-def entry_budget_fq(
-    kappa: float,
-    eps: float,
-    delta_ensemble: float,
-    p_spread: float,
-    p_ca: float,
-    noise: NoiseModel | None = None,
-    n_qubits: int | None = None,
-) -> ShotBudget:
-    """Per-entry budget for one fidelity kernel value."""
-    return entry_budgets(
-        FIDELITY, [[1.0, kappa], [kappa, 1.0]], eps, delta_ensemble, p_spread, p_ca,
-        noise.p_error if noise else 0.0, n_qubits=n_qubits,
-    ).budget(0)
-
-
-def entry_budget_pq(
-    rho_x,
-    rho_y,
-    gamma: float,
-    eps: float,
-    delta_ensemble: float,
-    p_spread: float,
-    p_ca: float,
-    noise: NoiseModel | None = None,
-) -> ShotBudget:
-    """Per-entry budget for one projected kernel value.
-
-    The concentration bound applies per measured proportion; the budget
-    takes the worst case over the 6 n proportions of the pair, skipping
-    proportions equal to 1/2 (no bound imposed there).
-    """
-    table = _pair_table(rho_x, rho_y)
-    kappa = projected_kernel(rho_x, rho_y, gamma)
-    return entry_budgets(
-        PROJECTED, [[1.0, kappa], [kappa, 1.0]], eps, delta_ensemble, p_spread, p_ca,
-        noise.p_error if noise else 0.0, table=table, gamma=gamma,
-    ).budget(0)
-
-
 def dataset_budget(
     kernel: KernelMatrix,
     eps: float = 1.0,
     p_spread: float = 0.9,
     p_ca: float = 0.99,
     noise: NoiseModel | None = None,
-    rho_table=None,
 ) -> ShotBudget:
     """Whole-dataset shot budget from kernel-matrix statistics.
 
-    Fidelity: the per-entry budget of the ensemble median, with the
-    inter-quartile range as the spread.
+    Fidelity: the :func:`entry_budgets` budget of the ensemble median, with
+    the inter-quartile range as the spread.
 
     Projected: the concentration bound uses the z-score formula at the
     root-mean-square proportion offset inferred from the kernel entries
     (``epsilon_r_from_kernel``). The spread bound averages the per-pair
-    variance factors over the component table when one is supplied
-    (``inputs["spread_path"] == "components"``), otherwise it evaluates a
-    representative pair whose proportions all sit at 1/2 +- the inferred
-    offset (``"kernel_scale"``).
+    variance factors over ``kernel.component_table`` when the kernel has
+    one (``inputs["spread_path"] == "components"``), as an exact
+    ``gram_matrix`` does; otherwise, as for a sampled or hand-built kernel,
+    it evaluates a representative pair whose proportions all sit at
+    1/2 +- the inferred offset (``"kernel_scale"``).
     """
     stats_ = kernel_statistics(kernel)
     if stats_.iqr <= 0.0:
@@ -786,7 +659,10 @@ def dataset_budget(
     }
 
     if kernel.family == FIDELITY:
-        budget = entry_budget_fq(kappa_repr, eps, delta_ensemble, p_spread, p_ca, noise, n)
+        budget = entry_budgets(
+            FIDELITY, [[1.0, kappa_repr], [kappa_repr, 1.0]], eps, delta_ensemble,
+            p_spread, p_ca, p_error, n_qubits=n,
+        ).budget(0)
         if noisy:
             inputs["kappa_repr_noisy"] = depolarized_fidelity_probability(
                 kappa_repr, p_error, n
@@ -804,8 +680,8 @@ def dataset_budget(
     z = float(ndtri(p_ca))
     n_ca = _ceil_shots(z**2 * mu * (1.0 - mu) / scale_eff**2) if z > 0 else ShotCount(1)
 
-    if rho_table is not None:
-        v_mean = _mean_pair_variance_terms(rho_table, p_error, noisy)
+    if kernel.component_table is not None:
+        v_mean = _mean_pair_variance_terms(kernel.component_table, p_error, noisy)
         inputs["spread_path"] = "components"
     else:
         offset = np.full((1, 3), scale_eff)

@@ -1,4 +1,4 @@
-"""Dense statevector engine: gate layers, overlaps and one-qubit reductions.
+"""Dense statevector engine: Hadamard layers and one-qubit reductions.
 
 Conventions used throughout the package:
 
@@ -8,10 +8,11 @@ Conventions used throughout the package:
 * global phase is never normalised away; every downstream quantity
   (overlap magnitudes, reduced matrices) is insensitive to it.
 
-States are pure and immutable; operations return new :class:`StateVector`
-instances; the batched path works in place on (rows, 2**n) amplitude
-blocks instead. Memory is the only hard limit, enforced by a configurable qubit
-cap (default 14, i.e. 16384 amplitudes).
+States are pure. The embedding works in place on (rows, 2**n) amplitude
+blocks; a :class:`StateVector` is an immutable copy of one row, as
+``feature_map.embed`` returns it and :func:`reduce_to_qubit` reads it.
+Memory is the only hard limit, enforced by a configurable qubit cap
+(default 14, i.e. 16384 amplitudes).
 """
 
 from __future__ import annotations
@@ -60,85 +61,42 @@ class StateVector:
         self.n_qubits = n_qubits
         self.amplitudes = amps
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
 class ReducedDensityMatrix:
-    """One-qubit reduced density matrix and its three real components.
+    """One-qubit reduced density matrix, as :func:`reduce_to_qubit` returns it.
 
-    The three independent real degrees of freedom are the ``|0>``
-    population (the real diagonal entry ``entries[0, 0]``) and the real
-    and imaginary parts of the upper off-diagonal entry.
+    Its three real components are the ``|0>`` population (the real
+    diagonal entry ``entries[0, 0]``) and the real and imaginary parts of
+    the upper off-diagonal entry.
     """
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries, validate: bool = True) -> None:
+    def __init__(self, entries) -> None:
         mat = np.array(entries, dtype=complex, copy=True)
         if mat.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-        if validate:
-            if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
-                raise ValueError("matrix is not Hermitian within tolerance")
-            trace = mat[0, 0].real + mat[1, 1].real
-            if abs(trace - 1.0) > _NORM_TOL:
-                raise ValueError(f"trace must be 1, got {trace!r}")
-            if min(self._eigenvalues(mat)) < _EIGENVALUE_TOL:
-                raise ValueError("matrix has a significantly negative eigenvalue")
+        if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
+            raise ValueError("matrix is not Hermitian within tolerance")
+        trace = mat[0, 0].real + mat[1, 1].real
+        if abs(trace - 1.0) > _NORM_TOL:
+            raise ValueError(f"trace must be 1, got {trace!r}")
+        # the smaller eigenvalue of a Hermitian 2x2 matrix
+        half_trace = 0.5 * trace
+        det = (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]).real
+        if half_trace - np.sqrt(max(half_trace**2 - det, 0.0)) < _EIGENVALUE_TOL:
+            raise ValueError("matrix has a significantly negative eigenvalue")
         mat.setflags(write=False)
         self.entries = mat
 
-    @staticmethod
-    def _eigenvalues(mat: np.ndarray) -> tuple[float, float]:
-        half_trace = 0.5 * (mat[0, 0].real + mat[1, 1].real)
-        det = (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]).real
-        disc = np.sqrt(max(half_trace**2 - det, 0.0))
-        return half_trace - disc, half_trace + disc
-
-    @classmethod
-    def from_components(
-        cls, population: float, coherence_re: float, coherence_im: float
-    ) -> "ReducedDensityMatrix":
-        """Build the matrix from its (population, Re offdiag, Im offdiag) triple."""
-        off = coherence_re + 1j * coherence_im
-        return cls([[population, off], [np.conj(off), 1.0 - population]])
-
-    @classmethod
-    def maximally_mixed(cls) -> "ReducedDensityMatrix":
-        return cls(np.eye(2) / 2.0, validate=False)
-
-    @property
-    def population(self) -> float:
-        """Probability of measuring |0> in the computational basis."""
-        return float(self.entries[0, 0].real)
-
-    @property
-    def coherence_re(self) -> float:
-        return float(self.entries[0, 1].real)
-
-    @property
-    def coherence_im(self) -> float:
-        return float(self.entries[0, 1].imag)
-
     @property
     def components(self) -> tuple[float, float, float]:
-        return (self.population, self.coherence_re, self.coherence_im)
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Both eigenvalues, ascending; they sum to the trace."""
-        return self._eigenvalues(self.entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        d, r, i = self.components
-        return f"ReducedDensityMatrix(population={d:.6g}, offdiag={r:.6g}{i:+.6g}j)"
+        """(population, Re offdiag, Im offdiag)."""
+        off = self.entries[0, 1]
+        return (float(self.entries[0, 0].real), float(off.real), float(off.imag))
 
 
 def check_qubit_count(n_qubits: int, cap: int | None = None) -> None:
@@ -149,15 +107,6 @@ def check_qubit_count(n_qubits: int, cap: int | None = None) -> None:
         raise ConfigurationError(
             f"n_qubits must be in [1, {limit}], got {n_qubits}"
         )
-
-
-def vacuum_state(n_qubits: int, cap: int | None = None) -> StateVector:
-    """All-zeros computational basis state on ``n_qubits`` qubits, within the
-    qubit cap of :func:`check_qubit_count`."""
-    check_qubit_count(n_qubits, cap)
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
 
 
 # unnormalised Hadamard matrices on g = 0..HADAMARD_GROUP_BITS qubits, and
@@ -197,33 +146,6 @@ def walsh_hadamard(block: np.ndarray, n_qubits: int) -> None:
         done += g
     if dst is not view:
         view[...] = dst
-
-
-def apply_hadamard_layer(state: StateVector) -> StateVector:
-    """Apply a Hadamard gate to every qubit."""
-    n = state.n_qubits
-    amps = state.amplitudes.reshape(1, -1).copy()
-    walsh_hadamard(amps, n)
-    return StateVector(n, amps[0] * 2.0 ** (-n / 2))
-
-
-def apply_diagonal_phase(state: StateVector, phases) -> StateVector:
-    """Multiply amplitude ``b`` by ``exp(1j * phases[b])``."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (state.dim,):
-        raise ValueError(
-            f"expected {state.dim} phases, got shape {phases.shape}"
-        )
-    return StateVector(state.n_qubits, state.amplitudes * np.exp(1j * phases))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Overlap ``<b|a>`` of two equally-sized states."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(
-            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
-        )
-    return complex(np.vdot(b.amplitudes, a.amplitudes))
 
 
 def reduce_to_qubit(state: StateVector, k: int) -> ReducedDensityMatrix:

@@ -16,13 +16,10 @@ from scipy.special import ndtri
 from qkshots import (
     FeatureMapConfig,
     NoiseModel,
-    ReducedDensityMatrix,
     dataset_budget,
-    entry_budget_pq,
     entry_budgets,
     gram_matrix,
     kernel_statistics,
-    n_spread_noisy_pq,
     shot_bounds,
 )
 from qkshots.cli import _resolve_dataset, main
@@ -98,22 +95,23 @@ def test_entry_budgets_match_per_pair_loop(family, n, p_error):
 
 
 def test_one_pair_functions_are_the_array_case():
+    """Every pair of the batch equals the m = 2 case on its own two points,
+    whatever row block it fell in."""
     kernel = _kernel("projected", 3, m=6)
     budgets = entry_budgets(
         "projected", kernel.values, EPS, 0.2, P_SPREAD, P_CA, 0.02,
         table=kernel.component_table, gamma=GAMMA,
     )
-    rhos = [[ReducedDensityMatrix.from_components(*c) for c in row]
-            for row in kernel.component_table]
     for k, (i, j) in enumerate(zip(budgets.i, budgets.j)):
-        single = entry_budget_pq(rhos[i], rhos[j], GAMMA, EPS, 0.2, P_SPREAD, P_CA,
-                                 noise=NoiseModel(0.02))
+        pair = [i, j]
+        single = entry_budgets(
+            "projected", kernel.values[np.ix_(pair, pair)], EPS, 0.2, P_SPREAD, P_CA, 0.02,
+            table=kernel.component_table[pair], gamma=GAMMA,
+        ).budget(0)
         batch = budgets.budget(k)
         assert (single.n_spread, single.n_ca, single.degenerate) == (
             batch.n_spread, batch.n_ca, batch.degenerate)
-        assert single.inputs["kappa"] == pytest.approx(batch.inputs["kappa"], abs=1e-12)
-        spread = n_spread_noisy_pq(rhos[i], rhos[j], GAMMA, EPS, 0.2, P_SPREAD, 0.02)
-        assert (spread, spread.degenerate) == (batch.n_spread, batch.degenerate)
+        assert single.inputs == batch.inputs
 
 
 def test_fidelity_zero_entry_is_unbounded():
@@ -138,8 +136,8 @@ def test_fidelity_nearly_orthogonal_entry_is_finite():
 @pytest.mark.parametrize("family", ["fidelity", "projected"])
 def test_zero_noise_model_is_noiseless(family):
     kernel = _kernel(family, n=3)
-    quiet = dataset_budget(kernel, noise=NoiseModel(0.0), rho_table=kernel.component_table)
-    assert quiet.to_dict() == dataset_budget(kernel, rho_table=kernel.component_table).to_dict()
+    quiet = dataset_budget(kernel, noise=NoiseModel(0.0))
+    assert quiet.to_dict() == dataset_budget(kernel).to_dict()
 
 
 def test_fidelity_qubit_count_unused_without_noise():

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from qkshots import n_ca_binomial_exact, n_ca_fq, n_ca_noisy_binomial_exact
 from qkshots.shot_bounds import _certified_failures, ca_condition_probability
@@ -148,3 +149,14 @@ def test_condition_probability_takes_python_ints_past_int64(n, q, mu):
     got = ca_condition_probability(n, q, mu)
     assert got == ca_condition_probability(float(n), q, mu)
     assert 0.0 <= got <= 1.0
+
+
+@pytest.mark.parametrize("n", [10**17, 10**18])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_condition_probability_past_1e17_matches_normal_approximation(n, side):
+    """At N = 1e17 and 1e18 a proportion 1e-9 from 1/2 lands on the correct
+    side with probability Phi(1e-9 sqrt(N) / (1/2)), 0.736 and 0.977; the
+    binomial is then normal to far better than the tolerance."""
+    q = 0.5 + side * 1e-9
+    expected = float(ndtr(1e-9 * math.sqrt(n) / math.sqrt(q * (1.0 - q))))
+    assert ca_condition_probability(n, q, 0.5) == pytest.approx(expected, abs=1e-6)

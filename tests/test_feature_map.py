@@ -5,9 +5,8 @@ from qkshots import (
     ConfigurationError,
     FeatureMapConfig,
     embed,
-    encoding_angles,
-    phase_profile,
 )
+from qkshots.feature_map import angle_table, sign_table
 
 from oracles import embedding_unitary
 
@@ -29,35 +28,38 @@ class TestConfig:
 
 
 class TestEncodingAngles:
+    """angle_table rows: n single angles, then the pair angles in
+    pair_indices order."""
+
     def test_pi_point_kills_pair_angle(self):
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
-        singles, pairs = encoding_angles([np.pi, np.pi], cfg)
-        assert np.allclose(singles, np.pi)
-        assert pairs[(0, 1)] == 0.0
+        angles = angle_table([[np.pi, np.pi]], cfg)[0]
+        assert np.allclose(angles[:2], np.pi)
+        assert angles[2] == 0.0
 
     def test_zero_point_pair_angle(self):
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
-        _, pairs = encoding_angles([0.0, 0.0], cfg)
-        assert pairs[(0, 1)] == pytest.approx(np.pi**2, abs=1e-12)
+        angles = angle_table([[0.0, 0.0]], cfg)[0]
+        assert angles[2] == pytest.approx(np.pi**2, abs=1e-12)
 
     def test_pair_counts(self):
         full = FeatureMapConfig(n_qubits=4, entanglement="full")
         linear = FeatureMapConfig(n_qubits=4, entanglement="linear")
-        assert len(encoding_angles(np.zeros(4), full)[1]) == 6
-        assert len(encoding_angles(np.zeros(4), linear)[1]) == 3
+        assert angle_table(np.zeros((1, 4)), full).shape == (1, 4 + 6)
+        assert angle_table(np.zeros((1, 4)), linear).shape == (1, 4 + 3)
 
     def test_too_few_features(self):
         with pytest.raises(ValueError):
-            encoding_angles([0.1], FeatureMapConfig(n_qubits=2))
+            angle_table([[0.1]], FeatureMapConfig(n_qubits=2))
 
     def test_non_finite_features(self):
         with pytest.raises(ValueError):
-            encoding_angles([0.1, np.nan], FeatureMapConfig(n_qubits=2))
+            angle_table([[0.1, np.nan]], FeatureMapConfig(n_qubits=2))
 
     def test_extra_features_ignored(self):
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
-        singles, _ = encoding_angles([0.3, 0.4, 99.0], cfg)
-        assert np.array_equal(singles, [0.3, 0.4])
+        angles = angle_table([[0.3, 0.4, 99.0]], cfg)[0]
+        assert np.array_equal(angles[:2], [0.3, 0.4])
 
 
 class TestEmbed:
@@ -72,7 +74,7 @@ class TestEmbed:
         cfg = FeatureMapConfig(n_qubits=4, repetitions=3, entanglement="full")
         for _ in range(10):
             state = embed(rng.normal(size=4), cfg)
-            assert abs(state.norm() - 1.0) < 1e-10
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
     def test_two_reps_at_zero_angle_return_to_vacuum(self):
         state = embed([0.0], FeatureMapConfig(n_qubits=1, repetitions=2))
@@ -99,9 +101,9 @@ class TestEmbed:
         for n in (2, 3, 4):
             cfg = FeatureMapConfig(n_qubits=n, repetitions=1, entanglement="full")
             x = np.zeros(n)
-            singles, pairs = encoding_angles(x, cfg)
-            assert np.allclose(singles, 0.0)
-            assert all(abs(v - np.pi**2) < 1e-12 for v in pairs.values())
+            angles = angle_table([x], cfg)[0]
+            assert np.allclose(angles[:n], 0.0)
+            assert np.allclose(angles[n:], np.pi**2, rtol=0, atol=1e-12)
             expected = embedding_unitary(x, n, 1, cfg.pair_indices())[:, 0]
             assert np.max(np.abs(embed(x, cfg).amplitudes - expected)) < 1e-10
 
@@ -109,7 +111,7 @@ class TestEmbed:
         cfg = FeatureMapConfig(n_qubits=3, entanglement="full")
         rng = np.random.default_rng(8)
         x = rng.normal(size=3)
-        phases = phase_profile(x, cfg)
+        phases = angle_table([x], cfg)[0] @ sign_table(cfg)
         for b in range(8):
             z = [1.0 if ((b >> i) & 1) == 0 else -1.0 for i in range(3)]
             want = sum(x[i] * z[i] for i in range(3))

@@ -6,7 +6,6 @@ from qkshots import (
     ConfigurationError,
     FeatureMapConfig,
     KernelMatrix,
-    ReducedDensityMatrix,
     StateVector,
     circuit_depth,
     classical_cost,
@@ -17,10 +16,9 @@ from qkshots import (
     gram_matrix,
     kernel_statistics,
     n_ca_noisy_binomial_exact,
-    projected_kernel,
     sample_gram,
-    vacuum_state,
 )
+from qkshots.kernels import projected_gram_values
 from qkshots.measurement import total_shot_count
 
 from oracles import quantile_type7
@@ -53,7 +51,7 @@ class TestFidelityKernel:
         assert fidelity_kernel(a, b) < 1e-10
 
     def test_orthogonal_basis_states(self):
-        zero = vacuum_state(1)
+        zero = StateVector(1, [1.0, 0.0])
         one = StateVector(1, [0.0, 1.0])
         assert fidelity_kernel(zero, one) == 0.0
 
@@ -70,38 +68,34 @@ class TestFidelityKernel:
             assert abs(fidelity_kernel(sx, states[0]) - np.cos(x - grid[0]) ** 2) < 1e-10
 
 
+def projected_pair(x, y, gamma):
+    """Projected kernel of two points given their (n, 3) component rows."""
+    return projected_gram_values(np.array([x, y], dtype=float), gamma)[0, 1]
+
+
 class TestProjectedKernel:
+    GROUND, EXCITED = (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+
     def test_identical_lists(self):
-        rho = [ReducedDensityMatrix.from_components(0.7, 0.1, 0.05)]
-        assert projected_kernel(rho, rho, gamma=2.0) == 1.0
+        rho = [(0.7, 0.1, 0.05)]
+        assert projected_pair(rho, rho, gamma=2.0) == 1.0
 
     def test_opposite_poles_single_qubit(self):
-        ground = [ReducedDensityMatrix.from_components(1.0, 0.0, 0.0)]
-        excited = [ReducedDensityMatrix.from_components(0.0, 0.0, 0.0)]
-        assert projected_kernel(ground, excited, gamma=1.0) == pytest.approx(
-            np.exp(-2.0), abs=1e-12
-        )
+        value = projected_pair([self.GROUND], [self.EXCITED], gamma=1.0)
+        assert value == pytest.approx(np.exp(-2.0), abs=1e-12)
 
     def test_additivity_over_qubits(self):
-        ground = ReducedDensityMatrix.from_components(1.0, 0.0, 0.0)
-        excited = ReducedDensityMatrix.from_components(0.0, 0.0, 0.0)
-        value = projected_kernel([ground, ground], [excited, excited], gamma=1.0)
+        value = projected_pair([self.GROUND] * 2, [self.EXCITED] * 2, gamma=1.0)
         assert value == pytest.approx(np.exp(-4.0), abs=1e-12)
 
-    def test_length_mismatch(self):
-        rho = [ReducedDensityMatrix.maximally_mixed()]
-        with pytest.raises(ValueError):
-            projected_kernel(rho, rho * 2, gamma=1.0)
-
     def test_invalid_gamma(self):
-        rho = [ReducedDensityMatrix.maximally_mixed()]
+        rho = [(0.5, 0.0, 0.0)]
         with pytest.raises(ConfigurationError):
-            projected_kernel(rho, rho, gamma=0.0)
+            projected_pair(rho, rho, gamma=0.0)
 
     def test_monotone_in_gamma(self):
-        a = [ReducedDensityMatrix.from_components(0.8, 0.1, 0.0)]
-        b = [ReducedDensityMatrix.from_components(0.5, -0.2, 0.1)]
-        values = [projected_kernel(a, b, gamma=g) for g in np.linspace(0.1, 5, 20)]
+        a, b = [(0.8, 0.1, 0.0)], [(0.5, -0.2, 0.1)]
+        values = [projected_pair(a, b, gamma=g) for g in np.linspace(0.1, 5, 20)]
         assert all(x >= y for x, y in zip(values, values[1:]))
 
 

@@ -5,19 +5,41 @@ from qkshots import (
     ConfigurationError,
     FeatureMapConfig,
     NoiseModel,
-    ReducedDensityMatrix,
     gram_matrix,
-    sample_fidelity,
     sample_gram,
-    sample_tomography,
 )
 from qkshots.kernels import projected_gram_values, reduced_component_table
 from qkshots.measurement import (
+    _estimated_components,
+    _rng,
+    _tomography_probabilities,
+    component_proportions,
     depolarized_component_probability,
     depolarized_fidelity_probability,
-    measured_proportions,
     total_shot_count,
 )
+
+ONE_QUBIT = FeatureMapConfig(n_qubits=1)
+
+
+def sample_entries(kappa, n_shots, reps, noise=NoiseModel(), seed=0):
+    """``reps`` sampled fidelity entries of true value ``kappa``: one-qubit
+    points 0 and arccos(sqrt(kappa)) have kernel cos^2(x - y) = kappa, and
+    a Gram matrix of k copies of each holds k^2 such entries."""
+    k = int(np.ceil(np.sqrt(reps)))
+    y = np.arccos(np.sqrt(kappa))
+    points = [[0.0]] * k + [[y]] * k
+    sampled = sample_gram(points, ONE_QUBIT, n_shots=n_shots, noise=noise, seed=seed)
+    return sampled.values[:k, k:].reshape(-1)[:reps]
+
+
+def tomography(table, n_shots, noise=NoiseModel(), seed=0, stream=0):
+    """One point's tomography as ``sample_gram`` draws point ``stream``:
+    (n, 3) basis counts, then the estimated physical (n, 3) components and
+    the clip mask."""
+    q = _tomography_probabilities(np.reshape(table, (-1, 3)), noise.p_error)
+    counts = _rng(seed, stream).binomial(n_shots, q)
+    return (counts, *_estimated_components(counts, n_shots))
 
 
 class TestNoiseModel:
@@ -33,94 +55,70 @@ class TestNoiseModel:
 
 class TestSampleFidelity:
     def test_zero_kernel_never_succeeds(self):
-        result = sample_fidelity(0.0, 500, seed=1)
-        assert result.estimate == 0.0 and result.successes == 0
+        estimate = sample_entries(0.0, 500, 1, seed=1)
+        assert estimate[0] == 0.0
 
     def test_unit_kernel_always_succeeds(self):
-        result = sample_fidelity(1.0, 500, seed=1)
-        assert result.estimate == 1.0
+        estimate = sample_entries(1.0, 500, 1, seed=1)
+        assert estimate[0] == 1.0
 
     def test_deterministic_under_seed(self):
-        a = sample_fidelity(0.37, 1000, seed=99)
-        b = sample_fidelity(0.37, 1000, seed=99)
-        assert (a.successes, a.estimate) == (b.successes, b.estimate)
-        c = sample_fidelity(0.37, 1000, seed=100)
-        assert c.successes != a.successes  # different stream
+        a = sample_entries(0.37, 1000, 4, seed=99)
+        b = sample_entries(0.37, 1000, 4, seed=99)
+        assert np.array_equal(a, b)
+        c = sample_entries(0.37, 1000, 4, seed=100)
+        assert not np.array_equal(c, a)  # different stream
 
     def test_noisy_mean_matches_arithmetic(self):
         # q = 0.9 * 0.8 + 0.1 * 0.5 = 0.77 for a single qubit
-        noise = NoiseModel(p_error=0.1)
         n_shots, reps = 10, 100_000
-        total = 0.0
-        for i in range(reps):
-            total += sample_fidelity(
-                0.8, n_shots, noise=noise, n_qubits=1, seed=7, stream=i
-            ).estimate
-        mean = total / reps
+        mean = sample_entries(0.8, n_shots, reps, noise=NoiseModel(0.1), seed=7).mean()
         se = np.sqrt(0.77 * 0.23 / (n_shots * reps))
         assert abs(mean - 0.77) <= 3 * se
 
     def test_unbiased_noiseless(self):
         kappa, n_shots, reps = 0.3, 50, 10_000
-        estimates = [
-            sample_fidelity(kappa, n_shots, seed=13, stream=i).estimate
-            for i in range(reps)
-        ]
+        estimates = sample_entries(kappa, n_shots, reps, seed=13)
         tolerance = 4 * np.sqrt(kappa * (1 - kappa) / (n_shots * reps))
         assert abs(np.mean(estimates) - kappa) <= tolerance
 
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 0.9])
     def test_variance_law(self, kappa):
         n_shots, reps = 100, 10_000
-        estimates = np.array(
-            [
-                sample_fidelity(kappa, n_shots, seed=5, stream=i).estimate
-                for i in range(reps)
-            ]
-        )
+        estimates = sample_entries(kappa, n_shots, reps, seed=5)
         expected = kappa * (1 - kappa) / n_shots
         assert abs(np.var(estimates) - expected) <= 0.1 * expected
-
-    def test_rejects_invalid_kappa(self):
-        with pytest.raises(ValueError):
-            sample_fidelity(1.2, 10)
 
 
 class TestSampleTomography:
     def test_maximally_mixed_fixed_point(self):
-        rho = [ReducedDensityMatrix.maximally_mixed()]
         n_shots = 200_000
-        result = sample_tomography(rho, n_shots, seed=3)
-        d, r, i = result.matrices[0].components
+        _, estimated, _ = tomography([0.5, 0.0, 0.0], n_shots, seed=3)
+        d, r, i = estimated[0]
         sigma = np.sqrt(0.25 / n_shots)
         assert abs(d - 0.5) <= 3 * sigma
         assert abs(r) <= 3 * sigma
         assert abs(i) <= 3 * sigma
 
     def test_pure_state_population_exact(self):
-        rho = [ReducedDensityMatrix.from_components(1.0, 0.0, 0.0)]
-        result = sample_tomography(rho, 1_000_000, seed=8)
+        _, estimated, _ = tomography([1.0, 0.0, 0.0], 1_000_000, seed=8)
         # success probability 1 has zero binomial spread
-        assert result.matrices[0].population == 1.0
+        assert estimated[0, 0] == 1.0
 
     def test_full_depolarising_forgets_the_state(self):
-        rho = [ReducedDensityMatrix.from_components(1.0, 0.0, 0.0)]
         n_shots = 200_000
-        result = sample_tomography(rho, n_shots, noise=NoiseModel(1.0), seed=4)
-        d, r, i = result.matrices[0].components
+        _, estimated, _ = tomography([1.0, 0.0, 0.0], n_shots, noise=NoiseModel(1.0), seed=4)
+        d, r, i = estimated[0]
         sigma = np.sqrt(0.25 / n_shots)
         assert abs(d - 0.5) <= 3 * sigma
         assert abs(r) <= 3 * sigma and abs(i) <= 3 * sigma
 
     def test_marginal_moments_match_binomial(self):
-        rho = [ReducedDensityMatrix.from_components(0.3, 0.2, -0.1)]
-        q = measured_proportions(rho[0])[0]  # population proportion
+        table = [0.3, 0.2, -0.1]
+        q = component_proportions(table)[0]  # population proportion
         n_shots, reps = 100, 10_000
         draws = np.array(
-            [
-                sample_tomography(rho, n_shots, seed=21, stream=i).matrices[0].population
-                for i in range(reps)
-            ]
+            [tomography(table, n_shots, seed=21, stream=i)[1][0, 0] for i in range(reps)]
         )
         se = np.sqrt(q * (1 - q) / (n_shots * reps))
         assert abs(draws.mean() - q) <= 4 * se
@@ -129,16 +127,16 @@ class TestSampleTomography:
 
     def test_estimates_stay_physical(self):
         # near-pure state with strong coherence provokes the PSD clip
-        rho = [ReducedDensityMatrix.from_components(0.97, 0.15, 0.05)]
         for stream in range(200):
-            result = sample_tomography(rho, 8, seed=31, stream=stream)
-            assert min(result.matrices[0].eigenvalues()) >= -1e-10
+            _, estimated, _ = tomography([0.97, 0.15, 0.05], 8, seed=31, stream=stream)
+            d, r, i = estimated[0]
+            rho = np.array([[d, r + 1j * i], [r - 1j * i, 1.0 - d]])
+            assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
     def test_success_counts_shape(self):
-        rhos = [ReducedDensityMatrix.maximally_mixed() for _ in range(3)]
-        result = sample_tomography(rhos, 10, seed=0)
-        assert result.successes.shape == (3, 3)
-        assert np.all(result.successes >= 0) and np.all(result.successes <= 10)
+        counts, _, _ = tomography([[0.5, 0.0, 0.0]] * 3, 10, seed=0)
+        assert counts.shape == (3, 3)
+        assert np.all(counts >= 0) and np.all(counts <= 10)
 
 
 class TestSampleGram:
@@ -200,8 +198,8 @@ class TestSampleGram:
 
     @pytest.mark.parametrize("p_error", [0.0, 0.05])
     def test_projected_point_is_one_point_tomography(self, p_error):
-        """Point i of the batch draws what sample_tomography draws with
-        stream i, so the estimated tables and Gram matrices agree exactly."""
+        """Point i of the batch draws one point's tomography from stream i,
+        so the estimated tables and Gram matrices agree exactly."""
         rng = np.random.default_rng(12)
         points = rng.normal(size=(5, 3))
         cfg = FeatureMapConfig(n_qubits=3, repetitions=2, entanglement="full")
@@ -209,15 +207,11 @@ class TestSampleGram:
         batch = sample_gram(points, cfg, family="projected", gamma=0.7, n_shots=16,
                             noise=noise, seed=19)
         table = reduced_component_table(points, cfg)
-        results = [
-            sample_tomography([ReducedDensityMatrix.from_components(*c) for c in row],
-                              16, noise=noise, seed=19, stream=i)
-            for i, row in enumerate(table)
-        ]
-        estimated = np.array([[rho.components for rho in r.matrices] for r in results])
+        results = [tomography(row, 16, noise=noise, seed=19, stream=i)
+                   for i, row in enumerate(table)]
+        estimated = np.array([r[1] for r in results])
         assert np.array_equal(batch.values, projected_gram_values(estimated, 0.7))
-        assert batch.metadata["psd_clipped"] == sum(
-            r.metadata["psd_clipped"] for r in results)
+        assert batch.metadata["psd_clipped"] == sum(int(r[2].sum()) for r in results)
 
     def test_psd_clipped_counts_rescaled_estimates(self):
         """At 4 shots many estimates leave the Bloch ball; the count equals a
@@ -229,8 +223,7 @@ class TestSampleGram:
         table = reduced_component_table(points, cfg)
         expected = 0
         for i, row in enumerate(table):
-            rhos = [ReducedDensityMatrix.from_components(*c) for c in row]
-            counts = sample_tomography(rhos, 4, seed=23, stream=i).successes
+            counts = tomography(row, 4, seed=23, stream=i)[0]
             for z, x, y in counts / 4:
                 expected += (x - 0.5) ** 2 + (0.5 - y) ** 2 > z * (1 - z)
         assert sampled.metadata["psd_clipped"] == expected > 0

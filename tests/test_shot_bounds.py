@@ -9,13 +9,11 @@ from qkshots import (
     FeatureMapConfig,
     KernelMatrix,
     NoiseModel,
-    ReducedDensityMatrix,
     dataset_budget,
-    entry_budget_fq,
-    entry_budget_pq,
-    epsilon_r_from_components,
+    entry_budgets,
     epsilon_r_from_kernel,
     error_budget,
+    gram_matrix,
     n_ca_binomial_exact,
     n_ca_fq,
     n_ca_noisy_binomial_exact,
@@ -24,27 +22,36 @@ from qkshots import (
     n_ca_pq_normal,
     n_spread_fq,
     n_spread_noisy_fq,
-    n_spread_noisy_pq,
-    n_spread_pq,
-    pq_variance_terms,
-    pq_variance_terms_noise_robust,
 )
-from qkshots.measurement import measured_proportions
-from qkshots.shot_bounds import ca_condition_probability
+from qkshots.kernels import projected_gram_values
+from qkshots.measurement import component_proportions
+from qkshots.shot_bounds import _variance_terms, ca_condition_probability
 
 from oracles import correct_side_probability, pq_variance_term_sum
 
 
-def rdm(d, r, i):
-    return ReducedDensityMatrix.from_components(d, r, i)
-
-
-def random_physical_rdm(rng):
+def random_physical_components(rng):
     d = rng.uniform(0.05, 0.95)
     radius = math.sqrt(d * (1 - d))
     angle = rng.uniform(0, 2 * np.pi)
     rho = rng.uniform(0, 0.9) * radius
-    return rdm(d, rho * math.cos(angle), rho * math.sin(angle))
+    return (d, rho * math.cos(angle), rho * math.sin(angle))
+
+
+def pair_budget(rho_x, rho_y, gamma, eps, delta, p_spread, p_ca=0.99, p_error=0.0):
+    """The ShotBudget of one projected pair: the m = 2 case of entry_budgets
+    on the (2, n, 3) table of the two points' component rows."""
+    table = np.array([rho_x, rho_y], dtype=float)
+    return entry_budgets(
+        "projected", projected_gram_values(table, gamma), eps, delta, p_spread, p_ca,
+        p_error, table=table, gamma=gamma,
+    ).budget(0)
+
+
+def variance_terms(rho_x, rho_y, noise_robust=False):
+    """Per-qubit V_k of one pair of (n, 3) component rows."""
+    z = component_proportions(np.array([rho_x, rho_y], dtype=float))
+    return _variance_terms(z[0], z[1], noise_robust)
 
 
 class TestSpreadFidelity:
@@ -70,63 +77,53 @@ class TestSpreadFidelity:
 
 class TestSpreadProjected:
     def test_identical_matrices_degenerate(self):
-        rho = [rdm(0.6, 0.1, 0.2), rdm(0.4, 0.0, -0.1)]
-        bound = n_spread_pq(rho, rho, gamma=1.0, eps=0.5, delta_ensemble=0.3, p_spread=0.9)
-        assert bound == 1 and bound.degenerate
+        rho = [(0.6, 0.1, 0.2), (0.4, 0.0, -0.1)]
+        bound = pair_budget(rho, rho, gamma=1.0, eps=0.5, delta=0.3, p_spread=0.9)
+        assert bound.n_spread == 1 and bound.degenerate
 
     def test_variance_term_ground_vs_mixed(self):
         # ground state vs maximally mixed: proportions (1, .5, .5) vs (.5, .5, .5)
-        rho_x = [rdm(1.0, 0.0, 0.0)]
-        rho_y = [ReducedDensityMatrix.maximally_mixed()]
-        terms = pq_variance_terms(rho_x, rho_y)
+        terms = variance_terms([(1.0, 0.0, 0.0)], [(0.5, 0.0, 0.0)])
         assert terms.shape == (1,)
         assert terms[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_terms_match_triple_sum_oracle(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
-            rho_x = [random_physical_rdm(rng) for _ in range(3)]
-            rho_y = [random_physical_rdm(rng) for _ in range(3)]
-            got = pq_variance_terms(rho_x, rho_y)
+            rho_x = [random_physical_components(rng) for _ in range(3)]
+            rho_y = [random_physical_components(rng) for _ in range(3)]
+            got = variance_terms(rho_x, rho_y)
             for k in range(3):
-                zx = measured_proportions(rho_x[k])
-                zy = measured_proportions(rho_y[k])
+                zx = component_proportions(rho_x[k])
+                zy = component_proportions(rho_y[k])
                 assert got[k] == pytest.approx(
                     pq_variance_term_sum(zx, zy), rel=1e-9
                 )
 
     def test_bound_equals_explicit_formula(self):
         rng = np.random.default_rng(15)
-        rho_x = [random_physical_rdm(rng) for _ in range(2)]
-        rho_y = [random_physical_rdm(rng) for _ in range(2)]
+        rho_x = [random_physical_components(rng) for _ in range(2)]
+        rho_y = [random_physical_components(rng) for _ in range(2)]
         gamma, eps, delta, p = 0.8, 0.4, 0.2, 0.9
-        from qkshots import projected_kernel
-
-        kappa = projected_kernel(rho_x, rho_y, gamma)
+        got = pair_budget(rho_x, rho_y, gamma=gamma, eps=eps, delta=delta, p_spread=p)
+        kappa = got.inputs["kappa"]
         v_sum = sum(
-            pq_variance_term_sum(
-                measured_proportions(rx), measured_proportions(ry)
-            )
+            pq_variance_term_sum(component_proportions(rx), component_proportions(ry))
             for rx, ry in zip(rho_x, rho_y)
         )
         expected = 2 * gamma**2 * kappa**2 * v_sum / ((1 - p) * eps**2 * delta**2)
-        got = n_spread_pq(rho_x, rho_y, gamma=gamma, eps=eps, delta_ensemble=delta, p_spread=p)
-        assert got == math.ceil(expected - 1e-9)
+        assert got.n_spread == math.ceil(expected - 1e-9)
 
     def test_gamma_kappa_scaling(self):
         # holding the variance terms fixed, the bound scales as gamma^2 kappa^2
-        rho_x = [rdm(0.9, 0.05, 0.0)]
-        rho_y = [rdm(0.3, -0.1, 0.05)]
-        from qkshots import projected_kernel
-
-        v = float(pq_variance_terms(rho_x, rho_y)[0])
+        rho_x = [(0.9, 0.05, 0.0)]
+        rho_y = [(0.3, -0.1, 0.05)]
+        v = float(variance_terms(rho_x, rho_y)[0])
         for gamma in (0.5, 1.0, 2.0):
-            kappa = projected_kernel(rho_x, rho_y, gamma)
+            got = pair_budget(rho_x, rho_y, gamma=gamma, eps=0.5, delta=0.2, p_spread=0.9)
+            kappa = got.inputs["kappa"]
             expected = gamma**2 * kappa**2 * v / ((1 - 0.9) * 0.25 * 0.04)
-            got = n_spread_pq(
-                rho_x, rho_y, gamma=gamma, eps=0.5, delta_ensemble=0.2, p_spread=0.9
-            )
-            assert got == max(1, math.ceil(expected - 1e-9))
+            assert got.n_spread == max(1, math.ceil(expected - 1e-9))
 
 
 class TestConcentrationAvoidanceFidelity:
@@ -250,16 +247,14 @@ class TestNoisyBounds:
         assert noisy == 16 * noiseless  # 4 / (kappa (1 - kappa)) at kappa = 1/2
 
     def test_noisy_pq_degenerate(self):
-        rho = [rdm(0.7, 0.1, 0.0)]
-        bound = n_spread_noisy_pq(
-            rho, rho, gamma=1.0, eps=0.5, delta_ensemble=0.2, p_spread=0.9
+        rho = [(0.7, 0.1, 0.0)]
+        bound = pair_budget(
+            rho, rho, gamma=1.0, eps=0.5, delta=0.2, p_spread=0.9, p_error=0.01
         )
-        assert bound == 1 and bound.degenerate
+        assert bound.noisy and bound.n_spread == 1 and bound.degenerate
 
     def test_noisy_pq_uses_derivative_only_terms(self):
-        rho_x = [rdm(1.0, 0.0, 0.0)]
-        rho_y = [ReducedDensityMatrix.maximally_mixed()]
-        robust = pq_variance_terms_noise_robust(rho_x, rho_y)
+        robust = variance_terms([(1.0, 0.0, 0.0)], [(0.5, 0.0, 0.0)], noise_robust=True)
         # only the population pair differs by 1/2: (2 * 4 * 1/2)^2 = 16
         assert robust[0] == pytest.approx(16.0)
 
@@ -316,7 +311,9 @@ class TestRepresentativeScales:
         table[..., 0] = 0.5 + c  # population offset +c
         table[..., 1] = c        # Re offdiag offset c
         table[..., 2] = -c       # Im offdiag offset -c (absolute value counts)
-        assert epsilon_r_from_components(table) == pytest.approx(c)
+        # the mean absolute offset of the measured proportions from 1/2
+        offsets = np.abs(component_proportions(table) - 0.5)
+        assert np.mean(offsets) == pytest.approx(c)
 
     def test_kernel_scale_inverts_definition(self):
         gamma, n, c = 0.7, 3, 0.04
@@ -375,24 +372,24 @@ class TestDatasetBudget:
 
     def test_projected_component_path(self):
         rng = np.random.default_rng(3)
-        table = np.stack(
-            [
-                np.stack([m.components for m in
-                          (random_physical_rdm(rng) for _ in range(2))])
-                for _ in range(4)
-            ]
+        table = np.array(
+            [[random_physical_components(rng) for _ in range(2)] for _ in range(4)]
         )
-        from qkshots.kernels import projected_gram_values
-
         kernel = KernelMatrix(
             values=projected_gram_values(table, 1.0),
             family="projected",
             config=FeatureMapConfig(n_qubits=2),
             gamma=1.0,
+            component_table=table,
         )
-        budget = dataset_budget(kernel, rho_table=table)
+        budget = dataset_budget(kernel)
         assert budget.inputs["spread_path"] == "components"
         assert budget.n_spread >= 1 and budget.n_ca >= 1
+
+    def test_exact_projected_gram_takes_the_component_path(self):
+        points = np.random.default_rng(5).uniform(0, 2 * np.pi, size=(6, 2))
+        kernel = gram_matrix(points, FeatureMapConfig(n_qubits=2), family="projected")
+        assert dataset_budget(kernel).inputs["spread_path"] == "components"
 
     def test_zero_iqr_rejected(self):
         kernel = _kernel_from_offdiag([0.4] * 6)
@@ -418,16 +415,18 @@ class TestDatasetBudget:
 
 class TestEntryBudgets:
     def test_fidelity_entry_budget(self):
-        budget = entry_budget_fq(0.5, 1.0, 0.2, 0.9, 0.99)
+        budget = entry_budgets(
+            "fidelity", [[1.0, 0.5], [0.5, 1.0]], 1.0, 0.2, 0.9, 0.99
+        ).budget(0)
         assert budget.n_spread == n_spread_fq(0.5, 1.0, 0.2, 0.9)
         assert budget.n_ca == n_ca_fq(0.5, 0.99)
         assert budget.n_required == max(budget.n_spread, budget.n_ca)
 
     def test_projected_entry_budget_worst_component(self):
-        rho_x = [rdm(0.8, 0.1, 0.0)]
-        rho_y = [rdm(0.4, -0.1, 0.1)]
-        budget = entry_budget_pq(rho_x, rho_y, 1.0, 1.0, 0.2, 0.9, 0.9772)
-        proportions = [q for rho in (rho_x[0], rho_y[0]) for q in measured_proportions(rho)]
+        rho_x = [(0.8, 0.1, 0.0)]
+        rho_y = [(0.4, -0.1, 0.1)]
+        budget = pair_budget(rho_x, rho_y, 1.0, 1.0, 0.2, 0.9, 0.9772)
+        proportions = component_proportions([rho_x, rho_y]).reshape(-1)
         expected = max(
             int(n_ca_pq_normal(q, 0.5, 0.9772))
             for q in proportions
@@ -436,9 +435,8 @@ class TestEntryBudgets:
         assert budget.n_ca == expected
 
     def test_projected_entry_all_components_at_mu(self):
-        rho = [ReducedDensityMatrix.maximally_mixed()]
-        other = [ReducedDensityMatrix.maximally_mixed()]
-        budget = entry_budget_pq(rho, other, 1.0, 1.0, 0.2, 0.9, 0.99)
+        rho = [(0.5, 0.0, 0.0)]
+        budget = pair_budget(rho, rho, 1.0, 1.0, 0.2, 0.9, 0.99)
         assert budget.degenerate
         assert budget.n_ca == 1
 

@@ -3,14 +3,15 @@ import pytest
 
 from qkshots import (
     ConfigurationError,
+    FeatureMapConfig,
     ReducedDensityMatrix,
     StateVector,
-    apply_diagonal_phase,
-    apply_hadamard_layer,
-    inner_product,
+    fidelity_kernel,
     reduce_to_qubit,
-    vacuum_state,
 )
+from qkshots.feature_map import embed_batch
+from qkshots.kernels import fidelity_gram_values
+from qkshots.statevector import check_qubit_count, walsh_hadamard
 
 from oracles import dense_partial_trace
 
@@ -20,100 +21,119 @@ def random_state(rng, n):
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
+def vacuum(n):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    return StateVector(n, amps)
+
+
+def hadamard_layer(amplitudes):
+    """A Hadamard layer on every row of an amplitude block: the unnormalised
+    transform times 2**(-n/2)."""
+    block = np.array(amplitudes, dtype=complex, ndmin=2)
+    n = block.shape[1].bit_length() - 1
+    walsh_hadamard(block, n)
+    return block * 2.0 ** (-n / 2)
+
+
 class TestVacuumState:
+    """The vacuum every embedding starts from, and the checks on states."""
+
     def test_single_qubit(self):
-        assert np.array_equal(vacuum_state(1).amplitudes, [1.0, 0.0])
+        # two repetitions at angle 0: H H |0> = |0>
+        out = embed_batch([[0.0]], FeatureMapConfig(n_qubits=1, repetitions=2))
+        assert np.max(np.abs(out[0] - [1.0, 0.0])) < 1e-12
 
     def test_two_qubits(self):
-        assert np.array_equal(vacuum_state(2).amplitudes, [1.0, 0.0, 0.0, 0.0])
+        # at (pi, pi) every linear-chain phase is a multiple of 2 pi
+        cfg = FeatureMapConfig(n_qubits=2, repetitions=2, entanglement="linear")
+        out = embed_batch([[np.pi, np.pi]], cfg)
+        assert np.max(np.abs(out[0] - [1.0, 0.0, 0.0, 0.0])) < 1e-12
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ConfigurationError):
-            vacuum_state(0)
+            check_qubit_count(0)
+        with pytest.raises(ConfigurationError):
+            StateVector(0, [1.0])
 
     def test_cap_enforced(self):
         with pytest.raises(ConfigurationError):
-            vacuum_state(15)
-        assert vacuum_state(15, cap=16).n_qubits == 15
+            check_qubit_count(15)
+        check_qubit_count(15, cap=16)
 
     def test_non_normalised_rejected(self):
         with pytest.raises(ValueError):
             StateVector(1, [1.0, 1.0])
 
     def test_amplitudes_read_only(self):
-        state = vacuum_state(2)
+        state = vacuum(2)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
 
 class TestHadamardLayer:
     def test_uniform_superposition(self):
-        state = apply_hadamard_layer(vacuum_state(2))
-        assert np.allclose(state.amplitudes, 0.25**0.5)
+        assert np.allclose(hadamard_layer(vacuum(2).amplitudes), 0.25**0.5)
 
     def test_involution(self):
         rng = np.random.default_rng(7)
         state = random_state(rng, 3)
-        twice = apply_hadamard_layer(apply_hadamard_layer(state))
-        assert np.max(np.abs(twice.amplitudes - state.amplitudes)) < 1e-12
+        twice = hadamard_layer(hadamard_layer(state.amplitudes))
+        assert np.max(np.abs(twice - state.amplitudes)) < 1e-12
 
     def test_on_excited_state(self):
-        one = StateVector(1, [0.0, 1.0])
-        out = apply_hadamard_layer(one)
-        assert np.allclose(out.amplitudes, [2**-0.5, -(2**-0.5)], atol=1e-12)
+        out = hadamard_layer([0.0, 1.0])
+        assert np.allclose(out, [[2**-0.5, -(2**-0.5)]], atol=1e-12)
 
 
 class TestDiagonalPhase:
+    """One repetition of the embedding is H|0...0> times its phases."""
+
     def test_zero_phases_identity(self):
-        rng = np.random.default_rng(3)
-        state = random_state(rng, 2)
-        out = apply_diagonal_phase(state, np.zeros(4))
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        out = embed_batch([[0.0]], FeatureMapConfig(n_qubits=1))
+        assert np.array_equal(out[0], hadamard_layer([1.0, 0.0])[0])
 
     def test_global_phase_keeps_magnitudes(self):
-        rng = np.random.default_rng(4)
-        state = random_state(rng, 2)
-        out = apply_diagonal_phase(state, np.full(4, np.pi))
-        assert np.allclose(np.abs(out.amplitudes), np.abs(state.amplitudes))
+        out = embed_batch([[np.pi]], FeatureMapConfig(n_qubits=1))
+        assert np.allclose(np.abs(out[0]), np.abs(hadamard_layer([1.0, 0.0])[0]))
 
     def test_hand_computed_two_level(self):
         # H|0> then phases (x, -x): amplitudes (e^ix, e^-ix)/sqrt(2)
         x = 0.83
-        state = apply_hadamard_layer(vacuum_state(1))
-        out = apply_diagonal_phase(state, [x, -x])
+        out = embed_batch([[x]], FeatureMapConfig(n_qubits=1))
         expected = np.array([np.exp(1j * x), np.exp(-1j * x)]) / np.sqrt(2)
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+        assert np.max(np.abs(out[0] - expected)) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            apply_diagonal_phase(vacuum_state(2), [0.0, 0.0])
+            embed_batch([[0.0]], FeatureMapConfig(n_qubits=2))
 
 
 class TestInnerProduct:
     def test_self_overlap_is_one(self):
         rng = np.random.default_rng(11)
         state = random_state(rng, 4)
-        assert abs(inner_product(state, state) - 1.0) < 1e-12
+        assert abs(fidelity_kernel(state, state) - 1.0) < 1e-12
 
     def test_orthogonal_basis_states(self):
-        zero = vacuum_state(1)
-        one = StateVector(1, [0.0, 1.0])
-        assert inner_product(zero, one) == 0.0
+        assert fidelity_kernel(vacuum(1), StateVector(1, [0.0, 1.0])) == 0.0
 
     def test_cauchy_schwarz_over_random_pairs(self):
         rng = np.random.default_rng(21)
-        for _ in range(100):
-            a, b = random_state(rng, 3), random_state(rng, 3)
-            assert abs(inner_product(a, b)) <= 1.0 + 1e-12
+        states = np.array([random_state(rng, 3).amplitudes for _ in range(100)])
+        overlaps = np.abs(states.conj() @ states.T) ** 2
+        assert overlaps.max() <= 1.0 + 1e-12
+        assert np.allclose(fidelity_gram_values(states), overlaps, rtol=0, atol=1e-12)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(9)
-        a, b = random_state(rng, 3), random_state(rng, 3)
-        assert inner_product(a, b) == np.conj(inner_product(b, a))
+        states = np.array([random_state(rng, 3).amplitudes for _ in range(2)])
+        values = fidelity_gram_values(states)
+        assert values[0, 1] == values[1, 0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            inner_product(vacuum_state(1), vacuum_state(2))
+            fidelity_kernel(vacuum(1), vacuum(2))
 
 
 class TestReduceToQubit:
@@ -151,7 +171,7 @@ class TestReduceToQubit:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            reduce_to_qubit(vacuum_state(2), 2)
+            reduce_to_qubit(vacuum(2), 2)
 
     def test_trace_and_positivity_over_many_states(self):
         rng = np.random.default_rng(123)
@@ -162,7 +182,7 @@ class TestReduceToQubit:
                 k = int(rng.integers(n))
                 rho = reduce_to_qubit(state, k)
                 assert abs(np.trace(rho.entries).real - 1.0) < 1e-10
-                assert min(rho.eigenvalues()) >= -1e-10
+                assert np.linalg.eigvalsh(rho.entries).min() >= -1e-10
                 checked += 1
         assert checked >= 1000
 
@@ -170,25 +190,19 @@ class TestReduceToQubit:
 class TestNormPreservation:
     def test_random_gate_sequences(self):
         rng = np.random.default_rng(31)
-        state = vacuum_state(4)
+        amps = vacuum(4).amplitudes
         for _ in range(20):
             if rng.random() < 0.5:
-                state = apply_hadamard_layer(state)
+                amps = hadamard_layer(amps)[0]
             else:
-                state = apply_diagonal_phase(state, rng.normal(size=16))
-            assert abs(state.norm() - 1.0) < 1e-10
+                amps = amps * np.exp(1j * rng.normal(size=16))
+            assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
 
 
 class TestReducedDensityMatrix:
     def test_components_match_entries(self):
         rho = ReducedDensityMatrix([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
         assert rho.components == (0.7, 0.1, -0.2)
-
-    def test_from_components_round_trip(self):
-        rho = ReducedDensityMatrix.from_components(0.6, 0.15, -0.1)
-        assert rho.entries[0, 0] == 0.6
-        assert rho.entries[0, 1] == 0.15 - 0.1j
-        assert rho.entries[1, 1] == pytest.approx(0.4)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
