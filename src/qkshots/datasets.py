@@ -194,7 +194,7 @@ def select_features(dataset: Dataset, n: int) -> Dataset:
     """Keep the first ``n`` features by descending pre-standardisation
     variance, ties broken by original column index."""
     if not 1 <= n <= dataset.n_features:
-        raise ValueError(
+        raise ConfigurationError(
             f"n must be in [1, {dataset.n_features}], got {n}"
         )
     variances = (

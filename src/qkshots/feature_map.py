@@ -9,8 +9,9 @@ carries no trainable parameters; it is a function of the data alone.
 A data point is a plain 1-D float array with at least ``n_qubits`` finite
 entries; only the first ``n_qubits`` features are encoded.
 
-All points are simulated together: one matmul of the (m, n + P) angle
-table with the (n + P, 2**n) Z-sign table gives every point's phases, and
+All points are simulated together: the (m, n + P) angle table is
+exponentiated once, every point's diagonal rotation is the Kronecker
+product of those n + P factors, built by doubling over the qubits, and
 the Hadamard layers run as Kronecker-factored Walsh-Hadamard transforms
 (a few real matrix products each) over fixed row blocks of the (m, 2**n)
 amplitude batch.
@@ -94,15 +95,35 @@ def angle_table(points, cfg: FeatureMapConfig) -> np.ndarray:
     return np.concatenate([x, (np.pi - x[:, i]) * (np.pi - x[:, j])], axis=1)
 
 
-def sign_table(cfg: FeatureMapConfig) -> np.ndarray:
-    """(n + P, 2**n) Z eigenvalues matching :func:`angle_table`: ``z_i(b)``
-    for each qubit, then ``z_i(b) z_j(b)`` for each coupled pair, where
-    ``z_i(b) = +1`` when bit ``i`` of ``b`` is 0."""
-    n = cfg.n_qubits
-    bits = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1
-    z = 1.0 - 2.0 * bits
-    i, j = np.array(cfg.pair_indices(), dtype=int).reshape(-1, 2).T
-    return np.concatenate([z, z[i] * z[j]])
+def _rotation(factors: np.ndarray, couplings: list, out: np.ndarray) -> None:
+    """Write ``2**(-n/2) * exp(i * phase(b))`` of every row into the
+    (rows, 2**n) block ``out``.
+
+    ``factors`` holds ``exp(i * angle)`` of the rows' :func:`angle_table`
+    plus a last column of ones, and ``couplings[t]`` the columns of the
+    pairs (t, k) for k = t + 1..n - 1, the last column where uncoupled.
+    Qubit by qubit, the entries over the low bits double into bit t = 0,
+    times ``V_t``, and bit t = 1, times ``conj(V_t)``, where ``V_t(b)`` is
+    ``e^{i x_t}`` times ``e^{i a_it z_i(b)}`` over the pairs (i, t). The
+    ``V_k`` of every later qubit double along, one bit per step, so each
+    entry is a product of n + P factors and no phase sum is rounded.
+    """
+    rows, n = out.shape[0], len(couplings)
+    out[:, 0] = 2.0 ** (-n / 2)
+    # V_k over the bits below t, for k = t..n-1
+    v = factors[:, :n, None]
+    for t, columns in enumerate(couplings):
+        low, high = out[:, : 2**t], out[:, 2**t : 2 ** (t + 1)]
+        np.conjugate(v[:, 0], out=high)
+        high *= low
+        low *= v[:, 0]
+        if not columns:
+            break
+        pair = factors[:, columns, None]
+        doubled = np.empty((rows, n - 1 - t, 2, 2**t), dtype=complex)
+        np.multiply(v[:, 1:], pair, out=doubled[:, :, 0])
+        np.multiply(v[:, 1:], pair.conj(), out=doubled[:, :, 1])
+        v = doubled.reshape(rows, n - 1 - t, 2 ** (t + 1))
 
 
 def embed_batch(
@@ -119,19 +140,23 @@ def embed_batch(
     """
     angles = angle_table(points, cfg)
     check_qubit_count(cfg.n_qubits, cap)
-    signs = sign_table(cfg)
     m, n = angles.shape[0], cfg.n_qubits
+    # a zero angle after the pair angles stands in for every uncoupled pair
+    factors = np.exp(1j * np.concatenate([angles, np.zeros((m, 1))], axis=1))
+    column = {pair: n + p for p, pair in enumerate(cfg.pair_indices())}
+    couplings = [[column.get((t, k), -1) for k in range(t + 1, n)] for t in range(n)]
     out = np.empty((m, n, 3)) if components else np.empty((m, 2**n), dtype=complex)
     step = block_rows(n)
 
     def one(start: int) -> None:
         rows = slice(start, start + step)
+        block = factors[rows]
+        amps = np.empty((len(block), 2**n), dtype=complex) if components else out[rows]
         # H|0...0> is the uniform superposition, so the first repetition is
         # the scaled rotation itself; the 2**(-n/2) of later Hadamard layers
         # rides on the rotation too
-        rotation = np.exp(1j * (angles[rows] @ signs)) * 2.0 ** (-n / 2)
-        amps = np.empty_like(rotation) if components else out[rows]
-        amps[...] = rotation
+        _rotation(block, couplings, amps)
+        rotation = amps.copy() if cfg.repetitions > 1 else None
         for _ in range(cfg.repetitions - 1):
             walsh_hadamard(amps, n)
             amps *= rotation

@@ -161,23 +161,32 @@ def gram_matrix(
     cap: int | None = None,
     threads: int = 1,
 ) -> KernelMatrix:
-    """Exact Gram matrix over a dataset; embeddings are computed once per
-    point and reused for all pairs."""
+    """Exact Gram matrix over a dataset; each distinct encoded point is
+    embedded once and reused for all pairs, so points whose first
+    ``n_qubits`` features agree have kernel value exactly 1."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
         raise ValueError(f"need at least 2 points, got {points.shape[0]}")
+    # distinct encoded rows in order of first appearance, and each point's row
+    _, first, inverse = np.unique(
+        points[:, : cfg.n_qubits], axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    index = np.argsort(order)[inverse.reshape(-1)]
+    distinct = points[first[order]]
     table = None
     if check_family(family) == FIDELITY:
         values = fidelity_gram_values(
-            embedding_matrix(points, cfg, cap=cap, threads=threads)
+            embedding_matrix(distinct, cfg, cap=cap, threads=threads)
         )
         gamma_out = None
     else:
-        table = reduced_component_table(points, cfg, cap=cap, threads=threads)
+        table = reduced_component_table(distinct, cfg, cap=cap, threads=threads)
         values = projected_gram_values(table, gamma)
+        table = table[index]
         gamma_out = gamma
     return KernelMatrix(
-        values=values,
+        values=values[np.ix_(index, index)],
         family=family,
         config=cfg,
         gamma=gamma_out,

@@ -284,6 +284,21 @@ class TestOptionalSections:
             "error": "configuration", "message": message,
         }
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("kernels", base_config(feature_map={"n_qubits": 7})),
+            ("estimate-shots", base_config(feature_map={"n_qubits": 7})),
+            ("characterize", base_config(characterize={"n_values": [2, 7]})),
+        ],
+    )
+    def test_more_qubits_than_features_exits_two(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration", "message": "n must be in [1, 6], got 7",
+        }
+
     def test_empty_classical_section_turns_on_baseline(self, tmp_path):
         cfg = write_config(tmp_path, resources_config(classical={}))
         assert main(["resources", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from qkshots import (
     FeatureMapConfig,
     embed,
 )
-from qkshots.feature_map import angle_table, sign_table
+from qkshots.feature_map import ROW_BLOCK_AMPLITUDES, angle_table, block_rows, embed_batch
 
 from oracles import embedding_unitary
 
@@ -111,13 +113,13 @@ class TestEmbed:
         cfg = FeatureMapConfig(n_qubits=3, entanglement="full")
         rng = np.random.default_rng(8)
         x = rng.normal(size=3)
-        phases = angle_table([x], cfg)[0] @ sign_table(cfg)
+        rotation = embed_batch([x], cfg)[0] * 2.0 ** 1.5
         for b in range(8):
             z = [1.0 if ((b >> i) & 1) == 0 else -1.0 for i in range(3)]
             want = sum(x[i] * z[i] for i in range(3))
             for (i, j) in cfg.pair_indices():
                 want += (np.pi - x[i]) * (np.pi - x[j]) * z[i] * z[j]
-            assert phases[b] == pytest.approx(want, abs=1e-12)
+            assert rotation[b] == pytest.approx(np.exp(1j * want), abs=1e-12)
 
     def test_single_qubit_fidelity_closed_form(self):
         cfg = FeatureMapConfig(n_qubits=1)
@@ -128,3 +130,55 @@ class TestEmbed:
                 a, b = embed([x], cfg), embed([y], cfg)
                 overlap = np.vdot(b.amplitudes, a.amplitudes)
                 assert abs(abs(overlap) ** 2 - np.cos(x - y) ** 2) < 1e-10
+
+
+def reference_rotation(points, cfg: FeatureMapConfig) -> np.ndarray:
+    """exp(i * phase(b)) of every point from the phase sum over the
+    (n + P, 2**n) table of Z eigenvalues, in long double."""
+    n = cfg.n_qubits
+    bits = (np.arange(2**n)[None, :] >> np.arange(n)[:, None]) & 1
+    z = (1 - 2 * bits).astype(np.longdouble)
+    i, j = np.array(cfg.pair_indices(), dtype=int).reshape(-1, 2).T
+    phases = angle_table(points, cfg).astype(np.longdouble) @ np.concatenate([z, z[i] * z[j]])
+    return np.cos(phases).astype(float) + 1j * np.sin(phases).astype(float)
+
+
+def rotation(points, cfg: FeatureMapConfig) -> np.ndarray:
+    """The diagonal rotation of one repetition: its embedding without the
+    uniform 2**(-n/2) of the first Hadamard layer."""
+    return embed_batch(points, cfg) * 2.0 ** (cfg.n_qubits / 2)
+
+
+class TestRotation:
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_phase_sum_for_one_point_and_several_blocks(self, n, entanglement):
+        cfg = FeatureMapConfig(n_qubits=n, entanglement=entanglement)
+        rng = np.random.default_rng(20 * n + len(entanglement))
+        for m in (1, 2 * block_rows(n) + 1):
+            points = rng.uniform(0.0, 2.0 * np.pi, size=(m, n))
+            got = rotation(points, cfg)
+            assert got.shape == (m, 2**n)
+            assert np.max(np.abs(got - reference_rotation(points, cfg))) < 1e-14
+
+    def test_accurate_at_fourteen_qubits(self):
+        # phases reach hundreds of radians; their exp loses about 1e-13
+        cfg = FeatureMapConfig(n_qubits=14, entanglement="full")
+        points = np.random.default_rng(14).uniform(0.0, 2.0 * np.pi, size=(3, 14))
+        assert np.max(np.abs(rotation(points, cfg) - reference_rotation(points, cfg))) < 1e-14
+
+    @pytest.mark.parametrize("components", [False, True])
+    def test_no_table_over_all_basis_states(self, components):
+        """Eight points at n = 14 are one row block; the embedding allocates
+        a few block-sized arrays beyond its result, not the (n + P, 2**n)
+        table of a phase sum (105 x 2**14 doubles, 13.8 MB)."""
+        cfg = FeatureMapConfig(n_qubits=14, repetitions=2, entanglement="full")
+        points = np.random.default_rng(9).normal(size=(block_rows(14), 14))
+        embed_batch(points[:1], cfg, components=components)  # lazy set-up
+        tracemalloc.start()
+        try:
+            out = embed_batch(points, cfg, components=components)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 4 * ROW_BLOCK_AMPLITUDES * 16

@@ -129,6 +129,25 @@ class TestGramMatrix:
         kernel = gram_matrix(points, cfg)
         assert kernel.values.min() >= 0.0 and kernel.values.max() <= 1.0
 
+    @pytest.mark.parametrize("entanglement", ["linear", "full"])
+    @pytest.mark.parametrize("family", ["fidelity", "projected"])
+    def test_equal_encoded_points_give_exactly_one(self, family, entanglement):
+        """Points whose first n features agree embed to one state, whatever
+        their other features and wherever they sit."""
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 9))
+            points = rng.uniform(0.0, 2.0 * np.pi, size=(12, n + 1))
+            copies = rng.integers(0, 12, size=(4, 2))
+            points[copies[:, 1], :n] = points[copies[:, 0], :n]
+            cfg = FeatureMapConfig(n_qubits=n, repetitions=2, entanglement=entanglement)
+            kernel = gram_matrix(points, cfg, family=family, gamma=0.7)
+            same = (points[:, None, :n] == points[None, :, :n]).all(axis=2)
+            assert np.all(kernel.values[same] == 1.0)
+            if family == "projected":
+                table = kernel.component_table.reshape(12, -1)
+                assert np.all((table[:, None] == table[None, :]).all(axis=2)[same])
+
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             gram_matrix([[0.1, 0.2]], FeatureMapConfig(n_qubits=2))
