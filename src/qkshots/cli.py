@@ -18,10 +18,16 @@ sampling.
 
 The optional sections (``budget``, ``sampling``, ``resources.hardware`` and
 ``resources.classical``) must be mappings when present; an absent or null
-section takes its defaults.
+section, like an absent or null key, takes its defaults.
 
-Exit codes: 0 on success, 2 for configuration problems, 1 for any other
-failure; errors are reported as one JSON object on stderr.
+Exit codes: 0 on success. 2 for configuration problems: an unreadable or
+malformed config, a missing key or a value of the wrong type, and every
+parameter the library refuses with a ConfigurationError (eps <= 0, a
+probability outside its range, an odd twonorm m or subset size, fewer than
+2 points, repeated sizes, more qubits than features or than qubit_cap).
+1 for failures that come from the data or the files, such as an unreadable
+or malformed CSV, a zero IQR or a zero kernel entry. Either way the error
+is one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,21 +72,34 @@ from .resources import (
     quantum_cost,
 )
 from .scaling import ScalingSeries, extrapolate, sweep
-from .serialize import (
-    fit_payload,
-    provenance,
-    write_json,
-    write_kernel_csv,
-    write_series_csv,
-)
+from .serialize import provenance, write_json, write_kernel_csv, write_series_csv
 from .shot_bounds import dataset_budget, entry_budgets, error_budget
 from .statevector import ConfigurationError
 
 
-def _require(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigurationError(f"{context}.{key} is required")
-    return section[key]
+_REQUIRED = object()
+
+
+def _field(section: dict, name: str, cast=None, default=_REQUIRED):
+    """The value of the key that ends the dotted ``name``, passed through
+    ``cast``; an absent or null key gives ``default``. A missing required
+    key, or a value that ``cast`` rejects, raises a ConfigurationError
+    naming ``name``."""
+    value = section.get(name.rpartition(".")[2])
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{name} is required")
+        return default
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name}: {exc}") from None
+
+
+def _ints(values) -> list[int]:
+    return [int(n) for n in values]
 
 
 def _section(config: dict, key: str, required: bool = True, prefix: str = "") -> dict | None:
@@ -104,26 +123,26 @@ def _derived_seed(seed: int, stream: int) -> int:
 
 def _resolve_dataset(config: dict, seed: int) -> Dataset:
     section = _section(config, "dataset")
-    kind = _require(section, "type", "dataset")
-    ds_seed = int(section.get("seed", _derived_seed(seed, 0)))
+    kind = _field(section, "dataset.type")
+    ds_seed = _field(section, "dataset.seed", int, _derived_seed(seed, 0))
     if kind == "twonorm":
         dataset = generate_twonorm(
-            m=int(_require(section, "m", "dataset")),
-            n_features=int(section.get("n_features", 20)),
+            m=_field(section, "dataset.m", int),
+            n_features=_field(section, "dataset.n_features", int, 20),
             seed=ds_seed,
         )
         do_preprocess = section.get("preprocess", True)
     elif kind == "random_angles":
         dataset = generate_random_angles(
-            m=int(_require(section, "m", "dataset")),
-            n_features=int(_require(section, "n_features", "dataset")),
+            m=_field(section, "dataset.m", int),
+            n_features=_field(section, "dataset.n_features", int),
             seed=ds_seed,
         )
         do_preprocess = section.get("preprocess", False)
     elif kind == "csv":
         dataset = load_csv(
-            _require(section, "path", "dataset"),
-            label_column=_require(section, "label_column", "dataset"),
+            _field(section, "dataset.path"),
+            label_column=_field(section, "dataset.label_column"),
         )
         do_preprocess = section.get("preprocess", True)
     else:
@@ -133,13 +152,14 @@ def _resolve_dataset(config: dict, seed: int) -> Dataset:
         )
     if do_preprocess:
         dataset = preprocess(dataset)
-    if "subset_size" in section:
+    subset_size = _field(section, "dataset.subset_size", int, None)
+    if subset_size is not None:
         subsets = stratify(
             dataset,
-            subset_size=int(section["subset_size"]),
-            seed=int(section.get("stratify_seed", _derived_seed(seed, 1))),
+            subset_size=subset_size,
+            seed=_field(section, "dataset.stratify_seed", int, _derived_seed(seed, 1)),
         )
-        index = int(section.get("subset_index", 0))
+        index = _field(section, "dataset.subset_index", int, 0)
         if not 0 <= index < len(subsets):
             raise ConfigurationError(
                 f"dataset.subset_index must be in [0, {len(subsets) - 1}], "
@@ -159,10 +179,11 @@ def _resolve_feature_map(config: dict, n_qubits: int | None = None) -> FeatureMa
             f"feature_map.entanglement must be one of "
             f"{ENTANGLEMENT_STRATEGIES}, got {entanglement!r}"
         )
-    n = n_qubits if n_qubits is not None else int(_require(section, "n_qubits", "feature_map"))
+    if n_qubits is None:
+        n_qubits = _field(section, "feature_map.n_qubits", int)
     return FeatureMapConfig(
-        n_qubits=n,
-        repetitions=int(section.get("repetitions", 1)),
+        n_qubits=n_qubits,
+        repetitions=_field(section, "feature_map.repetitions", int, 1),
         entanglement=entanglement,
     )
 
@@ -170,14 +191,27 @@ def _resolve_feature_map(config: dict, n_qubits: int | None = None) -> FeatureMa
 def _resolve_kernel(config: dict) -> tuple[str, float]:
     section = _section(config, "kernel")
     family = check_family(section.get("family", FIDELITY), "kernel.family")
-    gamma = float(section.get("gamma", 1.0))
+    gamma = _field(section, "kernel.gamma", float, 1.0)
     if family == PROJECTED:
         check_gamma(gamma, "kernel.gamma")
     return family, gamma
 
 
-def _resolve_noise(section: dict) -> NoiseModel:
-    return NoiseModel(p_error=float(section.get("p_error", 0.0)))
+def _resolve_gram(config: dict, seed: int) -> tuple[Dataset, FeatureMapConfig, dict]:
+    """The feature subset, the feature map, and the family, gamma and cap
+    keywords of a command on one feature map. Sections resolve in the order
+    dataset, kernel, feature map, cap, so the first error of a config is
+    the one reported."""
+    dataset = _resolve_dataset(config, seed)
+    family, gamma = _resolve_kernel(config)
+    fmap = _resolve_feature_map(config)
+    cap = _field(config, "qubit_cap", int, None)
+    subset = select_features(dataset, fmap.n_qubits)
+    return subset, fmap, {"family": family, "gamma": gamma, "cap": cap}
+
+
+def _resolve_noise(section: dict, prefix: str) -> NoiseModel:
+    return NoiseModel(p_error=_field(section, prefix + "p_error", float, 0.0))
 
 
 def _resolve_budget(config: dict) -> dict:
@@ -185,48 +219,71 @@ def _resolve_budget(config: dict) -> dict:
     section, with their defaults."""
     section = _section(config, "budget", required=False) or {}
     return {
-        "eps": float(section.get("eps", 1.0)),
-        "p_spread": float(section.get("p_spread", 0.9)),
-        "p_ca": float(section.get("p_ca", 0.99)),
-        "noise": _resolve_noise(section),
+        "eps": _field(section, "budget.eps", float, 1.0),
+        "p_spread": _field(section, "budget.p_spread", float, 0.9),
+        "p_ca": _field(section, "budget.p_ca", float, 0.99),
+        "noise": _resolve_noise(section, "budget."),
     }
 
 
-def _resolve_cap(config: dict) -> int | None:
-    cap = config.get("qubit_cap")
-    return int(cap) if cap is not None else None
+def _resolve_profile(res_cfg: dict, key: str, cls, defaults: dict):
+    """The ``cls`` profile of the optional section ``resources.<key>``, its
+    values over ``defaults``; None when the section is absent."""
+    section = _section(res_cfg, key, required=False, prefix="resources.")
+    if section is None:
+        return None
+    try:
+        # YAML 1.1 reads exponent literals without a sign ("1e7") as strings;
+        # profile fields are all numeric, so coerce them uniformly
+        return cls(**{**defaults, **{k: float(v) for k, v in section.items()}})
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"resources.{key}: {exc}") from None
 
 
-def _float_values(section: dict) -> dict:
-    # YAML 1.1 reads exponent literals without a sign ("1e7") as strings;
-    # profile fields are all numeric, so coerce them uniformly
-    return {key: float(value) for key, value in section.items()}
+def _write_series(out_dir: Path, names: tuple[str, str], series_map: dict[str, ScalingSeries],
+                  targets: list[int], prov: dict) -> list[Path]:
+    """Write the series CSV and the fits JSON, named by ``names``. A series
+    that :func:`fit_exponential` refuses records why under "skipped"; a
+    valid fit is extrapolated to every target."""
+    series_path = write_series_csv(out_dir / names[0], series_map.values())
+    fits = {}
+    for name, series in series_map.items():
+        try:
+            fit = series.fit()
+        except ValueError as exc:
+            fits[name] = {"skipped": str(exc)}
+            continue
+        fits[name] = asdict(fit)
+        if not fit.valid:
+            continue
+        max_fitted = int(series.qubit_counts.max())
+        for target in targets:
+            if target < max_fitted:
+                print(
+                    f"warning: extrapolation target n={target} lies below "
+                    f"the largest fitted size n={max_fitted}",
+                    file=sys.stderr,
+                )
+            fits[name].setdefault("extrapolations", {})[str(target)] = extrapolate(fit, target)
+    fits_path = write_json(out_dir / names[1], {"fits": fits, "provenance": prov})
+    return [series_path, fits_path]
 
 
 def cmd_kernels(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
-    dataset = _resolve_dataset(config, seed)
-    family, gamma = _resolve_kernel(config)
-    fmap = _resolve_feature_map(config)
-    cap = _resolve_cap(config)
-    subset = select_features(dataset, fmap.n_qubits)
+    subset, fmap, kernel_args = _resolve_gram(config, seed)
     sampling = _section(config, "sampling", required=False)
     if sampling:
         kernel = sample_gram(
             subset.features,
             fmap,
-            family=family,
-            gamma=gamma,
-            n_shots=int(_require(sampling, "n_shots", "sampling")),
-            noise=_resolve_noise(sampling),
-            seed=int(sampling.get("seed", _derived_seed(seed, 2))),
-            cap=cap,
+            **kernel_args,
+            n_shots=_field(sampling, "sampling.n_shots", int),
+            noise=_resolve_noise(sampling, "sampling."),
+            seed=_field(sampling, "sampling.seed", int, _derived_seed(seed, 2)),
             threads=threads,
         )
     else:
-        kernel = gram_matrix(
-            subset.features, fmap, family=family, gamma=gamma, cap=cap,
-            threads=threads,
-        )
+        kernel = gram_matrix(subset.features, fmap, **kernel_args, threads=threads)
     kernel.metadata.setdefault("dataset", subset.describe())
     csv_path, meta_path = write_kernel_csv(
         out_dir / "gram.csv",
@@ -237,70 +294,28 @@ def cmd_kernels(config: dict, out_dir: Path, seed: int, threads: int) -> list[Pa
 
 
 def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
-    dataset = _resolve_dataset(config, seed)
-    family, gamma = _resolve_kernel(config)
-    fmap = _resolve_feature_map(config)
-    cap = _resolve_cap(config)
-    subset = select_features(dataset, fmap.n_qubits)
+    subset, fmap, kernel_args = _resolve_gram(config, seed)
     budget = _resolve_budget(config)
 
-    kernel = gram_matrix(
-        subset.features, fmap, family=family, gamma=gamma, cap=cap,
-        threads=threads,
-    )
+    kernel = gram_matrix(subset.features, fmap, **kernel_args, threads=threads)
     stats = kernel_statistics(kernel)
     dataset_level = dataset_budget(kernel, **budget)
     entries = entry_budgets(
-        family, kernel.values, budget["eps"], stats.iqr, budget["p_spread"],
+        kernel.family, kernel.values, budget["eps"], stats.iqr, budget["p_spread"],
         budget["p_ca"], budget["noise"].p_error,
-        table=kernel.component_table, gamma=gamma, n_qubits=fmap.n_qubits,
+        table=kernel.component_table, gamma=kernel_args["gamma"], n_qubits=fmap.n_qubits,
     )
-
     p_budget = error_budget(
-        family, stats.median, budget["eps"], stats.iqr, n_qubits=fmap.n_qubits
+        kernel.family, stats.median, budget["eps"], stats.iqr, n_qubits=fmap.n_qubits
     )
     payload = {
         "dataset_budget": dataset_level.to_dict(),
         "entries": entries,
-        "error_budget": {
-            "p_max": p_budget.p_max,
-            "unconstrained": p_budget.unconstrained,
-        },
-        "statistics": {
-            "mean": stats.mean,
-            "std": stats.std,
-            "median": stats.median,
-            "iqr": stats.iqr,
-            "log_mean": stats.log_mean,
-        },
+        "error_budget": asdict(p_budget),
+        "statistics": asdict(stats),
         "provenance": provenance("estimate-shots", config, seed),
     }
     return [write_json(out_dir / "shot_budgets.json", payload)]
-
-
-def _fits_for_series(series_map: dict[str, ScalingSeries], targets) -> dict:
-    fits = {}
-    for name, series in series_map.items():
-        if np.any(series.values <= 0) or not np.all(np.isfinite(series.values)):
-            fits[name] = {"skipped": "series has non-positive or non-finite values"}
-            continue
-        if series.values.size < 4:
-            fits[name] = {"skipped": "fewer than 4 points"}
-            continue
-        fit = series.fit()
-        extrapolations = {}
-        if fit.valid:
-            max_fitted = int(series.qubit_counts.max())
-            for target in targets:
-                if target < max_fitted:
-                    print(
-                        f"warning: extrapolation target n={target} lies below "
-                        f"the largest fitted size n={max_fitted}",
-                        file=sys.stderr,
-                    )
-                extrapolations[int(target)] = extrapolate(fit, int(target))
-        fits[name] = fit_payload(fit, extrapolations)
-    return fits
 
 
 def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
@@ -308,71 +323,49 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path
     family, gamma = _resolve_kernel(config)
     shape = _resolve_feature_map(config, n_qubits=1)
     sweep_cfg = _section(config, "sweep")
-    n_values = [int(n) for n in _require(sweep_cfg, "n_values", "sweep")]
     series_map = sweep(
         dataset,
         family=family,
         repetitions=shape.repetitions,
         entanglement=shape.entanglement,
-        n_values=n_values,
+        n_values=_field(sweep_cfg, "sweep.n_values", _ints),
         gamma=gamma,
         **_resolve_budget(config),
         include_budgets=bool(sweep_cfg.get("include_budgets", True)),
-        cap=_resolve_cap(config),
+        cap=_field(config, "qubit_cap", int, None),
         threads=threads,
     )
-    series_path = write_series_csv(out_dir / "series.csv", series_map.values())
-    targets = [int(n) for n in sweep_cfg.get("extrapolate_to", [])]
-    fits = _fits_for_series(series_map, targets)
-    fits_path = write_json(
-        out_dir / "fits.json",
-        {"fits": fits, "provenance": provenance("sweep", config, seed)},
+    targets = _field(sweep_cfg, "sweep.extrapolate_to", _ints, [])
+    prov = provenance("sweep", config, seed)
+    paths = _write_series(out_dir, ("series.csv", "fits.json"), series_map, targets, prov)
+    meta_path = write_json(
+        out_dir / "series.meta.json", {"series": sorted(series_map), "provenance": prov}
     )
-    write_json(
-        out_dir / "series.meta.json",
-        {
-            "series": sorted(series_map),
-            "provenance": provenance("sweep", config, seed),
-        },
-    )
-    return [series_path, fits_path, out_dir / "series.meta.json"]
+    return [*paths, meta_path]
 
 
 def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     family, _ = _resolve_kernel(config)
     shape = _resolve_feature_map(config, n_qubits=1)
     res_cfg = _section(config, "resources")
-    m = int(_require(res_cfg, "m", "resources"))
-    shots = int(_require(res_cfg, "shots_per_estimate", "resources"))
-    n_values = [int(n) for n in _require(res_cfg, "n_values", "resources")]
+    m = _field(res_cfg, "resources.m", int)
+    shots = _field(res_cfg, "resources.shots_per_estimate", int)
+    n_values = _field(res_cfg, "resources.n_values", _ints)
     corrected = bool(res_cfg.get("corrected", False))
-    budget = res_cfg.get("error_budget")
-    hardware_section = _section(res_cfg, "hardware", required=False, prefix="resources.")
-    try:
-        hardware = HardwareProfile(**_float_values(hardware_section or {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"resources.hardware: {exc}") from None
-    classical_section = _section(res_cfg, "classical", required=False, prefix="resources.")
-    classical_profile = None
-    if classical_section is not None:
-        try:
-            params = _float_values(classical_section)
-            params.setdefault("alpha", CLASSICAL_ALPHA_DEFAULTS[family])
-            classical_profile = ClassicalProfile(**params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"resources.classical: {exc}") from None
+    budget = _field(res_cfg, "resources.error_budget", float, None)
+    hardware = _resolve_profile(res_cfg, "hardware", HardwareProfile, {}) or HardwareProfile()
+    profile = _resolve_profile(
+        res_cfg, "classical", ClassicalProfile, {"alpha": CLASSICAL_ALPHA_DEFAULTS[family]}
+    )
 
-    rows = []
-    for n in n_values:
-        cost = quantum_cost(
+    quantum = [
+        quantum_cost(
             shots, replace(shape, n_qubits=n), family, m, profile=hardware,
-            corrected=corrected,
-            error_budget=float(budget) if budget is not None else None,
+            corrected=corrected, error_budget=budget,
         )
-        row = {"n": n, "quantum": cost.to_dict()}
-        if classical_profile is not None:
-            row["classical"] = classical_cost(family, n, m, classical_profile).to_dict()
-        rows.append(row)
+        for n in n_values
+    ]
+    rows = [{"n": n, "quantum": asdict(cost)} for n, cost in zip(n_values, quantum)]
     payload: dict = {
         "family": family,
         "m": m,
@@ -381,17 +374,16 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
         "scenarios": rows,
         "provenance": provenance("resources", config, seed),
     }
-    if classical_profile is not None:
+    if profile is not None:
+        classical = [classical_cost(family, n, m, profile) for n in n_values]
+        for row, cost in zip(rows, classical):
+            row["classical"] = asdict(cost)
         payload["crossover_n"] = {
             "runtime": find_crossover(
-                n_values,
-                [r["quantum"]["runtime_s"] for r in rows],
-                [r["classical"]["runtime_s"] for r in rows],
+                n_values, [q.runtime_s for q in quantum], [c.runtime_s for c in classical]
             ),
             "energy": find_crossover(
-                n_values,
-                [r["quantum"]["energy_j"] for r in rows],
-                [r["classical"]["energy_j"] for r in rows],
+                n_values, [q.energy_j for q in quantum], [c.energy_j for c in classical]
             ),
         }
     return [write_json(out_dir / "resources.json", payload)]
@@ -401,8 +393,8 @@ def cmd_characterize(config: dict, out_dir: Path, seed: int, threads: int) -> li
     dataset = _resolve_dataset(config, seed)
     shape = _resolve_feature_map(config, n_qubits=1)
     char_cfg = _section(config, "characterize")
-    n_values = sorted(int(n) for n in _require(char_cfg, "n_values", "characterize"))
-    cap = _resolve_cap(config)
+    n_values = sorted(_field(char_cfg, "characterize.n_values", _ints))
+    cap = _field(config, "qubit_cap", int, None)
     expr, entropy = [], []
     for n in n_values:
         subset = select_features(dataset, n)
@@ -416,17 +408,14 @@ def cmd_characterize(config: dict, out_dir: Path, seed: int, threads: int) -> li
         "repetitions": shape.repetitions,
         "entanglement": shape.entanglement,
     }
-    series = [
-        ScalingSeries("expressibility", np.array(n_values), np.array(expr), meta),
-        ScalingSeries("relative_entropy", np.array(n_values), np.array(entropy), meta),
-    ]
-    series_path = write_series_csv(out_dir / "characteristics.csv", series)
-    fits = _fits_for_series({s.statistic: s for s in series}, [])
-    fits_path = write_json(
-        out_dir / "characteristics_fits.json",
-        {"fits": fits, "provenance": provenance("characterize", config, seed)},
+    series = {
+        "expressibility": ScalingSeries("expressibility", n_values, expr, meta),
+        "relative_entropy": ScalingSeries("relative_entropy", n_values, entropy, meta),
+    }
+    return _write_series(
+        out_dir, ("characteristics.csv", "characteristics_fits.json"), series, [],
+        provenance("characterize", config, seed),
     )
-    return [series_path, fits_path]
 
 
 _COMMANDS = {
@@ -467,10 +456,10 @@ def main(argv=None) -> int:
             config = yaml.safe_load(handle)
         if not isinstance(config, dict):
             raise ConfigurationError("config must be a YAML mapping")
+        seed = args.seed if args.seed is not None else _field(config, "seed", int, 0)
     except (OSError, yaml.YAMLError, ConfigurationError) as exc:
         _emit_error("configuration", str(exc))
         return 2
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     out_dir = Path(args.out if args.out != "." else config.get("out_dir", "."))
     try:
         with warnings.catch_warnings():

@@ -116,7 +116,7 @@ def generate_twonorm(m: int, n_features: int = 20, seed: int = 0) -> Dataset:
     """Synthetic two-Gaussian benchmark: class c is drawn from a unit
     covariance normal centred at +-(a, ..., a) with a = 2 / sqrt(d)."""
     if m % 2 != 0:
-        raise ValueError(f"m must be even for balanced classes, got {m}")
+        raise ConfigurationError(f"m must be even for balanced classes, got {m}")
     rng = np.random.default_rng(seed)
     centre = 2.0 / np.sqrt(n_features)
     half = m // 2
@@ -219,7 +219,9 @@ def stratify(dataset: Dataset, subset_size: int, seed: int = 0) -> list[Dataset]
     cannot fill a full balanced subset is dropped with a warning.
     """
     if subset_size % 2 != 0 or subset_size < 2:
-        raise ValueError(f"subset_size must be a positive even number, got {subset_size}")
+        raise ConfigurationError(
+            f"subset_size must be a positive even number, got {subset_size}"
+        )
     half = subset_size // 2
     rng = np.random.default_rng(seed)
     by_class = []
@@ -256,15 +258,3 @@ def stratify(dataset: Dataset, subset_size: int, seed: int = 0) -> list[Dataset]
             )
         )
     return subsets
-
-
-__all__ = [
-    "ConfigurationError",
-    "Dataset",
-    "generate_random_angles",
-    "generate_twonorm",
-    "load_csv",
-    "preprocess",
-    "select_features",
-    "stratify",
-]

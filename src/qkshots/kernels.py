@@ -166,7 +166,7 @@ def gram_matrix(
     ``n_qubits`` features agree have kernel value exactly 1."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
-        raise ValueError(f"need at least 2 points, got {points.shape[0]}")
+        raise ConfigurationError(f"need at least 2 points, got {points.shape[0]}")
     # distinct encoded rows in order of first appearance, and each point's row
     _, first, inverse = np.unique(
         points[:, : cfg.n_qubits], axis=0, return_index=True, return_inverse=True

@@ -14,6 +14,10 @@ per-qubit binomials; every estimator in scope depends only on its own
 marginal, so joint bitstring correlations never matter and sampling stays
 O(n) per batch.
 
+Sampling draws from the exact kernel of :func:`kernels.gram_matrix`: a
+fidelity Gram matrix from its values, a projected one from its component
+table. Points whose encoded features agree therefore draw from kappa = 1.
+
 Reproducibility: every draw comes from a generator keyed by
 ``SeedSequence(entropy=seed, spawn_key=(key,))``. A sampled fidelity Gram
 matrix draws row i of its upper triangle, one vectorised binomial, from key
@@ -24,7 +28,7 @@ for a given seed whatever the thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,10 +37,8 @@ from .kernels import (
     FIDELITY,
     KernelMatrix,
     check_family,
-    embedding_matrix,
-    fidelity_gram_values,
+    gram_matrix,
     projected_gram_values,
-    reduced_component_table,
 )
 from .statevector import ConfigurationError
 
@@ -147,7 +149,8 @@ def sample_gram(
     cap: int | None = None,
     threads: int = 1,
 ) -> KernelMatrix:
-    """Finite-shot estimate of the full Gram matrix.
+    """Finite-shot estimate of the full Gram matrix, drawn from the exact
+    :func:`gram_matrix` of the points.
 
     Fidelity: every upper-triangle entry is sampled independently.
     Projected: each point's tomography is sampled once (per basis), then
@@ -156,8 +159,7 @@ def sample_gram(
     ``metadata["psd_clipped"]`` counts the (point, qubit) estimates that
     were rescaled onto the physical set.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = points.shape[0]
+    m = np.atleast_2d(points).shape[0]
     metadata = {
         "estimated": True,
         "n_shots": n_shots,
@@ -165,30 +167,18 @@ def sample_gram(
         "seed": seed,
         "total_shots": total_shot_count(family, m, n_shots),
     }
+    exact = gram_matrix(points, cfg, family=family, gamma=gamma, cap=cap, threads=threads)
     if family == FIDELITY:
-        exact = fidelity_gram_values(
-            embedding_matrix(points, cfg, cap=cap, threads=threads)
-        )
-        q = depolarized_fidelity_probability(exact, noise.p_error, cfg.n_qubits)
+        q = depolarized_fidelity_probability(exact.values, noise.p_error, cfg.n_qubits)
         values = np.zeros((m, m))
         for i in range(m - 1):
             values[i, i + 1:] = _rng(seed, i).binomial(n_shots, q[i, i + 1:]) / n_shots
         values = values + values.T
         np.fill_diagonal(values, 1.0)
-        gamma_out = None
     else:
-        table = reduced_component_table(points, cfg, cap=cap, threads=threads)
-        q = _tomography_probabilities(table, noise.p_error)
+        q = _tomography_probabilities(exact.component_table, noise.p_error)
         counts = np.stack([_rng(seed, i).binomial(n_shots, q[i]) for i in range(m)])
         estimated, clipped = _estimated_components(counts, n_shots)
         values = projected_gram_values(estimated, gamma)
-        gamma_out = gamma
         metadata["psd_clipped"] = int(clipped.sum())
-
-    return KernelMatrix(
-        values=values,
-        family=family,
-        config=cfg,
-        gamma=gamma_out,
-        metadata=metadata,
-    )
+    return replace(exact, values=values, metadata=metadata, component_table=None)

@@ -81,29 +81,12 @@ class QuantumCost:
     gate_layers: int
     code_distance: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "runtime_s": self.runtime_s,
-            "energy_j": self.energy_j,
-            "physical_qubits": self.physical_qubits,
-            "total_shots": self.total_shots,
-            "gate_layers": self.gate_layers,
-            "code_distance": self.code_distance,
-        }
-
 
 @dataclass(frozen=True)
 class ClassicalCost:
     runtime_s: float
     energy_j: float
     flops: float
-
-    def to_dict(self) -> dict:
-        return {
-            "runtime_s": self.runtime_s,
-            "energy_j": self.energy_j,
-            "flops": self.flops,
-        }
 
 
 # circuit runs for a full m-point Gram matrix at the given per-entry

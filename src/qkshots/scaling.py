@@ -50,7 +50,9 @@ class ScalingSeries:
         if self.qubit_counts.shape != self.values.shape:
             raise ValueError("qubit counts and values must have equal length")
         if np.any(np.diff(self.qubit_counts) <= 0):
-            raise ValueError("qubit counts must be strictly increasing")
+            raise ConfigurationError(
+                f"qubit counts must be strictly increasing, got {self.qubit_counts.tolist()}"
+            )
 
     def fit(self) -> "ScalingFit":
         return fit_exponential(self.qubit_counts, self.values)
@@ -67,16 +69,6 @@ class ScalingFit:
     valid: bool
     threshold: float = R_SQUARED_THRESHOLD
 
-    def to_dict(self) -> dict:
-        return {
-            "log2_scale": self.log2_scale,
-            "alpha": self.alpha,
-            "r_squared": self.r_squared,
-            "dropped_prefix": self.dropped_prefix,
-            "valid": self.valid,
-            "threshold": self.threshold,
-        }
-
 
 def _line_fit(ns: np.ndarray, logs: np.ndarray) -> tuple[float, float, float]:
     """OLS slope/intercept/R^2; R^2 is 1 for an exactly constant target."""
@@ -90,15 +82,17 @@ def _line_fit(ns: np.ndarray, logs: np.ndarray) -> tuple[float, float, float]:
 
 
 def fit_exponential(qubit_counts, values) -> ScalingFit:
-    """Fit ``value = C * 2**(alpha n)`` with elbow-selected prefix drop."""
+    """Fit ``value = C * 2**(alpha n)`` with elbow-selected prefix drop.
+    A series with a non-positive or non-finite value, or with fewer than 4
+    points, raises a ValueError saying which (in that order)."""
     ns = np.asarray(qubit_counts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ns.size != values.size:
         raise ValueError("qubit counts and values must have equal length")
-    if ns.size < 4:
-        raise ValueError(f"need at least 4 points to fit, got {ns.size}")
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-        raise ValueError("all series values must be finite and positive")
+        raise ValueError("series has non-positive or non-finite values")
+    if ns.size < 4:
+        raise ValueError("fewer than 4 points")
     logs = np.log2(values)
     max_drop = ns.size - 3
     slopes, intercepts, r2 = [], [], []

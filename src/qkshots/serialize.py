@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .feature_map import FeatureMapConfig
 from .kernels import KernelMatrix
-from .scaling import ScalingFit, ScalingSeries
+from .scaling import ScalingSeries
 from .shot_bounds import CONCENTRATION_AVOIDANCE, SPREAD, EntryBudgets
 
 # budget records encoded per write: one big string would cost its size in
@@ -227,12 +227,3 @@ def read_series_csv(path) -> dict[str, ScalingSeries]:
             values=np.array([p[1] for p in pairs]),
         )
     return out
-
-
-def fit_payload(fit: ScalingFit, extrapolations: dict[int, float] | None = None) -> dict:
-    payload = fit.to_dict()
-    if extrapolations:
-        payload["extrapolations"] = {
-            str(n): value for n, value in extrapolations.items()
-        }
-    return payload

@@ -56,6 +56,7 @@ from .measurement import (
     depolarized_component_probability,
     depolarized_fidelity_probability,
 )
+from .statevector import ConfigurationError
 
 PQ_CONCENTRATION_VALUE = 0.5  # measured tomography proportions concentrate here
 
@@ -94,20 +95,20 @@ def _ceil_array(x):
 
 def _spread_denominator(eps: float, delta_ensemble: float, p_spread: float) -> float:
     if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+        raise ConfigurationError(f"eps must be > 0, got {eps}")
     if delta_ensemble <= 0.0:
         raise ValueError(
             "delta_ensemble must be > 0 (an ensemble with zero spread has "
             f"indistinguishable entries), got {delta_ensemble}"
         )
     if not 0.0 < p_spread < 1.0:
-        raise ValueError(f"p_spread must be in (0, 1), got {p_spread}")
+        raise ConfigurationError(f"p_spread must be in (0, 1), got {p_spread}")
     return (1.0 - p_spread) * eps**2 * delta_ensemble**2
 
 
 def _check_probability(name: str, value: float) -> None:
     if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must be in (0, 1), got {value}")
+        raise ConfigurationError(f"{name} must be in (0, 1), got {value}")
 
 
 # ---------------------------------------------------------------------------

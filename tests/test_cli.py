@@ -299,6 +299,71 @@ class TestOptionalSections:
             "error": "configuration", "message": "n must be in [1, 6], got 7",
         }
 
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            ("kernels", base_config(feature_map={"n_qubits": "three"}),
+             "feature_map.n_qubits: invalid literal for int() with base 10: 'three'"),
+            ("kernels", base_config(feature_map={"n_qubits": 3, "repetitions": "two"}),
+             "feature_map.repetitions: invalid literal for int() with base 10: 'two'"),
+            ("kernels", base_config(kernel={"family": "projected", "gamma": "wide"}),
+             "kernel.gamma: could not convert string to float: 'wide'"),
+            ("estimate-shots", base_config(budget={"eps": "small"}),
+             "budget.eps: could not convert string to float: 'small'"),
+            ("kernels", base_config(qubit_cap="big"),
+             "qubit_cap: invalid literal for int() with base 10: 'big'"),
+            ("sweep", base_config(sweep={"n_values": [2, 3, 4, 5], "extrapolate_to": [9, "far"]}),
+             "sweep.extrapolate_to: invalid literal for int() with base 10: 'far'"),
+            ("resources", resources_config(corrected=True, error_budget="tiny"),
+             "resources.error_budget: could not convert string to float: 'tiny'"),
+            ("estimate-shots", base_config(budget={"eps": 0}), "eps must be > 0, got 0.0"),
+            ("estimate-shots", base_config(budget={"p_ca": 1.5}),
+             "p_ca must be in (0, 1), got 1.5"),
+            ("kernels", base_config(dataset={"type": "twonorm", "m": 21}),
+             "m must be even for balanced classes, got 21"),
+            ("kernels", base_config(dataset={"type": "twonorm", "m": 16, "subset_size": 3}),
+             "subset_size must be a positive even number, got 3"),
+            ("sweep", base_config(sweep={"n_values": [2, 2, 3, 4]}),
+             "qubit counts must be strictly increasing, got [2, 2, 3, 4]"),
+            ("characterize", base_config(characterize={"n_values": [2, 2, 3]}),
+             "qubit counts must be strictly increasing, got [2, 2, 3]"),
+            ("kernels", base_config(dataset={"type": "random_angles", "m": 1, "n_features": 6}),
+             "need at least 2 points, got 1"),
+            ("kernels", base_config(dataset={"type": "random_angles", "m": 1, "n_features": 6},
+                                    sampling={"n_shots": 8}),
+             "need at least 2 points, got 1"),
+        ],
+    )
+    def test_configuration_problems_exit_two(self, tmp_path, capsys, command, payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration", "message": message,
+        }
+
+    def test_configured_classical_alpha_reaches_flops(self, tmp_path):
+        cfg = write_config(tmp_path, resources_config(classical={"alpha": 1.5, "c0": 2.0}))
+        assert main(["resources", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "resources.json").read_text())
+        flops = [row["classical"]["flops"] for row in report["scenarios"]]
+        assert flops == [2.0 * 2.0 ** (1.5 * n) * 45 for n in (3, 5)]
+
+    @pytest.mark.parametrize("n_values", [[1, 2], [1, 2, 3, 4, 5]])
+    def test_non_positive_series_is_skipped(self, tmp_path, monkeypatch, n_values):
+        # the values are checked before the point count, so a short series
+        # with a zero value reports the zero
+        monkeypatch.setattr("qkshots.cli.embedding_diagnostics", lambda *a, **k: (0.0, 0.5))
+        cfg = write_config(tmp_path, base_config(characterize={"n_values": n_values}))
+        assert main(["characterize", "--config", cfg, "--out", str(tmp_path)]) == 0
+        fits = json.loads((tmp_path / "characteristics_fits.json").read_text())["fits"]
+        assert fits["expressibility"] == {
+            "skipped": "series has non-positive or non-finite values"
+        }
+        if len(n_values) < 4:
+            assert fits["relative_entropy"] == {"skipped": "fewer than 4 points"}
+        else:
+            assert fits["relative_entropy"]["valid"]
+
     def test_empty_classical_section_turns_on_baseline(self, tmp_path):
         cfg = write_config(tmp_path, resources_config(classical={}))
         assert main(["resources", "--config", cfg, "--out", str(tmp_path)]) == 0

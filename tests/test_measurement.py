@@ -213,6 +213,37 @@ class TestSampleGram:
         assert np.array_equal(batch.values, projected_gram_values(estimated, 0.7))
         assert batch.metadata["psd_clipped"] == sum(int(r[2].sum()) for r in results)
 
+    @pytest.mark.parametrize("p_error", [0.0, 0.05])
+    @pytest.mark.parametrize("family", ["fidelity", "projected"])
+    def test_draws_from_exact_gram_matrix(self, family, p_error):
+        """Fidelity row i is one binomial from key i at the depolarised upper
+        triangle of gram_matrix's values; projected point i draws its counts
+        from key i at the proportions of gram_matrix's component table. Rows
+        0, 3 and 5 share their encoded features, so their noiseless fidelity
+        pairs read exactly 1."""
+        rng = np.random.default_rng(14)
+        points = rng.normal(size=(6, 4))
+        points[[3, 5], :3] = points[0, :3]
+        cfg = FeatureMapConfig(n_qubits=3, repetitions=2, entanglement="full")
+        noise = NoiseModel(p_error)
+        exact = gram_matrix(points, cfg, family=family, gamma=0.7)
+        sampled = sample_gram(points, cfg, family=family, gamma=0.7, n_shots=64,
+                              noise=noise, seed=31)
+        if family == "fidelity":
+            q = depolarized_fidelity_probability(exact.values, p_error, 3)
+            upper = np.zeros((6, 6))
+            for i in range(5):
+                upper[i, i + 1:] = _rng(31, i).binomial(64, q[i, i + 1:]) / 64
+            expected = upper + upper.T + np.eye(6)
+        else:
+            estimated = np.array([tomography(row, 64, noise=noise, seed=31, stream=i)[1]
+                                  for i, row in enumerate(exact.component_table)])
+            expected = projected_gram_values(estimated, 0.7)
+        assert np.array_equal(sampled.values, expected)
+        assert sampled.gamma == exact.gamma and sampled.component_table is None
+        if family == "fidelity" and p_error == 0.0:
+            assert np.all(sampled.values[np.ix_([0, 3, 5], [0, 3, 5])] == 1.0)
+
     def test_psd_clipped_counts_rescaled_estimates(self):
         """At 4 shots many estimates leave the Bloch ball; the count equals a
         per-(point, qubit) check of the drawn proportions."""

@@ -34,3 +34,12 @@ def test_namespace_is_the_array_api():
     acceptance = _acceptance_imports()
     assert len(acceptance) > 20
     assert acceptance <= set(qkshots.__all__)
+
+
+def test_records_have_no_hand_written_dicts():
+    # README, "Removed in 0.6.0": dataclasses.asdict writes these records
+    from qkshots import serialize
+
+    records = (qkshots.QuantumCost, qkshots.ClassicalCost, qkshots.ScalingFit)
+    assert not [cls.__name__ for cls in records if hasattr(cls, "to_dict")]
+    assert not hasattr(serialize, "fit_payload")
