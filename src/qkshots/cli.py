@@ -71,13 +71,16 @@ from .resources import (
     find_crossover,
     quantum_cost,
 )
-from .scaling import ScalingSeries, extrapolate, sweep
+from .scaling import ScalingSeries, check_qubit_counts, extrapolate, sweep
 from .serialize import provenance, write_json, write_kernel_csv, write_series_csv
 from .shot_bounds import dataset_budget, entry_budgets, error_budget
 from .statevector import ConfigurationError
 
 
 _REQUIRED = object()
+# libyaml's scanner and parser, when PyYAML was built with it, under the same
+# Python constructor and resolver, so configs resolve alike either way
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _field(section: dict, name: str, cast=None, default=_REQUIRED):
@@ -100,6 +103,14 @@ def _field(section: dict, name: str, cast=None, default=_REQUIRED):
 
 def _ints(values) -> list[int]:
     return [int(n) for n in values]
+
+
+def _flag(value) -> bool:
+    """A YAML boolean; a string such as "false" is refused, not read as
+    a true value."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
 def _section(config: dict, key: str, required: bool = True, prefix: str = "") -> dict | None:
@@ -131,20 +142,20 @@ def _resolve_dataset(config: dict, seed: int) -> Dataset:
             n_features=_field(section, "dataset.n_features", int, 20),
             seed=ds_seed,
         )
-        do_preprocess = section.get("preprocess", True)
+        do_preprocess = _field(section, "dataset.preprocess", _flag, True)
     elif kind == "random_angles":
         dataset = generate_random_angles(
             m=_field(section, "dataset.m", int),
             n_features=_field(section, "dataset.n_features", int),
             seed=ds_seed,
         )
-        do_preprocess = section.get("preprocess", False)
+        do_preprocess = _field(section, "dataset.preprocess", _flag, False)
     elif kind == "csv":
         dataset = load_csv(
             _field(section, "dataset.path"),
             label_column=_field(section, "dataset.label_column"),
         )
-        do_preprocess = section.get("preprocess", True)
+        do_preprocess = _field(section, "dataset.preprocess", _flag, True)
     else:
         raise ConfigurationError(
             f"dataset.type must be one of ('twonorm', 'random_angles', 'csv'), "
@@ -331,7 +342,7 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path
         n_values=_field(sweep_cfg, "sweep.n_values", _ints),
         gamma=gamma,
         **_resolve_budget(config),
-        include_budgets=bool(sweep_cfg.get("include_budgets", True)),
+        include_budgets=_field(sweep_cfg, "sweep.include_budgets", _flag, True),
         cap=_field(config, "qubit_cap", int, None),
         threads=threads,
     )
@@ -351,7 +362,7 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
     m = _field(res_cfg, "resources.m", int)
     shots = _field(res_cfg, "resources.shots_per_estimate", int)
     n_values = _field(res_cfg, "resources.n_values", _ints)
-    corrected = bool(res_cfg.get("corrected", False))
+    corrected = _field(res_cfg, "resources.corrected", _flag, False)
     budget = _field(res_cfg, "resources.error_budget", float, None)
     hardware = _resolve_profile(res_cfg, "hardware", HardwareProfile, {}) or HardwareProfile()
     profile = _resolve_profile(
@@ -394,6 +405,7 @@ def cmd_characterize(config: dict, out_dir: Path, seed: int, threads: int) -> li
     shape = _resolve_feature_map(config, n_qubits=1)
     char_cfg = _section(config, "characterize")
     n_values = sorted(_field(char_cfg, "characterize.n_values", _ints))
+    check_qubit_counts(n_values)
     cap = _field(config, "qubit_cap", int, None)
     expr, entropy = [], []
     for n in n_values:
@@ -453,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as handle:
-            config = yaml.safe_load(handle)
+            config = yaml.load(handle, Loader=_YAML_LOADER)
         if not isinstance(config, dict):
             raise ConfigurationError("config must be a YAML mapping")
         seed = args.seed if args.seed is not None else _field(config, "seed", int, 0)

@@ -35,6 +35,15 @@ _CURVATURE_TOL = 1e-12
 STATISTIC_NAMES = ("mean", "std", "median", "iqr", "n_spread", "n_ca")
 
 
+def check_qubit_counts(qubit_counts) -> None:
+    """Raise a ConfigurationError unless the counts strictly increase."""
+    counts = np.asarray(qubit_counts, dtype=int)
+    if np.any(np.diff(counts) <= 0):
+        raise ConfigurationError(
+            f"qubit counts must be strictly increasing, got {counts.tolist()}"
+        )
+
+
 @dataclass
 class ScalingSeries:
     """One statistic evaluated at strictly increasing qubit counts."""
@@ -49,10 +58,7 @@ class ScalingSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.qubit_counts.shape != self.values.shape:
             raise ValueError("qubit counts and values must have equal length")
-        if np.any(np.diff(self.qubit_counts) <= 0):
-            raise ConfigurationError(
-                f"qubit counts must be strictly increasing, got {self.qubit_counts.tolist()}"
-            )
+        check_qubit_counts(self.qubit_counts)
 
     def fit(self) -> "ScalingFit":
         return fit_exponential(self.qubit_counts, self.values)
@@ -185,6 +191,7 @@ def sweep(
     n_values = sorted(int(n) for n in n_values)
     if not n_values:
         raise ConfigurationError("n_values must be non-empty")
+    check_qubit_counts(n_values)
     if n_values[-1] > dataset.n_features:
         raise ConfigurationError(
             f"dataset has {dataset.n_features} features, cannot sweep to "

@@ -27,6 +27,9 @@ from .shot_bounds import CONCENTRATION_AVOIDANCE, SPREAD, EntryBudgets
 # budget records encoded per write: one big string would cost its size in
 # peak memory, one write per record the call overhead
 ENTRY_BLOCK = 1024
+# kernel cells per write (whole rows, at least one row): the strings of a
+# block are held at once, so a larger block costs peak memory
+CELL_BLOCK = 2**12
 # stands in for a streamed value while the rest of a payload is encoded
 _SLOT = "\x00"
 
@@ -158,16 +161,37 @@ def write_json(path, payload: dict) -> Path:
     return path
 
 
+def _csv_rows(block: np.ndarray, row_format: str) -> str:
+    """The CSV lines of a block of kernel rows, each value ``%.17g``.
+
+    A finite-shot kernel holds at most n_shots + 1 distinct values, so each
+    distinct bit pattern (``-0.0`` keeps its sign) is formatted once and
+    the lines are joined from those strings. When most cells are distinct,
+    as in an exact kernel, formatting every cell costs less."""
+    block = np.ascontiguousarray(block, dtype=float)
+    bits, index = np.unique(block.view(np.int64), return_inverse=True)
+    if 2 * bits.size > block.size:
+        return "".join([row_format % tuple(row) for row in block.tolist()])
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = text[index.reshape(-1)].tolist()
+    width = block.shape[1]
+    return "".join([",".join(cells[k:k + width]) + "\r\n"
+                    for k in range(0, len(cells), width)])
+
+
 def write_kernel_csv(path, kernel: KernelMatrix, extra: dict | None = None) -> tuple[Path, Path]:
     """Write an m x m kernel matrix as CSV plus a `.meta.json` sidecar with
     family, feature-map and sampling metadata."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # the bytes csv.writer would write: no field needs quoting, \r\n line ends
-    row_format = ",".join(["%.17g"] * kernel.m) + "\r\n"
+    m = kernel.m
+    rows = max(1, CELL_BLOCK // m)
+    row_format = ",".join(["%.17g"] * m) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(f"k{i}" for i in range(kernel.m)) + "\r\n")
-        handle.writelines(row_format % tuple(row.tolist()) for row in kernel.values)
+        handle.write(",".join(f"k{i}" for i in range(m)) + "\r\n")
+        for start in range(0, m, rows):
+            handle.write(_csv_rows(kernel.values[start:start + rows], row_format))
     meta = {
         "family": kernel.family,
         "gamma": kernel.gamma,

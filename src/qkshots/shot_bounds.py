@@ -115,7 +115,12 @@ def _check_probability(name: str, value: float) -> None:
 # spread bounds
 # ---------------------------------------------------------------------------
 
-def _variance_terms(zx, zy, noise_robust: bool) -> np.ndarray:
+def _binomial_sd(props) -> np.ndarray:
+    """sqrt(Z (1 - Z)) of every proportion, clipped at 0 against rounding."""
+    return np.sqrt(np.clip(props * (1.0 - props), 0.0, None))
+
+
+def _variance_terms(zx, zy, noise_robust: bool, weights=None) -> np.ndarray:
     """Per-qubit V_k of proportion pairs (..., n, 3) -> (..., n).
 
     With Z the six measured proportions of a qubit pair, the derivative
@@ -124,14 +129,16 @@ def _variance_terms(zx, zy, noise_robust: bool) -> np.ndarray:
         V_k = (sum_i |dX/dZ_i| sqrt(Z_i (1 - Z_i)))^2,
 
     the closed form of the full variance-plus-covariance double sum. The
-    noise-robust form bounds every variance factor by 1.
+    noise-robust form bounds every variance factor by 1. ``weights`` is
+    ``_binomial_sd(zx) + _binomial_sd(zy)``, computed here when not given.
     """
     grads = 4.0 * np.abs(zx - zy)
     if noise_robust:
         return (2.0 * grads.sum(axis=-1)) ** 2
-    weights = (np.sqrt(np.clip(zx * (1.0 - zx), 0.0, None))
-               + np.sqrt(np.clip(zy * (1.0 - zy), 0.0, None)))
-    return (grads * weights).sum(axis=-1) ** 2
+    if weights is None:
+        weights = _binomial_sd(zx) + _binomial_sd(zy)
+    grads *= weights
+    return grads.sum(axis=-1) ** 2
 
 
 def _spread_shots(numerator, denominator: float, degenerate):
@@ -560,6 +567,24 @@ def _pair_blocks(m: int, n: int):
         yield i, np.arange(i.size) - offsets + i + 1
 
 
+def _pair_variance_blocks(props: np.ndarray, noise_robust: bool):
+    """Per-qubit V_k of the upper-triangle pairs of the (m, n, 3)
+    proportions, as (i, j, (pairs, n) terms) per row block of
+    :func:`_pair_blocks`. Each point's standard deviations are computed
+    once and gathered for its pairs."""
+    sd = None if noise_robust else _binomial_sd(props)
+    # np.take copies whole rows faster than fancy indexing
+    for i, j in _pair_blocks(props.shape[0], props.shape[1]):
+        weights = None
+        if sd is not None:
+            weights = np.take(sd, i, axis=0)
+            weights += np.take(sd, j, axis=0)
+        terms = _variance_terms(np.take(props, i, axis=0), np.take(props, j, axis=0),
+                                noise_robust, weights)
+        del weights  # not held while the caller works on the block
+        yield i, j, terms
+
+
 def entry_budgets(
     family: str, values, eps: float, delta_ensemble: float, p_spread: float,
     p_ca: float, p_error: float = 0.0, *, table=None, gamma: float = 1.0,
@@ -602,11 +627,14 @@ def entry_budgets(
     if table is None:
         raise ValueError("projected budgets need the component table")
     props = component_proportions(table, p_error)
+    if props.shape[0] != values.shape[0]:
+        raise ValueError(f"component table has {props.shape[0]} points, "
+                         f"kernel matrix {values.shape[0]}")
     worst, imposed = _pq_point_ca(props, p_ca)
     blocks = []
-    for i, j in _pair_blocks(values.shape[0], props.shape[1]):
+    for i, j, terms in _pair_variance_blocks(props, noisy):
         kappa = values[i, j]
-        v_total = _variance_terms(props[i], props[j], noisy).sum(axis=-1)
+        v_total = terms.sum(axis=-1)
         n_spread, degenerate = _pq_spread(
             v_total, props.shape[1], kappa ** ((1.0 - p_error) ** 2), gamma,
             denominator, noisy,
@@ -703,6 +731,6 @@ def _mean_pair_variance_terms(table, p_error: float, noise_robust: bool) -> floa
     if m < 2:
         raise ValueError("component table needs at least two points")
     total = 0.0
-    for i, j in _pair_blocks(m, props.shape[1]):
-        total += float(_variance_terms(props[i], props[j], noise_robust).sum())
+    for _, _, terms in _pair_variance_blocks(props, noise_robust):
+        total += float(terms.sum())
     return total / (m * (m - 1) // 2)

@@ -13,10 +13,36 @@ from qkshots.cli import main
 from qkshots.serialize import read_kernel_csv, read_series_csv
 
 
-def write_config(tmp_path, payload, name="config.yaml"):
-    path = tmp_path / name
-    path.write_text(yaml.safe_dump(payload))
+# the CLI parses with libyaml when PyYAML has it; both loaders must agree
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+# YAML 1.1 reads exponent literals without a sign ("1e12") as strings
+EXPONENT_LITERALS = (
+    "kernel: {family: fidelity}\n"
+    "feature_map: {repetitions: 1, entanglement: linear}\n"
+    "resources:\n"
+    "  m: 10\n"
+    "  shots_per_estimate: 100\n"
+    "  n_values: [3, 5]\n"
+    "  classical: {c0: 1e6, flops_per_second: 1e12, power_w: 1e4}\n"
+)
+
+
+def load_yaml(text):
+    """The value of ``text``; every loader must resolve it alike."""
+    loaded = [yaml.load(text, Loader=loader) for loader in LOADERS]
+    assert all(value == loaded[0] for value in loaded[1:])
+    return loaded[0]
+
+
+def write_yaml(path, text):
+    load_yaml(text)
+    path.write_text(text)
     return str(path)
+
+
+def write_config(tmp_path, payload, name="config.yaml"):
+    return write_yaml(tmp_path / name, yaml.safe_dump(payload))
 
 
 def base_config(**overrides):
@@ -63,6 +89,13 @@ class TestKernelsCommand:
 
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         assert main(["kernels", "--config", str(tmp_path / "nope.yaml")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "configuration"
+
+    @pytest.mark.parametrize("text", ["dataset: [1, 2\n", "a: b: c\n", "- 1\n- 2\n"])
+    def test_malformed_yaml_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["kernels", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "configuration"
 
     def test_seed_flag_overrides_config(self, tmp_path):
@@ -199,20 +232,9 @@ class TestConfigEdgeCases:
         assert "hardware" in json.loads(capsys.readouterr().err)["message"]
 
     def test_yaml_exponent_literals_coerced(self, tmp_path):
-        # YAML 1.1 parses "1e12" (no sign in the exponent) as a string;
-        # profile values must still come through as numbers
-        raw = (
-            "kernel: {family: fidelity}\n"
-            "feature_map: {repetitions: 1, entanglement: linear}\n"
-            "resources:\n"
-            "  m: 10\n"
-            "  shots_per_estimate: 100\n"
-            "  n_values: [3, 5]\n"
-            "  classical: {c0: 1e6, flops_per_second: 1e12, power_w: 1e4}\n"
-        )
-        path = tmp_path / "raw.yaml"
-        path.write_text(raw)
-        assert main(["resources", "--config", str(path), "--out", str(tmp_path)]) == 0
+        # profile values read as strings must still come through as numbers
+        path = write_yaml(tmp_path / "raw.yaml", EXPONENT_LITERALS)
+        assert main(["resources", "--config", path, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "resources.json").read_text())
         assert report["scenarios"][0]["classical"]["runtime_s"] > 0
 
@@ -332,6 +354,12 @@ class TestOptionalSections:
             ("kernels", base_config(dataset={"type": "random_angles", "m": 1, "n_features": 6},
                                     sampling={"n_shots": 8}),
              "need at least 2 points, got 1"),
+            ("resources", resources_config(corrected="false"),
+             "resources.corrected: expected true or false, got 'false'"),
+            ("sweep", base_config(sweep={"n_values": [2, 3, 4, 5], "include_budgets": "false"}),
+             "sweep.include_budgets: expected true or false, got 'false'"),
+            ("kernels", base_config(dataset={"type": "twonorm", "m": 16, "preprocess": "no"}),
+             "dataset.preprocess: expected true or false, got 'no'"),
         ],
     )
     def test_configuration_problems_exit_two(self, tmp_path, capsys, command, payload, message):
@@ -339,6 +367,29 @@ class TestOptionalSections:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err) == {
             "error": "configuration", "message": message,
+        }
+
+    @pytest.mark.parametrize(
+        "command, payload, expensive",
+        [
+            ("sweep", base_config(sweep={"n_values": [2, 3, 2, 4]}),
+             "qkshots.scaling.gram_matrix"),
+            ("characterize", base_config(characterize={"n_values": [3, 2, 3]}),
+             "qkshots.cli.embedding_diagnostics"),
+        ],
+    )
+    def test_repeated_qubit_counts_exit_two_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, payload, expensive):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{expensive} ran before the repeated size was refused")
+
+        monkeypatch.setattr(expensive, refuse)
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        counts = sorted(payload[command]["n_values"])
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration",
+            "message": f"qubit counts must be strictly increasing, got {counts}",
         }
 
     def test_configured_classical_alpha_reaches_flops(self, tmp_path):
@@ -378,6 +429,18 @@ class TestOptionalSections:
         fits = json.loads((tmp_path / "characteristics_fits.json").read_text())["fits"]
         assert fits == {name: {"skipped": "fewer than 4 points"}
                         for name in ("expressibility", "relative_entropy")}
+
+
+@pytest.mark.skipif(len(LOADERS) < 2, reason="PyYAML built without libyaml")
+def test_yaml_loaders_resolve_configs_alike():
+    """Every config the CLI tests write goes through ``load_yaml``; these
+    texts add the scalars YAML 1.1 resolves by pattern and a JSON config."""
+    scalars = ("{a: 1e6, b: 1.0e+6, c: .inf, d: -.Inf, e: 0x1F, f: 0o17, g: 010, h: 1_000,"
+               " i: yes, j: Off, k: ~, l: null, m: '1e3', n: 2001-12-14, o: 1:30, p: +12}\n")
+    assert load_yaml(scalars)["a"] == "1e6"
+    assert load_yaml(json.dumps(base_config(), indent=1)) == base_config()
+    assert load_yaml(EXPONENT_LITERALS)["resources"]["classical"] == {
+        "c0": "1e6", "flops_per_second": "1e12", "power_w": "1e4"}
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -152,6 +152,14 @@ def test_fidelity_qubit_count_unused_without_noise():
         entry_budgets("fidelity", kernel.values, EPS, delta, P_SPREAD, P_CA, 0.05)
 
 
+def test_projected_budgets_refuse_a_table_of_other_points():
+    kernel = _kernel("projected", n=2, m=6)
+    for table in (None, kernel.component_table[:5]):
+        with pytest.raises(ValueError, match="component table"):
+            entry_budgets("projected", kernel.values, EPS, 0.2, P_SPREAD, P_CA,
+                          table=table, gamma=GAMMA)
+
+
 def test_mean_pair_variance_terms_chunked_equals_one_block(monkeypatch):
     """The dataset budget's pair mean runs over several row blocks and
     matches the single-block evaluation."""

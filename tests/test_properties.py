@@ -1,11 +1,13 @@
-"""Property tests: sampled Gram matrices and the budget writer on random
-small inputs."""
+"""Property tests: sampled Gram matrices, pair variance terms and the
+budget writer on random small inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkshots import FeatureMapConfig, NoiseModel, entry_budgets, gram_matrix, sample_gram
+from qkshots import (FeatureMapConfig, NoiseModel, entry_budgets, gram_matrix, sample_gram,
+                     shot_bounds)
 from qkshots.serialize import write_json
 
 from oracles import budget_json
@@ -52,3 +54,25 @@ def test_budget_writer_bytes_equal_stdlib_encoder(tmp_path_factory, family, m, n
     path = write_json(tmp_path_factory.mktemp("budgets") / "b.json",
                       {**payload, "entries": budgets})
     assert path.read_text(encoding="utf-8") == budget_json(payload, budgets)
+
+
+@PROPERTY
+@given(m=st.integers(2, 9), n=st.integers(1, 4), pair_block=st.integers(1, 64),
+       robust=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pair_variances_from_point_weights_equal_per_pair_terms(m, n, pair_block, robust,
+                                                                seed):
+    """Per-point standard deviations gathered per pair give the V_k of
+    ``_variance_terms`` on the pair's proportions, bit for bit, over row
+    blocks that cover every upper-triangle pair once."""
+    rng = np.random.default_rng(seed)
+    props = rng.uniform(-1e-12, 1.0 + 1e-12, size=(m, n, 3))
+    props[rng.uniform(size=props.shape) < 0.2] = 0.5
+    props[rng.uniform(size=props.shape) < 0.1] = 1.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shot_bounds, "PAIR_BLOCK", pair_block)
+        blocks = list(shot_bounds._pair_variance_blocks(props, robust))
+    for i, j, terms in blocks:
+        reference = shot_bounds._variance_terms(props[i], props[j], robust)
+        assert terms.tobytes() == reference.tobytes()
+    pairs = np.concatenate([np.stack([i, j]) for i, j, _ in blocks], axis=1)
+    assert np.array_equal(pairs, np.triu_indices(m, k=1))

@@ -1,7 +1,8 @@
 """File writers against the standard-library encoders they replace.
 
 ``write_json`` streams per-entry shot budgets straight from the
-``EntryBudgets`` arrays and ``write_kernel_csv`` formats whole rows; the
+``EntryBudgets`` arrays and ``write_kernel_csv`` formats each distinct
+value of a block of rows once; the
 references here are ``json.dump`` of ``EntryBudgets.entries()`` and
 ``csv.writer``, and the bytes must be equal.
 """
@@ -13,7 +14,8 @@ import json
 import numpy as np
 import pytest
 
-from qkshots import FeatureMapConfig, KernelMatrix, entry_budgets, gram_matrix, serialize
+from qkshots import (FeatureMapConfig, KernelMatrix, entry_budgets, gram_matrix, sample_gram,
+                     serialize)
 from qkshots.kernels import projected_gram_values
 from qkshots.serialize import _jsonable, read_kernel_csv, write_json, write_kernel_csv
 
@@ -93,21 +95,54 @@ def test_empty_budgets_and_plain_payloads(tmp_path):
     assert plain == json.dumps(_jsonable(_payload()), indent=2, sort_keys=True) + "\n"
 
 
-def test_gram_csv_bytes_equal_csv_writer_and_round_trip(tmp_path):
+def _continuous_kernel():
+    """Mostly distinct entries: each cell is formatted directly."""
     rng = np.random.default_rng(8)
     values = rng.uniform(size=(5, 5))
     values[0, 1:] = [0.0, 1e-33, 1.0, 1.0 / 3.0]
-    values = np.triu(values, 1) + np.triu(values, 1).T + np.eye(5)
+    return np.triu(values, 1) + np.triu(values, 1).T + np.eye(5)
+
+
+def _sampled_kernel():
+    """Finite-shot entries k / 4 of 12 points: at most 5 distinct values, so
+    every block of at least one row formats each distinct value once."""
+    points = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, size=(12, 2))
+    values = sample_gram(points, FeatureMapConfig(2), n_shots=4, seed=5).values
+    assert np.unique(values).size <= 5 and np.any(values == 0.0)
+    return values
+
+
+def _signed_zero_kernel():
+    """-0.0 beside 0.0: equal as floats, written "-0" and "0"."""
+    values = _sampled_kernel()
+    i, j = np.argwhere(values == 0.0)[0]
+    values[i, j] = values[j, i] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("make_values, cell_block", [
+    (_continuous_kernel, serialize.CELL_BLOCK),
+    (_sampled_kernel, serialize.CELL_BLOCK),
+    (_signed_zero_kernel, serialize.CELL_BLOCK),
+    (_signed_zero_kernel, 30),  # blocks of 2 rows
+    (_sampled_kernel, 5),       # a block is one row, as at m past CELL_BLOCK
+], ids=["continuous", "sampled", "signed-zero", "row-blocks", "one-row-blocks"])
+def test_gram_csv_bytes_equal_csv_writer_and_round_trip(tmp_path, monkeypatch,
+                                                        make_values, cell_block):
+    values = make_values()
+    m = len(values)
     kernel = KernelMatrix(values=values, family="fidelity", config=FeatureMapConfig(2))
+    monkeypatch.setattr(serialize, "CELL_BLOCK", cell_block)
     path, _ = write_kernel_csv(tmp_path / "gram.csv", kernel)
     reference = io.StringIO(newline="")
     writer = csv.writer(reference)
-    writer.writerow([f"k{i}" for i in range(5)])
+    writer.writerow([f"k{i}" for i in range(m)])
     for row in values:
         writer.writerow([f"{v:.17g}" for v in row])
     assert path.read_bytes() == reference.getvalue().encode("utf-8")
     loaded = read_kernel_csv(path)
     assert np.array_equal(loaded.values, values)
+    assert np.array_equal(np.signbit(loaded.values), np.signbit(values))
     assert (loaded.family, loaded.config) == ("fidelity", FeatureMapConfig(2))
 
 
