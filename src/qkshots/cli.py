@@ -10,18 +10,22 @@ resources       runtime/energy for quantum (ideal/corrected) and classical
                 execution, with crossover -> resources.json
 characterize    expressibility and relative-entropy series -> series CSV/fits
 
-Every artifact embeds (directly or through its sidecar) the resolved
-configuration and tool version. All randomness flows from one top-level
+Every artifact embeds (directly or through its sidecar) the configuration
+as written and the tool version. All randomness flows from one top-level
 seed: stream k of a run uses SeedSequence(entropy=seed, spawn_key=(k,)),
 with stream 0 for dataset synthesis, 1 for stratification and 2 for shot
 sampling.
 
-The optional sections (``budget``, ``sampling``, ``resources.hardware`` and
-``resources.classical``) must be mappings when present; an absent or null
-section, like an absent or null key, takes its defaults.
+``_KEYS`` lists every config key with its cast and default. A section must
+be a mapping when present; an absent or null section, like an absent or
+null key, takes its defaults. A ``sampling`` section that is present, even
+empty, makes ``kernels`` sample, and a ``resources.classical`` section
+turns on the classical baseline. Every section may appear in the config of
+every command.
 
 Exit codes: 0 on success. 2 for configuration problems: an unreadable or
-malformed config, a missing key or a value of the wrong type, and every
+malformed config, a key the table does not know (the message names the
+closest known key), a missing key or a value of the wrong type, and every
 parameter the library refuses with a ConfigurationError (eps <= 0, a
 probability outside its range, an odd twonorm m or subset size, fewer than
 2 points, repeated sizes, more qubits than features or than qubit_cap).
@@ -33,10 +37,11 @@ is one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +58,11 @@ from .datasets import (
     select_features,
     stratify,
 )
-from .feature_map import ENTANGLEMENT_STRATEGIES, FeatureMapConfig
+from .feature_map import ENTANGLEMENT_STRATEGIES, LINEAR, FeatureMapConfig
 from .kernels import (
     FIDELITY,
+    KERNEL_FAMILIES,
     PROJECTED,
-    check_family,
     check_gamma,
     gram_matrix,
     kernel_statistics,
@@ -77,28 +82,11 @@ from .shot_bounds import dataset_budget, entry_budgets, error_budget
 from .statevector import ConfigurationError
 
 
-_REQUIRED = object()
+_REQUIRED = object()  # the key has no default: a command that reads it needs it
+_PER_RUN = object()  # the default depends on the run, and the caller passes it
 # libyaml's scanner and parser, when PyYAML was built with it, under the same
 # Python constructor and resolver, so configs resolve alike either way
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
-
-def _field(section: dict, name: str, cast=None, default=_REQUIRED):
-    """The value of the key that ends the dotted ``name``, passed through
-    ``cast``; an absent or null key gives ``default``. A missing required
-    key, or a value that ``cast`` rejects, raises a ConfigurationError
-    naming ``name``."""
-    value = section.get(name.rpartition(".")[2])
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"{name} is required")
-        return default
-    if cast is None:
-        return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name}: {exc}") from None
 
 
 def _ints(values) -> list[int]:
@@ -113,17 +101,122 @@ def _flag(value) -> bool:
     return value
 
 
-def _section(config: dict, key: str, required: bool = True, prefix: str = "") -> dict | None:
-    """The mapping at ``config[key]``; an optional section that is absent
-    or null gives None. ``prefix`` names the parent section in messages."""
-    value = config.get(key)
-    if value is None:
-        if required:
-            raise ConfigurationError(f"config section {prefix + key!r} is required")
-        return None
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"config section {prefix + key!r} must be a mapping")
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
     return value
+
+
+def _choice(*options):
+    """A cast that passes one of ``options`` and refuses anything else."""
+    def cast(value):
+        if value not in options:
+            raise ValueError(f"must be one of {options}, got {value!r}")
+        return value
+    return cast
+
+
+_PROFILES = {"resources.hardware": HardwareProfile, "resources.classical": ClassicalProfile}
+
+# Every config key: dotted name -> (cast, default). The profile dataclasses
+# own their keys and defaults; the classical alpha has none, since it
+# depends on the kernel family. YAML 1.1 reads exponent literals without a
+# sign ("1e7") as strings, which the float cast reads as numbers.
+_KEYS = {
+    "seed": (int, 0),
+    "out_dir": (_text, "."),
+    "qubit_cap": (int, None),
+    "dataset.type": (_choice("twonorm", "random_angles", "csv"), _REQUIRED),
+    "dataset.m": (int, _REQUIRED),
+    "dataset.n_features": (int, _PER_RUN),
+    "dataset.path": (_text, _REQUIRED),
+    "dataset.label_column": (_text, _REQUIRED),
+    "dataset.preprocess": (_flag, _PER_RUN),
+    "dataset.seed": (int, _PER_RUN),
+    "dataset.subset_size": (int, None),
+    "dataset.subset_index": (int, 0),
+    "dataset.stratify_seed": (int, _PER_RUN),
+    "feature_map.n_qubits": (int, _REQUIRED),
+    "feature_map.repetitions": (int, 1),
+    "feature_map.entanglement": (_choice(*ENTANGLEMENT_STRATEGIES), LINEAR),
+    "kernel.family": (_choice(*KERNEL_FAMILIES), FIDELITY),
+    "kernel.gamma": (float, 1.0),
+    "sampling.n_shots": (int, _REQUIRED),
+    "sampling.p_error": (float, 0.0),
+    "sampling.seed": (int, _PER_RUN),
+    "budget.eps": (float, 1.0),
+    "budget.p_spread": (float, 0.9),
+    "budget.p_ca": (float, 0.99),
+    "budget.p_error": (float, 0.0),
+    "sweep.n_values": (_ints, _REQUIRED),
+    "sweep.extrapolate_to": (_ints, ()),
+    "sweep.include_budgets": (_flag, True),
+    "characterize.n_values": (_ints, _REQUIRED),
+    "resources.m": (int, _REQUIRED),
+    "resources.shots_per_estimate": (int, _REQUIRED),
+    "resources.n_values": (_ints, _REQUIRED),
+    "resources.corrected": (_flag, False),
+    "resources.error_budget": (float, None),
+    **{
+        f"{section}.{f.name}": (float, _PER_RUN if f.default is MISSING else f.default)
+        for section, cls in _PROFILES.items()
+        for f in fields(cls)
+    },
+}
+_SECTIONS = {key[:i] for key in _KEYS for i, char in enumerate(key) if char == "."}
+
+
+def _check_keys(config: dict, prefix: str = "") -> None:
+    """Refuse a key the table does not know, naming the closest known key,
+    and a section that is neither a mapping nor null."""
+    for name, value in config.items():
+        key = f"{prefix}{name}"
+        if key in _SECTIONS:
+            if value is not None and not isinstance(value, dict):
+                raise ConfigurationError(f"config section {key!r} must be a mapping")
+            _check_keys(value or {}, key + ".")
+        elif key not in _KEYS:
+            closest = difflib.get_close_matches(key, [*_KEYS, *_SECTIONS], n=1, cutoff=0)
+            raise ConfigurationError(
+                f"unknown config key {key!r}; the closest known key is {closest[0]!r}"
+            )
+
+
+def _lookup(config: dict, key: str):
+    """The value of the dotted ``key`` as written; None when it, or a
+    section above it, is absent or null."""
+    value = config
+    for part in key.split("."):
+        value = (value or {}).get(part)
+    return value
+
+
+def _field(config: dict, key: str, run_default=_REQUIRED):
+    """The value of the dotted ``key`` through the table's cast; an absent
+    or null key gives the table's default, or ``run_default`` where the
+    default depends on the run. A missing required key, or a value that the
+    cast refuses, raises a ConfigurationError naming ``key``."""
+    cast, default = _KEYS[key]
+    value = _lookup(config, key)
+    if value is None:
+        if default is _PER_RUN:
+            default = run_default
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{key} is required")
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
+def _profile(config: dict, section: str, run_default=_REQUIRED):
+    cls = _PROFILES[section]
+    values = {f.name: _field(config, f"{section}.{f.name}", run_default) for f in fields(cls)}
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{section}: {exc}") from None
 
 
 def _derived_seed(seed: int, stream: int) -> int:
@@ -133,44 +226,38 @@ def _derived_seed(seed: int, stream: int) -> int:
 
 
 def _resolve_dataset(config: dict, seed: int) -> Dataset:
-    section = _section(config, "dataset")
-    kind = _field(section, "dataset.type")
-    ds_seed = _field(section, "dataset.seed", int, _derived_seed(seed, 0))
+    kind = _field(config, "dataset.type")
+    ds_seed = _field(config, "dataset.seed", _derived_seed(seed, 0))
     if kind == "twonorm":
         dataset = generate_twonorm(
-            m=_field(section, "dataset.m", int),
-            n_features=_field(section, "dataset.n_features", int, 20),
+            m=_field(config, "dataset.m"),
+            n_features=_field(config, "dataset.n_features", 20),
             seed=ds_seed,
         )
-        do_preprocess = _field(section, "dataset.preprocess", _flag, True)
+        do_preprocess = _field(config, "dataset.preprocess", True)
     elif kind == "random_angles":
         dataset = generate_random_angles(
-            m=_field(section, "dataset.m", int),
-            n_features=_field(section, "dataset.n_features", int),
+            m=_field(config, "dataset.m"),
+            n_features=_field(config, "dataset.n_features"),
             seed=ds_seed,
         )
-        do_preprocess = _field(section, "dataset.preprocess", _flag, False)
-    elif kind == "csv":
-        dataset = load_csv(
-            _field(section, "dataset.path"),
-            label_column=_field(section, "dataset.label_column"),
-        )
-        do_preprocess = _field(section, "dataset.preprocess", _flag, True)
+        do_preprocess = _field(config, "dataset.preprocess", False)
     else:
-        raise ConfigurationError(
-            f"dataset.type must be one of ('twonorm', 'random_angles', 'csv'), "
-            f"got {kind!r}"
+        dataset = load_csv(
+            _field(config, "dataset.path"),
+            label_column=_field(config, "dataset.label_column"),
         )
+        do_preprocess = _field(config, "dataset.preprocess", True)
     if do_preprocess:
         dataset = preprocess(dataset)
-    subset_size = _field(section, "dataset.subset_size", int, None)
+    subset_size = _field(config, "dataset.subset_size")
     if subset_size is not None:
         subsets = stratify(
             dataset,
             subset_size=subset_size,
-            seed=_field(section, "dataset.stratify_seed", int, _derived_seed(seed, 1)),
+            seed=_field(config, "dataset.stratify_seed", _derived_seed(seed, 1)),
         )
-        index = _field(section, "dataset.subset_index", int, 0)
+        index = _field(config, "dataset.subset_index")
         if not 0 <= index < len(subsets):
             raise ConfigurationError(
                 f"dataset.subset_index must be in [0, {len(subsets) - 1}], "
@@ -183,26 +270,19 @@ def _resolve_dataset(config: dict, seed: int) -> Dataset:
 def _resolve_feature_map(config: dict, n_qubits: int | None = None) -> FeatureMapConfig:
     """The feature map of the config; ``n_qubits`` overrides the section's.
     Commands that set n per point pass 1 to resolve the rest of it."""
-    section = _section(config, "feature_map")
-    entanglement = section.get("entanglement", "linear")
-    if entanglement not in ENTANGLEMENT_STRATEGIES:
-        raise ConfigurationError(
-            f"feature_map.entanglement must be one of "
-            f"{ENTANGLEMENT_STRATEGIES}, got {entanglement!r}"
-        )
+    entanglement = _field(config, "feature_map.entanglement")
     if n_qubits is None:
-        n_qubits = _field(section, "feature_map.n_qubits", int)
+        n_qubits = _field(config, "feature_map.n_qubits")
     return FeatureMapConfig(
         n_qubits=n_qubits,
-        repetitions=_field(section, "feature_map.repetitions", int, 1),
+        repetitions=_field(config, "feature_map.repetitions"),
         entanglement=entanglement,
     )
 
 
 def _resolve_kernel(config: dict) -> tuple[str, float]:
-    section = _section(config, "kernel")
-    family = check_family(section.get("family", FIDELITY), "kernel.family")
-    gamma = _field(section, "kernel.gamma", float, 1.0)
+    family = _field(config, "kernel.family")
+    gamma = _field(config, "kernel.gamma")
     if family == PROJECTED:
         check_gamma(gamma, "kernel.gamma")
     return family, gamma
@@ -216,39 +296,20 @@ def _resolve_gram(config: dict, seed: int) -> tuple[Dataset, FeatureMapConfig, d
     dataset = _resolve_dataset(config, seed)
     family, gamma = _resolve_kernel(config)
     fmap = _resolve_feature_map(config)
-    cap = _field(config, "qubit_cap", int, None)
+    cap = _field(config, "qubit_cap")
     subset = select_features(dataset, fmap.n_qubits)
     return subset, fmap, {"family": family, "gamma": gamma, "cap": cap}
 
 
-def _resolve_noise(section: dict, prefix: str) -> NoiseModel:
-    return NoiseModel(p_error=_field(section, prefix + "p_error", float, 0.0))
-
-
 def _resolve_budget(config: dict) -> dict:
     """Keyword arguments eps, p_spread, p_ca and noise of the budget
-    section, with their defaults."""
-    section = _section(config, "budget", required=False) or {}
+    section."""
     return {
-        "eps": _field(section, "budget.eps", float, 1.0),
-        "p_spread": _field(section, "budget.p_spread", float, 0.9),
-        "p_ca": _field(section, "budget.p_ca", float, 0.99),
-        "noise": _resolve_noise(section, "budget."),
+        "eps": _field(config, "budget.eps"),
+        "p_spread": _field(config, "budget.p_spread"),
+        "p_ca": _field(config, "budget.p_ca"),
+        "noise": NoiseModel(p_error=_field(config, "budget.p_error")),
     }
-
-
-def _resolve_profile(res_cfg: dict, key: str, cls, defaults: dict):
-    """The ``cls`` profile of the optional section ``resources.<key>``, its
-    values over ``defaults``; None when the section is absent."""
-    section = _section(res_cfg, key, required=False, prefix="resources.")
-    if section is None:
-        return None
-    try:
-        # YAML 1.1 reads exponent literals without a sign ("1e7") as strings;
-        # profile fields are all numeric, so coerce them uniformly
-        return cls(**{**defaults, **{k: float(v) for k, v in section.items()}})
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"resources.{key}: {exc}") from None
 
 
 def _write_series(out_dir: Path, names: tuple[str, str], series_map: dict[str, ScalingSeries],
@@ -282,15 +343,14 @@ def _write_series(out_dir: Path, names: tuple[str, str], series_map: dict[str, S
 
 def cmd_kernels(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     subset, fmap, kernel_args = _resolve_gram(config, seed)
-    sampling = _section(config, "sampling", required=False)
-    if sampling:
+    if _lookup(config, "sampling") is not None:
         kernel = sample_gram(
             subset.features,
             fmap,
             **kernel_args,
-            n_shots=_field(sampling, "sampling.n_shots", int),
-            noise=_resolve_noise(sampling, "sampling."),
-            seed=_field(sampling, "sampling.seed", int, _derived_seed(seed, 2)),
+            n_shots=_field(config, "sampling.n_shots"),
+            noise=NoiseModel(p_error=_field(config, "sampling.p_error")),
+            seed=_field(config, "sampling.seed", _derived_seed(seed, 2)),
             threads=threads,
         )
     else:
@@ -333,20 +393,19 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path
     dataset = _resolve_dataset(config, seed)
     family, gamma = _resolve_kernel(config)
     shape = _resolve_feature_map(config, n_qubits=1)
-    sweep_cfg = _section(config, "sweep")
     series_map = sweep(
         dataset,
         family=family,
         repetitions=shape.repetitions,
         entanglement=shape.entanglement,
-        n_values=_field(sweep_cfg, "sweep.n_values", _ints),
+        n_values=_field(config, "sweep.n_values"),
         gamma=gamma,
         **_resolve_budget(config),
-        include_budgets=_field(sweep_cfg, "sweep.include_budgets", _flag, True),
-        cap=_field(config, "qubit_cap", int, None),
+        include_budgets=_field(config, "sweep.include_budgets"),
+        cap=_field(config, "qubit_cap"),
         threads=threads,
     )
-    targets = _field(sweep_cfg, "sweep.extrapolate_to", _ints, [])
+    targets = _field(config, "sweep.extrapolate_to")
     prov = provenance("sweep", config, seed)
     paths = _write_series(out_dir, ("series.csv", "fits.json"), series_map, targets, prov)
     meta_path = write_json(
@@ -358,16 +417,15 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path
 def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     family, _ = _resolve_kernel(config)
     shape = _resolve_feature_map(config, n_qubits=1)
-    res_cfg = _section(config, "resources")
-    m = _field(res_cfg, "resources.m", int)
-    shots = _field(res_cfg, "resources.shots_per_estimate", int)
-    n_values = _field(res_cfg, "resources.n_values", _ints)
-    corrected = _field(res_cfg, "resources.corrected", _flag, False)
-    budget = _field(res_cfg, "resources.error_budget", float, None)
-    hardware = _resolve_profile(res_cfg, "hardware", HardwareProfile, {}) or HardwareProfile()
-    profile = _resolve_profile(
-        res_cfg, "classical", ClassicalProfile, {"alpha": CLASSICAL_ALPHA_DEFAULTS[family]}
-    )
+    m = _field(config, "resources.m")
+    shots = _field(config, "resources.shots_per_estimate")
+    n_values = _field(config, "resources.n_values")
+    corrected = _field(config, "resources.corrected")
+    budget = _field(config, "resources.error_budget")
+    hardware = _profile(config, "resources.hardware")
+    profile = None
+    if _lookup(config, "resources.classical") is not None:
+        profile = _profile(config, "resources.classical", CLASSICAL_ALPHA_DEFAULTS[family])
 
     quantum = [
         quantum_cost(
@@ -403,10 +461,9 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
 def cmd_characterize(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     dataset = _resolve_dataset(config, seed)
     shape = _resolve_feature_map(config, n_qubits=1)
-    char_cfg = _section(config, "characterize")
-    n_values = sorted(_field(char_cfg, "characterize.n_values", _ints))
+    n_values = sorted(_field(config, "characterize.n_values"))
     check_qubit_counts(n_values)
-    cap = _field(config, "qubit_cap", int, None)
+    cap = _field(config, "qubit_cap")
     expr, entropy = [], []
     for n in n_values:
         subset = select_features(dataset, n)
@@ -468,11 +525,12 @@ def main(argv=None) -> int:
             config = yaml.load(handle, Loader=_YAML_LOADER)
         if not isinstance(config, dict):
             raise ConfigurationError("config must be a YAML mapping")
-        seed = args.seed if args.seed is not None else _field(config, "seed", int, 0)
+        _check_keys(config)
+        seed = args.seed if args.seed is not None else _field(config, "seed")
+        out_dir = Path(args.out if args.out != "." else _field(config, "out_dir"))
     except (OSError, yaml.YAMLError, ConfigurationError) as exc:
         _emit_error("configuration", str(exc))
         return 2
-    out_dir = Path(args.out if args.out != "." else config.get("out_dir", "."))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")

@@ -3,7 +3,7 @@ scaling series as long-format CSV, budgets and fits as JSON.
 
 All JSON is written UTF-8 with sorted keys and an indent of 2; every file
 (or its sidecar) embeds a provenance block with the tool version and the
-fully resolved configuration that produced it. Per-entry shot budgets are
+configuration, as written, that produced it. Per-entry shot budgets are
 streamed straight from their arrays, in the bytes ``json.dump`` would
 give their ``EntryBudgets.entries()`` records.
 """

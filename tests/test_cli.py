@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import yaml
 
 import qkshots
-from qkshots.cli import main
+from qkshots.cli import _KEYS, _PER_RUN, _REQUIRED, _check_keys, _field, main
 from qkshots.serialize import read_kernel_csv, read_series_csv
 
 
@@ -229,7 +230,11 @@ class TestConfigEdgeCases:
         }
         cfg = write_config(tmp_path, payload)
         assert main(["resources", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "hardware" in json.loads(capsys.readouterr().err)["message"]
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration",
+            "message": "unknown config key 'resources.hardware.gate_time'; "
+                       "the closest known key is 'resources.hardware.gate_time_s'",
+        }
 
     def test_yaml_exponent_literals_coerced(self, tmp_path):
         # profile values read as strings must still come through as numbers
@@ -360,6 +365,9 @@ class TestOptionalSections:
              "sweep.include_budgets: expected true or false, got 'false'"),
             ("kernels", base_config(dataset={"type": "twonorm", "m": 16, "preprocess": "no"}),
              "dataset.preprocess: expected true or false, got 'no'"),
+            ("kernels", base_config(sampling={}), "sampling.n_shots is required"),
+            ("resources", resources_config(hardware={"gate_time_s": -1}),
+             "resources.hardware: gate_time_s must be positive"),
         ],
     )
     def test_configuration_problems_exit_two(self, tmp_path, capsys, command, payload, message):
@@ -429,6 +437,133 @@ class TestOptionalSections:
         fits = json.loads((tmp_path / "characteristics_fits.json").read_text())["fits"]
         assert fits == {name: {"skipped": "fewer than 4 points"}
                         for name in ("expressibility", "relative_entropy")}
+
+
+def section_mapping(payload, section):
+    """The mapping of the dotted ``section`` ("" for the top level) in
+    ``payload``, added empty where it is absent."""
+    for part in filter(None, section.split(".")):
+        payload = payload.setdefault(part, {})
+    return payload
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize(
+        "section, typo, closest",
+        [
+            ("", "sed", "seed"),
+            ("", "notes", "sampling.n_shots"),
+            ("dataset", "subset_sise", "dataset.subset_size"),
+            ("feature_map", "repetitons", "feature_map.repetitions"),
+            ("kernel", "gama", "kernel.gamma"),
+            ("sampling", "n_shot", "sampling.n_shots"),
+            ("budget", "esp", "budget.eps"),
+            ("sweep", "extrapolate", "sweep.extrapolate_to"),
+            ("characterize", "n_value", "characterize.n_values"),
+            ("resources", "corected", "resources.corrected"),
+            ("resources.hardware", "gate_time", "resources.hardware.gate_time_s"),
+            ("resources.classical", "flops_per_sec", "resources.classical.flops_per_second"),
+        ],
+    )
+    def test_misspelled_key_exits_two_before_any_work(
+            self, tmp_path, capsys, monkeypatch, section, typo, closest):
+        # every section is checked, whether or not the command reads it
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was generated before the key was refused")
+
+        monkeypatch.setattr("qkshots.cli.generate_twonorm", refuse)
+        payload = base_config()
+        section_mapping(payload, section)[typo] = 0.01
+        cfg = write_config(tmp_path, payload)
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 2
+        key = f"{section}.{typo}" if section else typo
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration",
+            "message": f"unknown config key {key!r}; the closest known key is {closest!r}",
+        }
+
+    # a command and a config that read every key of each section
+    SECTION_RUNS = {
+        "": ("kernels", base_config()),
+        "dataset": ("kernels", base_config(
+            dataset={"type": "twonorm", "m": 16, "n_features": 6, "subset_size": 8})),
+        "feature_map": ("kernels", base_config()),
+        "kernel": ("kernels", base_config()),
+        "sampling": ("kernels", base_config(sampling={"n_shots": 64})),
+        "budget": ("estimate-shots", base_config()),
+        "sweep": ("sweep", base_config(sweep={"n_values": [2, 3, 4, 5]})),
+        "resources": ("resources", resources_config(classical={})),
+        "resources.hardware": ("resources", resources_config()),
+        "resources.classical": ("resources", resources_config(classical={})),
+    }
+
+    @pytest.mark.parametrize("key", [
+        key for key, (_, default) in _KEYS.items()
+        if default is not _REQUIRED and default is not _PER_RUN
+    ])
+    def test_null_key_takes_its_default(self, tmp_path, monkeypatch, key):
+        section, _, name = key.rpartition(".")
+        command, payload = self.SECTION_RUNS[section]
+        runs = []
+        for variant in ("absent", "null"):
+            config = copy.deepcopy(payload)
+            mapping = section_mapping(config, section)
+            mapping.pop(name, None)
+            if variant == "null":
+                mapping[name] = None
+                assert _field(config, key) == _KEYS[key][1]
+            work = tmp_path / variant
+            work.mkdir()
+            monkeypatch.chdir(work)  # without --out, out_dir (default ".") is used
+            status = main([command, "--config", write_config(tmp_path, config, f"{variant}.yaml")])
+            artifacts = {}
+            for path in work.iterdir():
+                if path.suffix == ".json":
+                    artifacts[path.name] = json.loads(path.read_text())
+                    del artifacts[path.name]["provenance"]
+                else:
+                    artifacts[path.name] = path.read_bytes()
+            runs.append((status, artifacts))
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("value", [5, ["results"]])
+    def test_out_dir_the_cast_refuses_exits_two(self, tmp_path, capsys, monkeypatch, value):
+        # out_dir is read only without --out
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, base_config(out_dir=value))
+        assert main(["kernels", "--config", cfg]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration", "message": f"out_dir: expected a string, got {value!r}",
+        }
+        assert not (tmp_path / "gram.csv").exists()
+
+    def test_readme_config_reference_names_every_key_once(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config reference\n")[1].split("```yaml\n")[1].split("```")[0]
+        _check_keys(load_yaml(block))
+
+        def leaf_keys(node, prefix=""):
+            # the composed node keeps a repeated key that loading would merge
+            for key_node, value_node in node.value:
+                key = prefix + key_node.value
+                if isinstance(value_node, yaml.MappingNode):
+                    yield from leaf_keys(value_node, key + ".")
+                else:
+                    yield key
+
+        assert sorted(leaf_keys(yaml.compose(block))) == sorted(_KEYS)
+
+    def test_bench_workload_configs_pass_the_key_check(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        workloads = pytest.importorskip("workloads")
+        for name in workloads.WORKLOADS:
+            (tmp_path / name).mkdir()
+            workload, _ = workloads.build(name, tmp_path / name, seed=1)
+            configs = [step.config_path for step in workload.steps if step.command]
+            assert configs
+            for path in configs:
+                _check_keys(load_yaml(path.read_text(encoding="utf-8")))
 
 
 @pytest.mark.skipif(len(LOADERS) < 2, reason="PyYAML built without libyaml")
