@@ -8,20 +8,17 @@ concentration scaling laws, and converts shot budgets into runtime and
 energy estimates for ideal, error-corrected and classical execution.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .statevector import (
     DEFAULT_QUBIT_CAP,
     ConfigurationError,
-    ReducedDensityMatrix,
-    StateVector,
-    reduce_to_qubit,
+    qubit_components,
 )
 from .feature_map import (
     FULL,
     LINEAR,
     FeatureMapConfig,
-    embed,
 )
 from .kernels import (
     FIDELITY,
@@ -29,7 +26,6 @@ from .kernels import (
     KernelMatrix,
     KernelStatistics,
     embedding_matrix,
-    fidelity_kernel,
     gram_matrix,
     kernel_statistics,
     reduced_component_table,

@@ -21,7 +21,9 @@ be a mapping when present; an absent or null section, like an absent or
 null key, takes its defaults. A ``sampling`` section that is present, even
 empty, makes ``kernels`` sample, and a ``resources.classical`` section
 turns on the classical baseline. Every section may appear in the config of
-every command.
+every command, and every value present goes through its key's cast before
+any work; range checks, such as eps > 0, stay with the commands that read
+the key. ``--out`` names the output directory; without it, ``out_dir`` does.
 
 Exit codes: 0 on success. 2 for configuration problems: an unreadable or
 malformed config, a key the table does not know (the message names the
@@ -166,9 +168,19 @@ _KEYS = {
 _SECTIONS = {key[:i] for key in _KEYS for i, char in enumerate(key) if char == "."}
 
 
+def _cast(key: str, value):
+    """``value`` through the table's cast for ``key``; a value the cast
+    refuses raises a ConfigurationError naming ``key``."""
+    try:
+        return _KEYS[key][0](value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{key}: {exc}") from None
+
+
 def _check_keys(config: dict, prefix: str = "") -> None:
     """Refuse a key the table does not know, naming the closest known key,
-    and a section that is neither a mapping nor null."""
+    a section that is neither a mapping nor null, and a value that its
+    key's cast refuses, whether or not the command reads it."""
     for name, value in config.items():
         key = f"{prefix}{name}"
         if key in _SECTIONS:
@@ -180,6 +192,8 @@ def _check_keys(config: dict, prefix: str = "") -> None:
             raise ConfigurationError(
                 f"unknown config key {key!r}; the closest known key is {closest[0]!r}"
             )
+        elif value is not None:
+            _cast(key, value)
 
 
 def _lookup(config: dict, key: str):
@@ -196,18 +210,15 @@ def _field(config: dict, key: str, run_default=_REQUIRED):
     or null key gives the table's default, or ``run_default`` where the
     default depends on the run. A missing required key, or a value that the
     cast refuses, raises a ConfigurationError naming ``key``."""
-    cast, default = _KEYS[key]
     value = _lookup(config, key)
     if value is None:
+        default = _KEYS[key][1]
         if default is _PER_RUN:
             default = run_default
         if default is _REQUIRED:
             raise ConfigurationError(f"{key} is required")
         return default
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{key}: {exc}") from None
+    return _cast(key, value)
 
 
 def _profile(config: dict, section: str, run_default=_REQUIRED):
@@ -507,7 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="YAML config file")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--out", default=".", help="output directory")
+        cmd.add_argument("--out", default=None,
+                         help="output directory (default: the config's out_dir)")
         cmd.add_argument("--threads", type=int, default=1)
     return parser
 
@@ -527,7 +539,7 @@ def main(argv=None) -> int:
             raise ConfigurationError("config must be a YAML mapping")
         _check_keys(config)
         seed = args.seed if args.seed is not None else _field(config, "seed")
-        out_dir = Path(args.out if args.out != "." else _field(config, "out_dir"))
+        out_dir = Path(args.out if args.out is not None else _field(config, "out_dir"))
     except (OSError, yaml.YAMLError, ConfigurationError) as exc:
         _emit_error("configuration", str(exc))
         return 2

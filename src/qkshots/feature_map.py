@@ -26,7 +26,6 @@ import numpy as np
 
 from .statevector import (
     ConfigurationError,
-    StateVector,
     check_qubit_count,
     qubit_components,
     walsh_hadamard,
@@ -172,9 +171,3 @@ def embed_batch(
             list(pool.map(one, starts))  # re-raises a block's exception
     return out
 
-
-def embed(x, cfg: FeatureMapConfig, cap: int | None = None) -> StateVector:
-    """Embed a data point: apply ``repetitions`` blocks of (Hadamard layer,
-    diagonal phase) to the vacuum state."""
-    amps = embed_batch(np.reshape(x, (1, -1)), cfg, cap=cap)
-    return StateVector(cfg.n_qubits, amps[0])

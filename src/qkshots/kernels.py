@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg.blas import zherk
 
 from .feature_map import FeatureMapConfig, embed_batch
-from .statevector import ConfigurationError, StateVector
+from .statevector import ConfigurationError
 
 FIDELITY = "fidelity"
 PROJECTED = "projected"
@@ -94,17 +94,6 @@ class KernelStatistics:
     median: float
     iqr: float
     log_mean: float | None = None  # mean of ln(entries); projected family only
-
-
-def fidelity_kernel(a: StateVector, b: StateVector) -> float:
-    """Squared overlap |<b|a>|^2 of two equally-sized states, clipped into
-    [0, 1] against rounding."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(
-            f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
-        )
-    value = abs(np.vdot(b.amplitudes, a.amplitudes)) ** 2
-    return float(min(max(value, 0.0), 1.0))
 
 
 def embedding_matrix(

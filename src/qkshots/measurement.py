@@ -43,6 +43,14 @@ from .kernels import (
 from .statevector import ConfigurationError
 
 
+def check_p_error(p_error: float, name: str = "p_error") -> float:
+    """Return ``p_error`` if it is in [0, 1], else raise a
+    ConfigurationError; ``name`` is the field the message reports."""
+    if not 0.0 <= p_error <= 1.0:
+        raise ConfigurationError(f"{name} must be in [0, 1], got {p_error}")
+    return p_error
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-run depolarising error: with probability ``p_error`` the run
@@ -51,10 +59,7 @@ class NoiseModel:
     p_error: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_error <= 1.0:
-            raise ConfigurationError(
-                f"p_error must be in [0, 1], got {self.p_error}"
-            )
+        check_p_error(self.p_error)
 
 
 IDEAL = NoiseModel(0.0)

@@ -52,6 +52,7 @@ from .kernels import (
 )
 from .measurement import (
     NoiseModel,
+    check_p_error,
     component_proportions,
     depolarized_component_probability,
     depolarized_fidelity_probability,
@@ -367,6 +368,7 @@ def n_ca_noisy_fq(
 ) -> ShotCount | float:
     """Noisy fidelity concentration-avoidance bound: the noiseless formula
     evaluated at the depolarised success probability."""
+    check_p_error(p_error)
     return n_ca_fq(
         depolarized_fidelity_probability(kappa, p_error, n_qubits), p_ca
     )
@@ -377,6 +379,7 @@ def n_ca_noisy_pq_normal(
 ) -> ShotCount:
     """Noisy z-score bound for a tomography proportion; depolarising leaves
     the concentration value 1/2 fixed."""
+    check_p_error(p_error)
     return n_ca_pq_normal(
         depolarized_component_probability(m_true, p_error), mu, p_ca
     )
@@ -391,6 +394,7 @@ def n_ca_noisy_binomial_exact(
     n_qubits: int | None = None,
 ) -> ShotCount:
     """Noisy exact-CDF bound with the family's depolarised proportion."""
+    check_p_error(p_error)
     if check_family(family) == FIDELITY:
         if n_qubits is None:
             raise ValueError("n_qubits is required for the fidelity family")
@@ -603,6 +607,7 @@ def entry_budgets(
     """
     check_family(family)
     _check_probability("p_ca", p_ca)
+    check_p_error(p_error)
     denominator = _spread_denominator(eps, delta_ensemble, p_spread)
     values = np.asarray(values, dtype=float)
     noisy = p_error > 0.0

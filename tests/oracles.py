@@ -33,6 +33,15 @@ def dense_partial_trace(psi: np.ndarray, n: int, k: int) -> np.ndarray:
     return out
 
 
+def blocked_partial_trace(psi: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The reduced matrix of qubit k as one contraction over the
+    (high bits, bit k, low bits) blocks of the amplitudes, without the
+    2^n x 2^n density matrix: the reference at widths where
+    ``dense_partial_trace`` does not fit in memory."""
+    blocks = np.asarray(psi).reshape(2 ** (n - 1 - k), 2, 2**k)
+    return np.einsum("hil,hjl->ij", blocks, blocks.conj())
+
+
 def embedding_unitary(x, n: int, r: int, pairs) -> np.ndarray:
     """Full 2^n x 2^n embedding unitary built from explicit matrix products:
     r repetitions of diag(exp(i phases)) @ H^(tensor n)."""

@@ -11,9 +11,6 @@ import pytest
 from qkshots import (
     FeatureMapConfig,
     HardwareProfile,
-    StateVector,
-    embed,
-    fidelity_kernel,
     fit_exponential,
     generate_random_angles,
     generate_twonorm,
@@ -29,7 +26,7 @@ from qkshots import (
     n_ca_pq_normal,
     n_spread_fq,
     preprocess,
-    reduce_to_qubit,
+    qubit_components,
     select_features,
     stratify,
     total_shots,
@@ -49,12 +46,9 @@ def test_criterion_01_closed_form_kernel():
     start = time.monotonic()
     cfg = FeatureMapConfig(n_qubits=1, repetitions=1)
     grid = np.linspace(-np.pi, np.pi, 100)
-    states = [embed([x], cfg) for x in grid]
-    worst = 0.0
-    for i, x in enumerate(grid):
-        for j, y in enumerate(grid):
-            err = abs(fidelity_kernel(states[i], states[j]) - np.cos(x - y) ** 2)
-            worst = max(worst, err)
+    kernel = gram_matrix(grid[:, None], cfg)
+    assert kernel.values.shape == (100, 100)
+    worst = float(np.max(np.abs(kernel.values - np.cos(grid[:, None] - grid[None, :]) ** 2)))
     assert worst < 1e-10
     elapsed = _elapsed_guard(start, 1.0, "criterion 1")
     print(f"criterion 1 PASS: closed-form kernel, max error {worst:.2e} ({elapsed:.2f}s)")
@@ -200,17 +194,19 @@ def test_criterion_07_noisy_bounds_reduce_at_zero_error():
 
 
 def test_criterion_08_partial_trace_oracle():
-    """Fast one-qubit reduction matches the dense partial-trace oracle."""
+    """The one-qubit reduction of the batched embedding matches the dense
+    partial-trace oracle."""
     start = time.monotonic()
     rng = np.random.default_rng(808)
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        state = StateVector(n, amps / np.linalg.norm(amps))
+        amps /= np.linalg.norm(amps)
         k = int(rng.integers(n))
-        fast = reduce_to_qubit(state, k).entries
-        dense = dense_partial_trace(state.amplitudes, n, k)
+        population, re, im = qubit_components(amps[None], n)[0, k]
+        fast = np.array([[population, re + 1j * im], [re - 1j * im, 1.0 - population]])
+        dense = dense_partial_trace(amps, n, k)
         worst = max(worst, float(np.max(np.abs(fast - dense))))
     assert worst < 1e-10
     elapsed = _elapsed_guard(start, 30.0, "criterion 8")

@@ -1,22 +1,20 @@
 """The batched embedding core against the dense oracles, the per-point
-path, and itself across thread counts."""
+path (one-point batches), and itself across thread counts."""
 
 import numpy as np
 import pytest
 
 from qkshots import (
     FeatureMapConfig,
-    embed,
     embedding_matrix,
     gram_matrix,
     mean_relative_entropy,
-    reduce_to_qubit,
     reduced_component_table,
     sample_gram,
 )
 from qkshots.feature_map import ROW_BLOCK_AMPLITUDES
 
-from oracles import dense_partial_trace, embedding_unitary
+from oracles import blocked_partial_trace, dense_partial_trace, embedding_unitary
 
 
 def _components(rho: np.ndarray) -> list[float]:
@@ -42,16 +40,17 @@ def test_batch_matches_dense_oracles(n, r, entanglement):
 
 
 def test_batch_matches_per_point_path_at_ten_qubits():
+    # each point embedded alone, and reduced one state at a time
     rng = np.random.default_rng(10)
     cfg = FeatureMapConfig(n_qubits=10, repetitions=2, entanglement="full")
     points = rng.normal(size=(3, 10))
     amps = embedding_matrix(points, cfg)
     table = reduced_component_table(points, cfg)
     for i, x in enumerate(points):
-        state = embed(x, cfg)
-        assert np.max(np.abs(amps[i] - state.amplitudes)) < 1e-12
+        state = embedding_matrix([x], cfg)[0]
+        assert np.max(np.abs(amps[i] - state)) < 1e-12
         for k in range(10):
-            want = reduce_to_qubit(state, k).components
+            want = _components(blocked_partial_trace(state, 10, k))
             assert np.max(np.abs(table[i, k] - want)) < 1e-12
 
 

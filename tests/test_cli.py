@@ -538,6 +538,45 @@ class TestKeyTable:
         }
         assert not (tmp_path / "gram.csv").exists()
 
+    @pytest.mark.parametrize("payload, message", [
+        # the written config sorts its keys, so resources.m is checked first
+        ({"sweep": {"n_values": "abc"}, "resources": {"m": "x"}},
+         "resources.m: invalid literal for int() with base 10: 'x'"),
+        ({"sweep": {"n_values": "abc"}}, "sweep.n_values: invalid literal for int() with base 10: 'a'"),
+        ({"budget": {"eps": "tiny"}}, "budget.eps: could not convert string to float: 'tiny'"),
+        ({"sweep": {"include_budgets": "false"}},
+         "sweep.include_budgets: expected true or false, got 'false'"),
+        ({"resources": {"hardware": {"gate_time_s": [1]}}},
+         "resources.hardware.gate_time_s: float() argument must be a string or a "
+         "real number, not 'list'"),
+    ])
+    def test_unread_values_go_through_their_casts_before_any_work(
+            self, tmp_path, capsys, monkeypatch, payload, message):
+        # kernels reads none of these sections, and still refuses their types
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was generated before the value was refused")
+
+        monkeypatch.setattr("qkshots.cli.generate_twonorm", refuse)
+        cfg = write_config(tmp_path, base_config(**payload))
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration", "message": message,
+        }
+
+    def test_unread_range_problem_is_left_to_the_commands_that_read_it(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(budget={"eps": -1}))
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["estimate-shots", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_explicit_out_overrides_out_dir_even_when_dot(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, base_config(out_dir="results"))
+        assert main(["kernels", "--config", cfg, "--out", "."]) == 0
+        assert (tmp_path / "gram.csv").is_file()
+        assert not (tmp_path / "results").exists()
+        assert main(["kernels", "--config", cfg]) == 0
+        assert (tmp_path / "results" / "gram.csv").is_file()
+
     def test_readme_config_reference_names_every_key_once(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("### Config reference\n")[1].split("```yaml\n")[1].split("```")[0]

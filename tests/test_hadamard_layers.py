@@ -1,7 +1,7 @@
 """The two statevector layers of the batched embedding, on whole amplitude
 blocks: the Kronecker-factored Walsh-Hadamard transform and the one-qubit
-reduction, against the dense oracles and the per-state path, and bit for bit
-across pool and BLAS thread counts."""
+reduction, against the dense and blocked oracles, and bit for bit across
+pool and BLAS thread counts."""
 
 import hashlib
 import os
@@ -14,17 +14,11 @@ import numpy as np
 import pytest
 
 import qkshots
-from qkshots import (
-    FeatureMapConfig,
-    StateVector,
-    embedding_matrix,
-    reduce_to_qubit,
-    reduced_component_table,
-)
+from qkshots import FeatureMapConfig, embedding_matrix, reduced_component_table
 from qkshots.feature_map import block_rows
 from qkshots.statevector import qubit_components, walsh_hadamard
 
-from oracles import H1, dense_partial_trace
+from oracles import H1, blocked_partial_trace, dense_partial_trace
 
 WIDE = 14
 WIDE_ROWS = block_rows(WIDE)
@@ -54,13 +48,15 @@ def test_walsh_hadamard_twice_scales_by_dimension():
 
 
 def test_qubit_components_match_per_state_reduction_at_fourteen_qubits():
+    # one state at a time through the blocked oracle, where a dense partial
+    # trace would need a 2**14 x 2**14 density matrix
     block = random_block(np.random.default_rng(15), WIDE_ROWS, WIDE)
     table = qubit_components(block, WIDE)
     assert table.shape == (WIDE_ROWS, WIDE, 3)
     for r, row in enumerate(block):
-        state = StateVector(WIDE, row)
         for k in range(WIDE):
-            want = reduce_to_qubit(state, k).components
+            rho = blocked_partial_trace(row, WIDE, k)
+            want = [rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag]
             assert np.max(np.abs(table[r, k] - want)) < 1e-13
 
 

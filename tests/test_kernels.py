@@ -6,19 +6,17 @@ from qkshots import (
     ConfigurationError,
     FeatureMapConfig,
     KernelMatrix,
-    StateVector,
     circuit_depth,
     classical_cost,
-    embed,
+    embedding_matrix,
     entry_budgets,
     error_budget,
-    fidelity_kernel,
     gram_matrix,
     kernel_statistics,
     n_ca_noisy_binomial_exact,
     sample_gram,
 )
-from qkshots.kernels import projected_gram_values
+from qkshots.kernels import fidelity_gram_values, projected_gram_values
 from qkshots.measurement import total_shot_count
 
 from oracles import quantile_type7
@@ -42,30 +40,28 @@ def kernel_from_offdiag(entries, family="fidelity", n_qubits=2, gamma=None):
 
 class TestFidelityKernel:
     def test_self_kernel_is_one(self):
-        state = embed([0.4, 1.2], FeatureMapConfig(n_qubits=2, entanglement="full"))
-        assert abs(fidelity_kernel(state, state) - 1.0) < 1e-12
+        # the same point embedded twice, so the overlap itself is computed
+        cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
+        states = embedding_matrix([[0.4, 1.2], [0.4, 1.2]], cfg)
+        assert abs(fidelity_gram_values(states)[0, 1] - 1.0) < 1e-12
 
     def test_quarter_period_vanishes(self):
-        cfg = FeatureMapConfig(n_qubits=1)
-        a, b = embed([0.0], cfg), embed([np.pi / 2], cfg)
-        assert fidelity_kernel(a, b) < 1e-10
+        kernel = gram_matrix([[0.0], [np.pi / 2]], FeatureMapConfig(n_qubits=1))
+        assert kernel.values[0, 1] < 1e-10
 
     def test_orthogonal_basis_states(self):
-        zero = StateVector(1, [1.0, 0.0])
-        one = StateVector(1, [0.0, 1.0])
-        assert fidelity_kernel(zero, one) == 0.0
+        assert fidelity_gram_values(np.eye(2, dtype=complex))[0, 1] == 0.0
 
     def test_symmetry(self):
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
-        a, b = embed([0.3, 0.9], cfg), embed([1.1, -0.4], cfg)
-        assert abs(fidelity_kernel(a, b) - fidelity_kernel(b, a)) < 1e-12
+        states = embedding_matrix([[0.3, 0.9], [1.1, -0.4]], cfg)
+        forward = fidelity_gram_values(states)[0, 1]
+        assert abs(fidelity_gram_values(states[::-1])[0, 1] - forward) < 1e-12
 
     def test_closed_form_grid(self):
-        cfg = FeatureMapConfig(n_qubits=1)
         grid = np.linspace(-3, 3, 100)
-        states = [embed([x], cfg) for x in grid]
-        for x, sx in zip(grid, states):
-            assert abs(fidelity_kernel(sx, states[0]) - np.cos(x - grid[0]) ** 2) < 1e-10
+        kernel = gram_matrix(grid[:, None], FeatureMapConfig(n_qubits=1))
+        assert np.max(np.abs(kernel.values[:, 0] - np.cos(grid - grid[0]) ** 2)) < 1e-10
 
 
 def projected_pair(x, y, gamma):

@@ -5,7 +5,11 @@ from qkshots import (
     ConfigurationError,
     FeatureMapConfig,
     NoiseModel,
+    entry_budgets,
     gram_matrix,
+    n_ca_noisy_binomial_exact,
+    n_ca_noisy_fq,
+    n_ca_noisy_pq_normal,
     sample_gram,
 )
 from qkshots.kernels import projected_gram_values, reduced_component_table
@@ -51,6 +55,28 @@ class TestNoiseModel:
         assert depolarized_fidelity_probability(0.8, 0.1, 1) == pytest.approx(0.77)
         assert depolarized_fidelity_probability(0.5, 0.0, 4) == 0.5
         assert depolarized_component_probability(0.9, 0.2) == pytest.approx(0.82)
+
+
+KAPPAS = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.5], [0.2, 0.5, 1.0]])
+TABLE = np.full((3, 2, 3), [0.7, 0.1, 0.05])
+
+
+@pytest.mark.parametrize("p_error", [-0.5, 1.2, 1.5, float("nan")])
+@pytest.mark.parametrize("call", [
+    lambda p: NoiseModel(p_error=p),
+    lambda p: entry_budgets("fidelity", KAPPAS, 1.0, 0.2, 0.9, 0.99, p, n_qubits=3),
+    lambda p: entry_budgets("projected", KAPPAS, 1.0, 0.2, 0.9, 0.99, p, table=TABLE),
+    lambda p: n_ca_noisy_fq(0.3, 0.99, p, 3),
+    lambda p: n_ca_noisy_pq_normal(0.3, 0.5, 0.99, p),
+    lambda p: n_ca_noisy_binomial_exact(0.3, 0.5, 0.99, p),
+    lambda p: n_ca_noisy_binomial_exact(0.3, 0.0, 0.99, p, family="fidelity", n_qubits=3),
+], ids=["NoiseModel", "entry_budgets-fidelity", "entry_budgets-projected", "n_ca_noisy_fq",
+        "n_ca_noisy_pq_normal", "n_ca_noisy_binomial_exact-projected",
+        "n_ca_noisy_binomial_exact-fidelity"])
+def test_every_p_error_entry_point_shares_one_check(call, p_error):
+    with pytest.raises(ConfigurationError) as err:
+        call(p_error)
+    assert str(err.value) == f"p_error must be in [0, 1], got {p_error}"
 
 
 class TestSampleFidelity:

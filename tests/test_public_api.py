@@ -6,7 +6,8 @@ from pathlib import Path
 
 import qkshots
 
-# per-object names whose work the array functions do (README, "Removed in 0.4.0")
+# per-object names whose work the array functions do (README, "Removed in
+# 0.4.0" and "Removed in 0.9.0")
 REMOVED = {
     "vacuum_state", "apply_hadamard_layer", "apply_diagonal_phase", "inner_product",
     "encoding_angles", "phase_profile", "projected_kernel",
@@ -15,6 +16,8 @@ REMOVED = {
     "pq_variance_terms", "pq_variance_terms_noise_robust", "n_spread_pq",
     "n_spread_noisy_pq", "entry_budget_fq", "entry_budget_pq",
     "epsilon_r_from_components", "relative_entropy_to_mixed",
+    # README, "Removed in 0.9.0"
+    "StateVector", "ReducedDensityMatrix", "reduce_to_qubit", "fidelity_kernel", "embed",
 }
 
 
