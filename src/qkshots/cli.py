@@ -173,7 +173,7 @@ def _cast(key: str, value):
     refuses raises a ConfigurationError naming ``key``."""
     try:
         return _KEYS[key][0](value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{key}: {exc}") from None
 
 

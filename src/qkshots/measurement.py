@@ -43,12 +43,10 @@ from .kernels import (
 from .statevector import ConfigurationError
 
 
-def check_p_error(p_error: float, name: str = "p_error") -> float:
-    """Return ``p_error`` if it is in [0, 1], else raise a
-    ConfigurationError; ``name`` is the field the message reports."""
+def check_p_error(p_error: float) -> None:
+    """Raise a ConfigurationError unless ``p_error`` is in [0, 1]."""
     if not 0.0 <= p_error <= 1.0:
-        raise ConfigurationError(f"{name} must be in [0, 1], got {p_error}")
-    return p_error
+        raise ConfigurationError(f"p_error must be in [0, 1], got {p_error}")
 
 
 @dataclass(frozen=True)

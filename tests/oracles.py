@@ -33,6 +33,19 @@ def dense_partial_trace(psi: np.ndarray, n: int, k: int) -> np.ndarray:
     return out
 
 
+def components_to_matrix(components) -> np.ndarray:
+    """The 2 x 2 reduced matrix [[p, r + i c], [r - i c, 1 - p]] of one
+    (population p, Re r, Im c) triple of a component table."""
+    population, re, im = components
+    return np.array([[population, re + 1j * im], [re - 1j * im, 1.0 - population]])
+
+
+def matrix_components(rho: np.ndarray) -> list[float]:
+    """The (population, Re, Im) triple of a 2 x 2 reduced matrix: the
+    inverse of ``components_to_matrix``."""
+    return [rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag]
+
+
 def blocked_partial_trace(psi: np.ndarray, n: int, k: int) -> np.ndarray:
     """The reduced matrix of qubit k as one contraction over the
     (high bits, bit k, low bits) blocks of the amplitudes, without the

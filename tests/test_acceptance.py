@@ -32,7 +32,7 @@ from qkshots import (
     total_shots,
 )
 
-from oracles import dense_partial_trace
+from oracles import components_to_matrix, dense_partial_trace
 
 
 def _elapsed_guard(start, limit_s, label):
@@ -204,8 +204,7 @@ def test_criterion_08_partial_trace_oracle():
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         amps /= np.linalg.norm(amps)
         k = int(rng.integers(n))
-        population, re, im = qubit_components(amps[None], n)[0, k]
-        fast = np.array([[population, re + 1j * im], [re - 1j * im, 1.0 - population]])
+        fast = components_to_matrix(qubit_components(amps[None], n)[0, k])
         dense = dense_partial_trace(amps, n, k)
         worst = max(worst, float(np.max(np.abs(fast - dense))))
     assert worst < 1e-10

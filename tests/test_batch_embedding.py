@@ -14,11 +14,12 @@ from qkshots import (
 )
 from qkshots.feature_map import ROW_BLOCK_AMPLITUDES
 
-from oracles import blocked_partial_trace, dense_partial_trace, embedding_unitary
-
-
-def _components(rho: np.ndarray) -> list[float]:
-    return [rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag]
+from oracles import (
+    blocked_partial_trace,
+    dense_partial_trace,
+    embedding_unitary,
+    matrix_components,
+)
 
 
 @pytest.mark.parametrize("entanglement", ["linear", "full"])
@@ -35,7 +36,7 @@ def test_batch_matches_dense_oracles(n, r, entanglement):
         dense = embedding_unitary(x, n, r, cfg.pair_indices())[:, 0]
         assert np.max(np.abs(amps[i] - dense)) < 1e-12
         for k in range(n):
-            want = _components(dense_partial_trace(dense, n, k))
+            want = matrix_components(dense_partial_trace(dense, n, k))
             assert np.max(np.abs(table[i, k] - want)) < 1e-12
 
 
@@ -50,7 +51,7 @@ def test_batch_matches_per_point_path_at_ten_qubits():
         state = embedding_matrix([x], cfg)[0]
         assert np.max(np.abs(amps[i] - state)) < 1e-12
         for k in range(10):
-            want = _components(blocked_partial_trace(state, 10, k))
+            want = matrix_components(blocked_partial_trace(state, 10, k))
             assert np.max(np.abs(table[i, k] - want)) < 1e-12
 
 

@@ -10,13 +10,15 @@ from qkshots import (
 )
 from qkshots.characteristics import component_relative_entropy
 
+from oracles import components_to_matrix
+
 LN2 = np.log(2.0)
 
 
 def relative_entropy_from_eigenvalues(d, r, i):
     """S(rho || I/2) of one matrix from numerical eigenvalues, clamped into
     [0, 1], with 0 ln 0 = 0, and the result clamped into [0, ln 2]."""
-    rho = np.array([[d, r + 1j * i], [r - 1j * i, 1.0 - d]])
+    rho = components_to_matrix((d, r, i))
     total = LN2
     for lam in np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0):
         if lam > 0.0:

@@ -543,6 +543,10 @@ class TestKeyTable:
         ({"sweep": {"n_values": "abc"}, "resources": {"m": "x"}},
          "resources.m: invalid literal for int() with base 10: 'x'"),
         ({"sweep": {"n_values": "abc"}}, "sweep.n_values: invalid literal for int() with base 10: 'a'"),
+        ({"resources": {"m": float("inf")}},
+         "resources.m: cannot convert float infinity to integer"),
+        ({"sweep": {"n_values": [float("inf")]}},
+         "sweep.n_values: cannot convert float infinity to integer"),
         ({"budget": {"eps": "tiny"}}, "budget.eps: could not convert string to float: 'tiny'"),
         ({"sweep": {"include_budgets": "false"}},
          "sweep.include_budgets: expected true or false, got 'false'"),

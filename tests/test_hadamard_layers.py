@@ -18,7 +18,7 @@ from qkshots import FeatureMapConfig, embedding_matrix, reduced_component_table
 from qkshots.feature_map import block_rows
 from qkshots.statevector import qubit_components, walsh_hadamard
 
-from oracles import H1, blocked_partial_trace, dense_partial_trace
+from oracles import H1, blocked_partial_trace, dense_partial_trace, matrix_components
 
 WIDE = 14
 WIDE_ROWS = block_rows(WIDE)
@@ -55,8 +55,7 @@ def test_qubit_components_match_per_state_reduction_at_fourteen_qubits():
     assert table.shape == (WIDE_ROWS, WIDE, 3)
     for r, row in enumerate(block):
         for k in range(WIDE):
-            rho = blocked_partial_trace(row, WIDE, k)
-            want = [rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag]
+            want = matrix_components(blocked_partial_trace(row, WIDE, k))
             assert np.max(np.abs(table[r, k] - want)) < 1e-13
 
 
@@ -66,8 +65,7 @@ def test_qubit_components_match_dense_partial_trace(n):
     table = qubit_components(block, n)
     for r, row in enumerate(block):
         for k in range(n):
-            rho = dense_partial_trace(row, n, k)
-            want = [rho[0, 0].real, rho[0, 1].real, rho[0, 1].imag]
+            want = matrix_components(dense_partial_trace(row, n, k))
             assert np.max(np.abs(table[r, k] - want)) < 1e-13
 
 

@@ -23,6 +23,8 @@ from qkshots.measurement import (
     total_shot_count,
 )
 
+from oracles import components_to_matrix
+
 ONE_QUBIT = FeatureMapConfig(n_qubits=1)
 
 
@@ -155,8 +157,7 @@ class TestSampleTomography:
         # near-pure state with strong coherence provokes the PSD clip
         for stream in range(200):
             _, estimated, _ = tomography([0.97, 0.15, 0.05], 8, seed=31, stream=stream)
-            d, r, i = estimated[0]
-            rho = np.array([[d, r + 1j * i], [r - 1j * i, 1.0 - d]])
+            rho = components_to_matrix(estimated[0])
             assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
     def test_success_counts_shape(self):
