@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import json
 import sys
 import warnings
@@ -80,7 +81,7 @@ from .resources import (
 )
 from .scaling import ScalingSeries, check_qubit_counts, extrapolate, sweep
 from .serialize import provenance, write_json, write_kernel_csv, write_series_csv
-from .shot_bounds import dataset_budget, entry_budgets, error_budget
+from .shot_bounds import check_ensemble_iqr, dataset_budget, entry_budgets, error_budget
 from .statevector import ConfigurationError
 
 
@@ -92,6 +93,10 @@ _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _ints(values) -> list[int]:
+    """A YAML list of integers; a string or a mapping is refused, not
+    iterated."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of integers, got {values!r}")
     return [int(n) for n in values]
 
 
@@ -381,12 +386,15 @@ def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> 
 
     kernel = gram_matrix(subset.features, fmap, **kernel_args, threads=threads)
     stats = kernel_statistics(kernel)
-    dataset_level = dataset_budget(kernel, **budget)
+    # the dataset-level refusal comes first; the pair pass then serves both
+    # budgets
+    check_ensemble_iqr(stats.iqr)
     entries = entry_budgets(
         kernel.family, kernel.values, budget["eps"], stats.iqr, budget["p_spread"],
         budget["p_ca"], budget["noise"].p_error,
         table=kernel.component_table, gamma=kernel_args["gamma"], n_qubits=fmap.n_qubits,
     )
+    dataset_level = dataset_budget(kernel, **budget, entries=entries)
     p_budget = error_budget(
         kernel.family, stats.median, budget["eps"], stats.iqr, n_qubits=fmap.n_qubits
     )
@@ -507,7 +515,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qkshots",
         description="Quantum kernel shot budgets, scaling fits and resource estimates",
@@ -530,8 +540,7 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as handle:
             config = yaml.load(handle, Loader=_YAML_LOADER)

@@ -80,26 +80,26 @@ def load_csv(path, label_column: str) -> Dataset:
     label_idx = header.index(label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_idx]
     raw_labels: list[str] = []
-    features = np.empty((len(rows), len(feature_names)), dtype=float)
+    values: list[list[float]] = []
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: row {r + 2} has {len(row)} fields, expected {len(header)}"
             )
-        raw_labels.append(row[label_idx].strip())
-        out_c = 0
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {r + 2}, column {header[c]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            features[r, out_c] = value
-            out_c += 1
+        raw_labels.append(row.pop(label_idx).strip())
+        try:
+            values.append(list(map(float, row)))
+        except ValueError:
+            # only the per-cell loop can name the cell that float() refuses
+            for name, cell in zip(feature_names, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {r + 2}, column {name!r}: "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
+    features = np.array(values, dtype=float).reshape(len(rows), len(feature_names))
     if not np.all(np.isfinite(features)):
         raise ValueError(f"{path}: features contain NaN or infinite values")
     classes = sorted(set(raw_labels))

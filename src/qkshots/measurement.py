@@ -68,12 +68,14 @@ def depolarized_fidelity_probability(
 ) -> float:
     """Success probability of the vacuum projection under depolarising
     noise: (1-p) kappa + p 2**-n."""
+    check_p_error(p_error)
     return (1.0 - p_error) * kappa + p_error * 2.0 ** (-n_qubits)
 
 
 def depolarized_component_probability(q: float, p_error: float) -> float:
     """Single-qubit marginal success probability under depolarising noise:
     (1-p) q + p/2."""
+    check_p_error(p_error)
     return (1.0 - p_error) * q + p_error * 0.5
 
 
@@ -82,6 +84,7 @@ def component_proportions(table, p_error: float = 0.0) -> np.ndarray:
     (..., 3) component table, depolarised towards 1/2 by ``p_error``: z
     reads the population, x reads Re offdiag + 1/2 and y reads
     1/2 - Im offdiag."""
+    check_p_error(p_error)
     table = np.asarray(table, dtype=float)
     props = np.stack([table[..., 0], table[..., 1] + 0.5, 0.5 - table[..., 2]], axis=-1)
     return depolarized_component_probability(props, p_error) if p_error else props

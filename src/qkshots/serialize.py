@@ -87,13 +87,18 @@ def _record_template(budgets: EntryBudgets) -> tuple[str, list[str]]:
     return text, fields
 
 
+# JSON tokens looked up by a boolean: index False, then True
+_BOOLEANS = np.array(["false", "true"], dtype=object)
+_EFFECTS = np.array([json.dumps(CONCENTRATION_AVOIDANCE), json.dumps(SPREAD)], dtype=object)
+
+
 def _tokens(flags) -> list[str]:
-    return np.where(flags, "true", "false").tolist()
+    return _BOOLEANS.take(flags).tolist()
 
 
 def _counts(values, null) -> list:
     """``int()`` of every Python float, "null" where ``null``."""
-    tokens = [int(v) for v in np.where(null, 0.0, values).tolist()]
+    tokens = list(map(int, np.where(null, 0.0, values).tolist()))
     for k in np.flatnonzero(null).tolist():
         tokens[k] = "null"
     return tokens
@@ -109,13 +114,12 @@ def _entry_columns(budgets: EntryBudgets, rows: slice) -> dict[str, list]:
     columns = {
         "i": budgets.i[rows].tolist(),
         "j": budgets.j[rows].tolist(),
-        "kappa": [repr(v) for v in kappa.tolist()],
+        "kappa": list(map(repr, kappa.tolist())),
         "n_spread": _counts(n_spread, False),
         "n_ca": _counts(n_ca, unbounded),
         "n_required": _counts(np.maximum(n_spread, n_ca), unbounded),
         "unbounded": _tokens(unbounded),
-        "effect_dominant": np.where(n_spread >= n_ca, json.dumps(SPREAD),
-                                    json.dumps(CONCENTRATION_AVOIDANCE)).tolist(),
+        "effect_dominant": _EFFECTS.take(n_spread >= n_ca).tolist(),
         "degenerate": _tokens(budgets.degenerate[rows]),
     }
     for k in np.flatnonzero(~np.isfinite(kappa)).tolist():

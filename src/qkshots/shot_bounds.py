@@ -298,14 +298,63 @@ def _certified_failures(m_true: float, mu: float, p_ca: float) -> list[tuple[int
 def n_ca_binomial_exact(m_true: float, mu: float, p_ca: float) -> ShotCount:
     """Smallest N satisfying the exact binomial correct-side condition.
 
-    The condition is not monotone in N (the cut N mu drifts across
-    integers, so adjacent N can flip back to failing), so the minimum is
-    the first passing N of an upward scan in growing blocks. The scan
-    skips the ranges :func:`_certified_failures` proves failing; where no
-    certificate applies (small N, a proportion on the far side of 1/2 from
-    mu) it evaluates the CDF at every N from 1.
+    At mu = 1/2 the minimum is the first passing odd N, found by bisection
+    (:func:`_first_majority_shots`). For every other mu the condition is
+    not monotone in N (the cut N mu drifts across integers, so adjacent N
+    can flip back to failing), so the minimum is the first passing N of an
+    upward scan in growing blocks. The scan skips the ranges
+    :func:`_certified_failures` proves failing; where no certificate
+    applies (small N, a proportion on the far side of 1/2 from mu) it
+    evaluates the CDF at every N from 1.
     """
     _check_ca_inputs(m_true, mu, p_ca)
+    if mu == PQ_CONCENTRATION_VALUE:
+        shots = _first_majority_shots(m_true, p_ca)
+    else:
+        shots = _first_passing_shots(m_true, mu, p_ca)
+    if shots is None:
+        raise RuntimeError(f"no N <= {_SEARCH_CAP} satisfies the condition "
+                           f"(m={m_true}, mu={mu}, p_ca={p_ca})")
+    return ShotCount(shots)
+
+
+def _first_majority_shots(m_true: float, p_ca: float) -> int | None:
+    """Smallest N <= ``_SEARCH_CAP`` at which the correct-side condition
+    holds at mu = 1/2; None when no N up to the cap passes.
+
+    Take q > 1/2 (q < 1/2 mirrors with 1 - q) and X_N ~ Binomial(N, q).
+    An even N never passes before N - 1 does, since
+    P(X_2k > k) = P(X_(2k-1) >= k) - (1 - q) P(X_(2k-1) = k). Over odd N
+    the correct-majority probability strictly rises (Condorcet):
+    P_(2k+1) - P_(2k-1) = (2q - 1) C(2k - 1, k - 1) (q (1 - q))^k > 0.
+    So the minimum is the first passing odd N = 2k + 1, found by doubling
+    k, then bisecting. At odd N, :func:`ca_condition_probability` is
+    I_x(k + 1, k + 1) with x = max(q, 1 - q), evaluated here on scalars
+    with the same arguments.
+    """
+    x = max(m_true, 1.0 - m_true)
+
+    def passes(k: int) -> bool:
+        return betainc(k + 1.0, k + 1.0, x) >= p_ca
+
+    top = (_SEARCH_CAP - 1) // 2
+    failing, k = -1, 0
+    while not passes(k):
+        if k == top:
+            return None
+        failing, k = k, min(2 * k + 1, top)
+    while k - failing > 1:
+        mid = (failing + k) // 2
+        if passes(mid):
+            k = mid
+        else:
+            failing = mid
+    return 2 * k + 1
+
+
+def _first_passing_shots(m_true: float, mu: float, p_ca: float) -> int | None:
+    """Smallest N <= ``_SEARCH_CAP`` passing the condition, by the upward
+    scan of :func:`n_ca_binomial_exact`; None when none does."""
     skips = _certified_failures(m_true, mu, p_ca)
     n, block = 1, 1024
     while n <= _SEARCH_CAP:
@@ -316,10 +365,9 @@ def n_ca_binomial_exact(m_true: float, mu: float, p_ca: float) -> ShotCount:
         candidates = np.arange(n, min(n + block, stop))
         ok = ca_condition_probability(candidates, m_true, mu) >= p_ca
         if ok.any():
-            return ShotCount(int(candidates[np.argmax(ok)]))
+            return int(candidates[np.argmax(ok)])
         n, block = int(candidates[-1]) + 1, min(2 * block, 1 << 16)
-    raise RuntimeError(f"no N <= {_SEARCH_CAP} satisfies the condition "
-                       f"(m={m_true}, mu={mu}, p_ca={p_ca})")
+    return None
 
 
 def _check_ca_inputs(m_true: float, mu: float, p_ca: float) -> None:
@@ -368,7 +416,6 @@ def n_ca_noisy_fq(
 ) -> ShotCount | float:
     """Noisy fidelity concentration-avoidance bound: the noiseless formula
     evaluated at the depolarised success probability."""
-    check_p_error(p_error)
     return n_ca_fq(
         depolarized_fidelity_probability(kappa, p_error, n_qubits), p_ca
     )
@@ -379,7 +426,6 @@ def n_ca_noisy_pq_normal(
 ) -> ShotCount:
     """Noisy z-score bound for a tomography proportion; depolarising leaves
     the concentration value 1/2 fixed."""
-    check_p_error(p_error)
     return n_ca_pq_normal(
         depolarized_component_probability(m_true, p_error), mu, p_ca
     )
@@ -394,7 +440,6 @@ def n_ca_noisy_binomial_exact(
     n_qubits: int | None = None,
 ) -> ShotCount:
     """Noisy exact-CDF bound with the family's depolarised proportion."""
-    check_p_error(p_error)
     if check_family(family) == FIDELITY:
         if n_qubits is None:
             raise ValueError("n_qubits is required for the fidelity family")
@@ -526,7 +571,8 @@ class EntryBudgets:
     array per quantity. Shot counts are integer-valued floats, ``n_ca`` is
     inf where no N suffices; ``ca_imposed`` (projected only) is False where
     all of a pair's proportions sit at 1/2; ``inputs`` holds the shared
-    parameters."""
+    parameters. ``variance_total`` (projected only) is sum_k V_k summed over
+    all pairs, which :func:`dataset_budget` averages for its spread bound."""
 
     family: str
     noisy: bool
@@ -538,6 +584,7 @@ class EntryBudgets:
     degenerate: np.ndarray
     ca_imposed: np.ndarray | None
     inputs: dict
+    variance_total: float | None = None
 
     @property
     def unbounded(self) -> np.ndarray:
@@ -636,8 +683,10 @@ def entry_budgets(
         raise ValueError(f"component table has {props.shape[0]} points, "
                          f"kernel matrix {values.shape[0]}")
     worst, imposed = _pq_point_ca(props, p_ca)
-    blocks = []
+    blocks, variance_total = [], 0.0
     for i, j, terms in _pair_variance_blocks(props, noisy):
+        # summed as _mean_pair_variance_terms sums, so both give equal means
+        variance_total += float(terms.sum())
         kappa = values[i, j]
         v_total = terms.sum(axis=-1)
         n_spread, degenerate = _pq_spread(
@@ -648,7 +697,18 @@ def entry_budgets(
         blocks.append((i, j, kappa, n_spread, np.maximum(worst[i], worst[j]),
                        degenerate | ~pair_imposed, pair_imposed))
     columns = [np.concatenate(column) for column in zip(*blocks)]
-    return EntryBudgets(PROJECTED, noisy, *columns, inputs={"gamma": gamma, **inputs})
+    return EntryBudgets(PROJECTED, noisy, *columns, inputs={"gamma": gamma, **inputs},
+                        variance_total=variance_total)
+
+
+def check_ensemble_iqr(iqr: float) -> None:
+    """Refuse an ensemble whose inter-quartile range is zero: its entries
+    are indistinguishable and no finite spread budget exists."""
+    if iqr <= 0.0:
+        raise ValueError(
+            "ensemble IQR is zero; entries are indistinguishable and no "
+            "finite spread budget exists"
+        )
 
 
 def dataset_budget(
@@ -657,6 +717,7 @@ def dataset_budget(
     p_spread: float = 0.9,
     p_ca: float = 0.99,
     noise: NoiseModel | None = None,
+    entries: EntryBudgets | None = None,
 ) -> ShotBudget:
     """Whole-dataset shot budget from kernel-matrix statistics.
 
@@ -670,14 +731,13 @@ def dataset_budget(
     one (``inputs["spread_path"] == "components"``), as an exact
     ``gram_matrix`` does; otherwise, as for a sampled or hand-built kernel,
     it evaluates a representative pair whose proportions all sit at
-    1/2 +- the inferred offset (``"kernel_scale"``).
+    1/2 +- the inferred offset (``"kernel_scale"``). ``entries``, the
+    :func:`entry_budgets` of the same kernel and ``p_error``, supplies that
+    average from the pass that budgeted the pairs instead of a second pass
+    over the table.
     """
     stats_ = kernel_statistics(kernel)
-    if stats_.iqr <= 0.0:
-        raise ValueError(
-            "ensemble IQR is zero; entries are indistinguishable and no "
-            "finite spread budget exists"
-        )
+    check_ensemble_iqr(stats_.iqr)
     p_error = noise.p_error if noise else 0.0
     noisy = p_error > 0.0
     kappa_repr = stats_.median
@@ -715,7 +775,14 @@ def dataset_budget(
     n_ca = _ceil_shots(z**2 * mu * (1.0 - mu) / scale_eff**2) if z > 0 else ShotCount(1)
 
     if kernel.component_table is not None:
-        v_mean = _mean_pair_variance_terms(kernel.component_table, p_error, noisy)
+        pairs = kernel.m * (kernel.m - 1) // 2
+        if entries is None:
+            v_mean = _mean_pair_variance_terms(kernel.component_table, p_error, noisy)
+        elif (entries.variance_total is None or entries.inputs["p_error"] != p_error
+              or entries.i.size != pairs):
+            raise ValueError("entries were budgeted for another kernel or p_error")
+        else:
+            v_mean = entries.variance_total / pairs
         inputs["spread_path"] = "components"
     else:
         offset = np.full((1, 3), scale_eff)

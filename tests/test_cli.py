@@ -138,6 +138,24 @@ class TestEstimateShotsCommand:
         assert out["dataset_budget"]["family"] == "projected"
         assert out["dataset_budget"]["inputs"]["spread_path"] == "components"
 
+    @pytest.mark.parametrize("family", ["fidelity", "projected"])
+    def test_zero_iqr_fails_first_with_the_dataset_message(self, tmp_path, capsys, family):
+        # equal points give a kernel of ones: the entry budgets would refuse
+        # its zero spread too, but the dataset-level refusal comes first
+        csv = tmp_path / "same.csv"
+        csv.write_text("a,b,c,label\n" + "0.1,0.2,0.3,0\n0.1,0.2,0.3,1\n" * 4)
+        cfg = write_config(tmp_path, base_config(
+            dataset={"type": "csv", "path": str(csv), "label_column": "label",
+                     "preprocess": False},
+            kernel={"family": family}))
+        assert main(["estimate-shots", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "ensemble IQR is zero; entries are indistinguishable and no "
+                       "finite spread budget exists",
+        }
+        assert not (tmp_path / "shot_budgets.json").exists()
+
 
 class TestSweepCommand:
     def test_series_and_fits(self, tmp_path):
@@ -542,7 +560,7 @@ class TestKeyTable:
         # the written config sorts its keys, so resources.m is checked first
         ({"sweep": {"n_values": "abc"}, "resources": {"m": "x"}},
          "resources.m: invalid literal for int() with base 10: 'x'"),
-        ({"sweep": {"n_values": "abc"}}, "sweep.n_values: invalid literal for int() with base 10: 'a'"),
+        ({"sweep": {"n_values": "abc"}}, "sweep.n_values: expected a list of integers, got 'abc'"),
         ({"resources": {"m": float("inf")}},
          "resources.m: cannot convert float infinity to integer"),
         ({"sweep": {"n_values": [float("inf")]}},
@@ -566,6 +584,26 @@ class TestKeyTable:
         assert json.loads(capsys.readouterr().err) == {
             "error": "configuration", "message": message,
         }
+
+    @pytest.mark.parametrize("key, value", [
+        ("sweep.n_values", "2345"),
+        ("sweep.n_values", 4),
+        ("sweep.extrapolate_to", {20: 30}),
+        ("characterize.n_values", "23"),
+        ("resources.n_values", "8"),
+    ])
+    def test_size_lists_refuse_anything_but_a_list(self, tmp_path, capsys, key, value):
+        # a string of digits was once iterated into one-digit sizes
+        section, name = key.split(".")
+        payload = base_config(sweep={"n_values": [2, 3]})
+        section_mapping(payload, section)[name] = value
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration",
+            "message": f"{key}: expected a list of integers, got {value!r}",
+        }
+        assert not (tmp_path / "series.csv").exists()
 
     def test_unread_range_problem_is_left_to_the_commands_that_read_it(self, tmp_path):
         cfg = write_config(tmp_path, base_config(budget={"eps": -1}))

@@ -33,6 +33,29 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="parse"):
             load_csv(path, label_column="label")
 
+    def test_cells_read_as_float_reads_them(self, tmp_path):
+        cells = [" 1.5", "2.5e-3 ", "1_000", "-4E+2", "\t7", "+.5", "-0"]
+        path = tmp_path / "toy.csv"
+        path.write_text("label," + ",".join(f"f{k}" for k in range(len(cells))) + "\n"
+                        + "0," + ",".join(cells) + "\n" + "1," + ",".join(cells[::-1]) + "\n")
+        ds = load_csv(path, label_column="label")
+        expected = [float(c) for c in cells]
+        assert ds.features.tolist() == [expected, expected[::-1]]
+        assert np.signbit(ds.features[0, -1])
+
+    @pytest.mark.parametrize("text, column", [
+        ("a,b,label\n1,2,0\n1,2e,1\n3,4,0\n", "b"),
+        # with the label column first, column 2 is the first feature
+        ("label,a,b\n0,1,2\n1,2e,2\n0,3,4\n", "a"),
+    ])
+    def test_bad_cell_is_named_by_row_and_column(self, tmp_path, text, column):
+        # row 3 of the file, column 2, holds the cell float() refuses
+        path = tmp_path / "toy.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_csv(path, label_column="label")
+        assert str(err.value) == f"{path}: row 3, column {column!r}: cannot parse '2e' as a number"
+
     def test_more_than_two_classes(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text("a,label\n1,0\n2,1\n3,2\n")

@@ -7,6 +7,7 @@ variance sums of ``oracles`` and the scalar closed forms.
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -172,6 +173,25 @@ def test_mean_pair_variance_terms_chunked_equals_one_block(monkeypatch):
     single = [shot_bounds._mean_pair_variance_terms(table, p, robust)
               for p, robust in ((0.0, False), (0.05, True))]
     assert blocked == pytest.approx(single, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p_error", [0.0, 0.05])
+def test_entry_pass_gives_the_standalone_dataset_budget(p_error):
+    """The pair-variance sum accumulated while budgeting the entries gives
+    the dataset budget of a separate pass over the table, field by field,
+    over several row blocks."""
+    m, n = 150, 8
+    assert shot_bounds.PAIR_BLOCK // (m * n) < (m - 1) // 2  # several blocks
+    kernel = _kernel("projected", n, m=m, seed=9)
+    delta = kernel_statistics(kernel).iqr
+    entries = entry_budgets("projected", kernel.values, EPS, delta, P_SPREAD, P_CA, p_error,
+                            table=kernel.component_table, gamma=GAMMA)
+    noise = NoiseModel(p_error)
+    shared = dataset_budget(kernel, EPS, P_SPREAD, P_CA, noise, entries=entries)
+    assert shared.inputs["spread_path"] == "components"
+    assert asdict(shared) == asdict(dataset_budget(kernel, EPS, P_SPREAD, P_CA, noise))
+    with pytest.raises(ValueError, match="another kernel or p_error"):
+        dataset_budget(kernel, EPS, P_SPREAD, P_CA, NoiseModel(0.01), entries=entries)
 
 
 @pytest.mark.parametrize("family, p_error", [("projected", 0.0), ("fidelity", 0.01)])

@@ -1,6 +1,7 @@
 """The exact concentration-avoidance search against the exhaustive scan.
 
-``n_ca_binomial_exact`` skips ranges of N where a certificate proves the
+At mu = 1/2 ``n_ca_binomial_exact`` bisects over odd N; for every other
+mu it scans upward and skips ranges of N where a certificate proves the
 condition fails; these tests pin its result to ``oracles.exhaustive_ca_shots``,
 which evaluates the CDF at every N from 1. Where the minimal N runs into
 the millions (gaps of 1e-3 and 5e-4 from 1/2 at p_ca >= 0.9) a full scan
@@ -82,6 +83,32 @@ def test_million_shot_cases_equal_exhaustive_scan(gap, p_ca, side, noisy):
         ]))
         assert np.all(correct_side_probabilities(probe, shifted, 0.5) < p_ca)
     assert got == exhaustive_ca_shots(shifted, 0.5, p_ca, skip=ranges)
+
+
+# every proportion 0.01 .. 0.99 but 1/2
+HALF_GRID = [k / 100 for k in range(1, 100) if k != 50]
+
+
+@pytest.mark.parametrize("p_ca", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_bisection_at_one_half_equals_exhaustive_scan(p_ca, noisy):
+    """At mu = 1/2 the search bisects over odd N; its result is the scan's
+    minimum, odd, and the odd N before it fails."""
+    for q in HALF_GRID:
+        if noisy:
+            shifted, _ = _shifted(q, 0.5)
+            got = n_ca_noisy_binomial_exact(q, 0.5, p_ca, P_ERROR)
+        else:
+            shifted, got = q, n_ca_binomial_exact(q, 0.5, p_ca)
+        assert got == exhaustive_ca_shots(shifted, 0.5, p_ca), q
+        assert got % 2 == 1
+        assert got == 1 or ca_condition_probability(got - 2, shifted, 0.5) < p_ca
+
+
+@pytest.mark.parametrize("q", [0.5 + 1e-12, 0.5 - 1e-12])
+def test_bisection_at_one_half_stops_at_the_search_cap(q):
+    with pytest.raises(RuntimeError, match="no N <= "):
+        n_ca_binomial_exact(q, 0.5, 0.99)
 
 
 def test_certified_ranges_fail():

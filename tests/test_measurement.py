@@ -72,9 +72,13 @@ TABLE = np.full((3, 2, 3), [0.7, 0.1, 0.05])
     lambda p: n_ca_noisy_pq_normal(0.3, 0.5, 0.99, p),
     lambda p: n_ca_noisy_binomial_exact(0.3, 0.5, 0.99, p),
     lambda p: n_ca_noisy_binomial_exact(0.3, 0.0, 0.99, p, family="fidelity", n_qubits=3),
+    lambda p: depolarized_fidelity_probability(0.3, p, 3),
+    lambda p: depolarized_component_probability(0.3, p),
+    lambda p: component_proportions(TABLE, p),
 ], ids=["NoiseModel", "entry_budgets-fidelity", "entry_budgets-projected", "n_ca_noisy_fq",
         "n_ca_noisy_pq_normal", "n_ca_noisy_binomial_exact-projected",
-        "n_ca_noisy_binomial_exact-fidelity"])
+        "n_ca_noisy_binomial_exact-fidelity", "depolarized_fidelity_probability",
+        "depolarized_component_probability", "component_proportions"])
 def test_every_p_error_entry_point_shares_one_check(call, p_error):
     with pytest.raises(ConfigurationError) as err:
         call(p_error)
