@@ -22,8 +22,11 @@ null key, takes its defaults. A ``sampling`` section that is present, even
 empty, makes ``kernels`` sample, and a ``resources.classical`` section
 turns on the classical baseline. Every section may appear in the config of
 every command, and every value present goes through its key's cast before
-any work; range checks, such as eps > 0, stay with the commands that read
-the key. ``--out`` names the output directory; without it, ``out_dir`` does.
+any work. Seeds (>= 0) and extrapolation targets (>= 1) carry their bound
+in the cast; other range checks, such as eps > 0, stay with the commands
+that read the key. ``--seed`` takes the seed cast and ``--threads`` must be
+at least 1. ``--out`` names the output directory; without it, ``out_dir``
+does.
 
 Exit codes: 0 on success. 2 for configuration problems: an unreadable or
 malformed config, a key the table does not know (the message names the
@@ -92,12 +95,24 @@ _PER_RUN = object()  # the default depends on the run, and the caller passes it
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
-def _ints(values) -> list[int]:
-    """A YAML list of integers; a string or a mapping is refused, not
-    iterated."""
-    if not isinstance(values, list):
-        raise TypeError(f"expected a list of integers, got {values!r}")
-    return [int(n) for n in values]
+def _at_least(low: int):
+    """An integer cast that refuses values below ``low``."""
+    def cast(value) -> int:
+        value = int(value)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}, got {value}")
+        return value
+    return cast
+
+
+def _ints(item=int):
+    """A cast to a YAML list of integers, each through ``item``; a string
+    or a mapping is refused, not iterated."""
+    def cast(values) -> list[int]:
+        if not isinstance(values, list):
+            raise TypeError(f"expected a list of integers, got {values!r}")
+        return [item(n) for n in values]
+    return cast
 
 
 def _flag(value) -> bool:
@@ -123,6 +138,7 @@ def _choice(*options):
     return cast
 
 
+_SEED = _at_least(0)  # seeds are SeedSequence entropy, never negative
 _PROFILES = {"resources.hardware": HardwareProfile, "resources.classical": ClassicalProfile}
 
 # Every config key: dotted name -> (cast, default). The profile dataclasses
@@ -130,7 +146,7 @@ _PROFILES = {"resources.hardware": HardwareProfile, "resources.classical": Class
 # depends on the kernel family. YAML 1.1 reads exponent literals without a
 # sign ("1e7") as strings, which the float cast reads as numbers.
 _KEYS = {
-    "seed": (int, 0),
+    "seed": (_SEED, 0),
     "out_dir": (_text, "."),
     "qubit_cap": (int, None),
     "dataset.type": (_choice("twonorm", "random_angles", "csv"), _REQUIRED),
@@ -139,10 +155,10 @@ _KEYS = {
     "dataset.path": (_text, _REQUIRED),
     "dataset.label_column": (_text, _REQUIRED),
     "dataset.preprocess": (_flag, _PER_RUN),
-    "dataset.seed": (int, _PER_RUN),
+    "dataset.seed": (_SEED, _PER_RUN),
     "dataset.subset_size": (int, None),
     "dataset.subset_index": (int, 0),
-    "dataset.stratify_seed": (int, _PER_RUN),
+    "dataset.stratify_seed": (_SEED, _PER_RUN),
     "feature_map.n_qubits": (int, _REQUIRED),
     "feature_map.repetitions": (int, 1),
     "feature_map.entanglement": (_choice(*ENTANGLEMENT_STRATEGIES), LINEAR),
@@ -150,18 +166,18 @@ _KEYS = {
     "kernel.gamma": (float, 1.0),
     "sampling.n_shots": (int, _REQUIRED),
     "sampling.p_error": (float, 0.0),
-    "sampling.seed": (int, _PER_RUN),
+    "sampling.seed": (_SEED, _PER_RUN),
     "budget.eps": (float, 1.0),
     "budget.p_spread": (float, 0.9),
     "budget.p_ca": (float, 0.99),
     "budget.p_error": (float, 0.0),
-    "sweep.n_values": (_ints, _REQUIRED),
-    "sweep.extrapolate_to": (_ints, ()),
+    "sweep.n_values": (_ints(), _REQUIRED),
+    "sweep.extrapolate_to": (_ints(_at_least(1)), ()),
     "sweep.include_budgets": (_flag, True),
-    "characterize.n_values": (_ints, _REQUIRED),
+    "characterize.n_values": (_ints(), _REQUIRED),
     "resources.m": (int, _REQUIRED),
     "resources.shots_per_estimate": (int, _REQUIRED),
-    "resources.n_values": (_ints, _REQUIRED),
+    "resources.n_values": (_ints(), _REQUIRED),
     "resources.corrected": (_flag, False),
     "resources.error_budget": (float, None),
     **{
@@ -173,11 +189,11 @@ _KEYS = {
 _SECTIONS = {key[:i] for key in _KEYS for i, char in enumerate(key) if char == "."}
 
 
-def _cast(key: str, value):
-    """``value`` through the table's cast for ``key``; a value the cast
-    refuses raises a ConfigurationError naming ``key``."""
+def _cast(key: str, value, cast=None):
+    """``value`` through ``cast``, by default the table's cast for ``key``;
+    a value the cast refuses raises a ConfigurationError naming ``key``."""
     try:
-        return _KEYS[key][0](value)
+        return (cast or _KEYS[key][0])(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{key}: {exc}") from None
 
@@ -332,9 +348,10 @@ def _write_series(out_dir: Path, names: tuple[str, str], series_map: dict[str, S
                   targets: list[int], prov: dict) -> list[Path]:
     """Write the series CSV and the fits JSON, named by ``names``. A series
     that :func:`fit_exponential` refuses records why under "skipped"; a
-    valid fit is extrapolated to every target."""
+    valid fit is extrapolated to every target, and a target below the
+    largest fitted size is warned about once."""
     series_path = write_series_csv(out_dir / names[0], series_map.values())
-    fits = {}
+    fits, largest = {}, 0
     for name, series in series_map.items():
         try:
             fit = series.fit()
@@ -342,17 +359,13 @@ def _write_series(out_dir: Path, names: tuple[str, str], series_map: dict[str, S
             fits[name] = {"skipped": str(exc)}
             continue
         fits[name] = asdict(fit)
-        if not fit.valid:
-            continue
-        max_fitted = int(series.qubit_counts.max())
-        for target in targets:
-            if target < max_fitted:
-                print(
-                    f"warning: extrapolation target n={target} lies below "
-                    f"the largest fitted size n={max_fitted}",
-                    file=sys.stderr,
-                )
-            fits[name].setdefault("extrapolations", {})[str(target)] = extrapolate(fit, target)
+        if fit.valid and targets:
+            largest = max(largest, int(series.qubit_counts.max()))
+            fits[name]["extrapolations"] = {str(n): extrapolate(fit, n) for n in targets}
+    for target in dict.fromkeys(targets):
+        if target < largest:
+            print(f"warning: extrapolation target n={target} lies below "
+                  f"the largest fitted size n={largest}", file=sys.stderr)
     fits_path = write_json(out_dir / names[1], {"fits": fits, "provenance": prov})
     return [series_path, fits_path]
 
@@ -438,7 +451,8 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
     shape = _resolve_feature_map(config, n_qubits=1)
     m = _field(config, "resources.m")
     shots = _field(config, "resources.shots_per_estimate")
-    n_values = _field(config, "resources.n_values")
+    n_values = sorted(_field(config, "resources.n_values"))
+    check_qubit_counts(n_values)
     corrected = _field(config, "resources.corrected")
     budget = _field(config, "resources.error_budget")
     hardware = _profile(config, "resources.hardware")
@@ -547,7 +561,8 @@ def main(argv=None) -> int:
         if not isinstance(config, dict):
             raise ConfigurationError("config must be a YAML mapping")
         _check_keys(config)
-        seed = args.seed if args.seed is not None else _field(config, "seed")
+        seed = _field(config, "seed") if args.seed is None else _cast("--seed", args.seed, _SEED)
+        threads = _cast("--threads", args.threads, _at_least(1))
         out_dir = Path(args.out if args.out is not None else _field(config, "out_dir"))
     except (OSError, yaml.YAMLError, ConfigurationError) as exc:
         _emit_error("configuration", str(exc))
@@ -555,7 +570,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always")
-            written = _COMMANDS[args.command](config, out_dir, seed, args.threads)
+            written = _COMMANDS[args.command](config, out_dir, seed, threads)
     except ConfigurationError as exc:
         _emit_error("configuration", str(exc))
         return 2

@@ -248,7 +248,4 @@ def find_crossover(n_values, quantum_values, classical_values) -> int | None:
     c = np.asarray(classical_values, dtype=float)
     if not (len(n_values) == q.size == c.size):
         raise ValueError("n_values and cost arrays must have equal length")
-    for n, qv, cv in zip(n_values, q, c):
-        if qv < cv:
-            return int(n)
-    return None
+    return min((int(n) for n, qv, cv in zip(n_values, q, c) if qv < cv), default=None)

@@ -16,9 +16,9 @@ delta-method variance bound of the per-qubit squared 2-norm difference
 The *concentration avoidance* bound keeps the measured proportion on the
 correct side of the concentration value mu with probability ``p_ca``. For
 fidelity (mu = 0) it reduces to N >= log_{1-q}(1 - p_ca), i.e. at least
-one success with probability p_ca; the general case is solved from the
-exact binomial CDF, with a Gaussian z-score approximation available for
-proportions concentrating at mu = 1/2.
+one success with probability p_ca. The exact binomial CDF gives the
+bound at both concentration values, mu = 0 and mu = 1/2, with a Gaussian
+z-score approximation available for proportions concentrating at 1/2.
 
 Noisy circuits keep the same structure: depolarising noise shifts success
 probabilities towards their mixed-state values, the spread numerator picks
@@ -247,101 +247,46 @@ def ca_condition_probability(n, m_true: float, mu: float):
     return np.where(k >= 0, betainc(n - k, k + 1.0, 1.0 - m_true), 0.0)
 
 
-# N given back at each certified edge against rounding: a fixed number plus
-# a share of the edge
-_EDGE_MARGIN = 8
-_EDGE_MARGIN_REL = 1e-6
-
-
-def _certified_failures(m_true: float, mu: float, p_ca: float) -> list[tuple[int, int]]:
-    """Ranges [a, b) of N where the correct-side condition provably fails.
-
-    The failure event is Z >= k = ceil(N mu_t - guard), Z ~ Bin(N, p_t),
-    with (p_t, mu_t) = (m, mu) below mu and (1 - m, 1 - mu) above it (the
-    failure X <= floor(N mu) mirrored). Two lower bounds on its probability:
-
-    * P(Z = N) = p_t^N > 1 - p_ca for every N < ln(1 - p_ca) / ln p_t;
-    * Slud's inequality (Ann. Probab. 5, 1977): P(Z >= k) >=
-      1 - Phi((k - N p_t) / sqrt(N p_t (1 - p_t))) when p_t <= 1/2 and
-      N p_t <= k <= N (1 - p_t), which holds once N d > guard and
-      N (1 - p_t - mu_t) >= 1 (d = |m - mu|). As k < N mu_t + 1, failure
-      is certain where (N d + 1) / (s sqrt(N)) <= z_(p_ca), s^2 = m (1 - m):
-      between the roots of d N - s z sqrt(N) + 1 = 0.
-
-    Every edge gives back ``_EDGE_MARGIN`` plus ``_EDGE_MARGIN_REL`` of
-    itself, so rounding in the CDF evaluation cannot flip an N inside.
-    """
-    # ln p_t and 1 - p_t - mu_t from m and mu directly: 1 - m would lose
-    # the digits of a proportion near 0 or 1
-    below_mu = m_true < mu
-    d = abs(m_true - mu)
-    log_p_t = math.log(m_true) if below_mu else math.log1p(-m_true)
-    room = 1.0 - m_true - mu if below_mu else m_true + mu - 1.0
-    tail_below_half = m_true <= 0.5 if below_mu else m_true >= 0.5
-
-    def below(edge: float) -> int:
-        return math.floor(edge * (1.0 - _EDGE_MARGIN_REL)) - _EDGE_MARGIN
-
-    ranges = [(1, below(math.log1p(-p_ca) / log_p_t))]
-    z = float(ndtri(p_ca))
-    s = math.sqrt(m_true * (1.0 - m_true))
-    disc = (s * z) ** 2 - 4.0 * d
-    if tail_below_half and z > 0.0 and disc >= 0.0 and room > 0.0:
-        x_hi = (s * z + math.sqrt(disc)) / (2.0 * d)
-        x_lo = 1.0 / (d * x_hi)  # the product of the roots is 1 / d
-        start = max(x_lo**2, 1.0 / room, 2.0 * _CEIL_GUARD / d)
-        ranges.append((math.ceil(start * (1.0 + _EDGE_MARGIN_REL)) + _EDGE_MARGIN,
-                       below(x_hi**2)))
-    return sorted((a, b) for a, b in ranges if a < b)
-
-
 def n_ca_binomial_exact(m_true: float, mu: float, p_ca: float) -> ShotCount:
-    """Smallest N satisfying the exact binomial correct-side condition.
+    """Smallest N satisfying the exact binomial correct-side condition at a
+    concentration value mu of 0 (fidelity) or 1/2 (tomography proportions);
+    any other mu is refused with a ConfigurationError.
 
-    At mu = 1/2 the minimum is the first passing odd N, found by bisection
-    (:func:`_first_majority_shots`). For every other mu the condition is
-    not monotone in N (the cut N mu drifts across integers, so adjacent N
-    can flip back to failing), so the minimum is the first passing N of an
-    upward scan in growing blocks. The scan skips the ranges
-    :func:`_certified_failures` proves failing; where no certificate
-    applies (small N, a proportion on the far side of 1/2 from mu) it
-    evaluates the CDF at every N from 1.
+    At both values the condition rises along one sequence of N, so the
+    minimum is its first passing N, found by doubling k, then bisecting:
+
+    * mu = 0, N = 1 + k: P(X_N >= 1) = I_m(1, N) = 1 - (1 - m)^N.
+    * mu = 1/2, N = 2k + 1: take q > 1/2 (q < 1/2 mirrors with 1 - q) and
+      X_N ~ Binomial(N, q). An even N never passes before N - 1 does, since
+      P(X_2k > k) = P(X_(2k-1) >= k) - (1 - q) P(X_(2k-1) = k). Over odd N
+      the correct-majority probability strictly rises (Condorcet):
+      P_(2k+1) - P_(2k-1) = (2q - 1) C(2k - 1, k - 1) (q (1 - q))^k > 0.
+      At odd N the condition is I_x(k + 1, k + 1), x = max(q, 1 - q).
+
+    Both evaluate the scalar betainc arguments of
+    :func:`ca_condition_probability`. A RuntimeError reports that no
+    N <= ``_SEARCH_CAP`` passes.
     """
+    if mu not in (0.0, PQ_CONCENTRATION_VALUE):
+        raise ConfigurationError(f"exact bounds need mu = 0 or mu = 0.5, got {mu}")
     _check_ca_inputs(m_true, mu, p_ca)
-    if mu == PQ_CONCENTRATION_VALUE:
-        shots = _first_majority_shots(m_true, p_ca)
+    if mu == 0.0:
+        step = 1
+
+        def passes(k: int) -> bool:
+            return betainc(1.0, k + 1.0, m_true) >= p_ca
     else:
-        shots = _first_passing_shots(m_true, mu, p_ca)
-    if shots is None:
-        raise RuntimeError(f"no N <= {_SEARCH_CAP} satisfies the condition "
-                           f"(m={m_true}, mu={mu}, p_ca={p_ca})")
-    return ShotCount(shots)
+        step, x = 2, max(m_true, 1.0 - m_true)
 
+        def passes(k: int) -> bool:
+            return betainc(k + 1.0, k + 1.0, x) >= p_ca
 
-def _first_majority_shots(m_true: float, p_ca: float) -> int | None:
-    """Smallest N <= ``_SEARCH_CAP`` at which the correct-side condition
-    holds at mu = 1/2; None when no N up to the cap passes.
-
-    Take q > 1/2 (q < 1/2 mirrors with 1 - q) and X_N ~ Binomial(N, q).
-    An even N never passes before N - 1 does, since
-    P(X_2k > k) = P(X_(2k-1) >= k) - (1 - q) P(X_(2k-1) = k). Over odd N
-    the correct-majority probability strictly rises (Condorcet):
-    P_(2k+1) - P_(2k-1) = (2q - 1) C(2k - 1, k - 1) (q (1 - q))^k > 0.
-    So the minimum is the first passing odd N = 2k + 1, found by doubling
-    k, then bisecting. At odd N, :func:`ca_condition_probability` is
-    I_x(k + 1, k + 1) with x = max(q, 1 - q), evaluated here on scalars
-    with the same arguments.
-    """
-    x = max(m_true, 1.0 - m_true)
-
-    def passes(k: int) -> bool:
-        return betainc(k + 1.0, k + 1.0, x) >= p_ca
-
-    top = (_SEARCH_CAP - 1) // 2
+    top = (_SEARCH_CAP - 1) // step
     failing, k = -1, 0
     while not passes(k):
         if k == top:
-            return None
+            raise RuntimeError(f"no N <= {_SEARCH_CAP} satisfies the condition "
+                               f"(m={m_true}, mu={mu}, p_ca={p_ca})")
         failing, k = k, min(2 * k + 1, top)
     while k - failing > 1:
         mid = (failing + k) // 2
@@ -349,25 +294,7 @@ def _first_majority_shots(m_true: float, p_ca: float) -> int | None:
             k = mid
         else:
             failing = mid
-    return 2 * k + 1
-
-
-def _first_passing_shots(m_true: float, mu: float, p_ca: float) -> int | None:
-    """Smallest N <= ``_SEARCH_CAP`` passing the condition, by the upward
-    scan of :func:`n_ca_binomial_exact`; None when none does."""
-    skips = _certified_failures(m_true, mu, p_ca)
-    n, block = 1, 1024
-    while n <= _SEARCH_CAP:
-        for a, b in skips:
-            if a <= n < b:
-                n = b
-        stop = min([a for a, _ in skips if a > n], default=n + block)
-        candidates = np.arange(n, min(n + block, stop))
-        ok = ca_condition_probability(candidates, m_true, mu) >= p_ca
-        if ok.any():
-            return int(candidates[np.argmax(ok)])
-        n, block = int(candidates[-1]) + 1, min(2 * block, 1 << 16)
-    return None
+    return ShotCount(1 + step * k)
 
 
 def _check_ca_inputs(m_true: float, mu: float, p_ca: float) -> None:

@@ -126,21 +126,16 @@ def correct_side_probabilities(n, p: float, mu: float) -> np.ndarray:
     return np.where(top >= 0, stats.binom.cdf(np.maximum(top, 0.0), n, p), 0.0)
 
 
-def exhaustive_ca_shots(
-    p: float, mu: float, p_ca: float, skip=(), max_chunk: int = 1 << 16
-) -> int:
+def exhaustive_ca_shots(p: float, mu: float, p_ca: float, max_chunk: int = 1 << 16) -> int:
     """Smallest N whose correct-side probability reaches ``p_ca``, by
     evaluating the binomial tail at every N from 1 upward, in chunks that
     double up to ``max_chunk`` candidates (memory stays bounded however
     large N is). The cut follows the library's convention: the count must
     exceed floor(N mu + 1e-9) when p > mu and stay below
-    ceil(N mu - 1e-9) otherwise. N inside the ranges [a, b) of ``skip``
-    are left out; a caller that skips must check those N fail itself."""
+    ceil(N mu - 1e-9) otherwise."""
     start, chunk = 1, 256
     while True:
         n = np.arange(start, start + chunk)
-        for a, b in skip:
-            n = n[(n < a) | (n >= b)]
         passing = np.flatnonzero(correct_side_probabilities(n, p, mu) >= p_ca)
         if passing.size:
             return int(n[passing[0]])

@@ -174,16 +174,33 @@ class TestSweepCommand:
             assert "valid" in fits[name]
 
     def test_low_extrapolation_target_warns_but_computes(self, tmp_path, capsys):
-        payload = base_config(sweep={"n_values": [2, 3, 4, 5, 6], "extrapolate_to": [3]})
+        payload = base_config(sweep={"n_values": [2, 3, 4, 5, 6], "extrapolate_to": [3, 4, 3, 9]})
         payload["dataset"]["m"] = 20
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        err = capsys.readouterr().err
         fits = json.loads((tmp_path / "fits.json").read_text())["fits"]
         valid_fits = [f for f in fits.values() if f.get("valid")]
-        if valid_fits:
-            assert "below" in err
-            assert any("3" in f.get("extrapolations", {}) for f in valid_fits)
+        assert len(valid_fits) > 1
+        assert all(set(f["extrapolations"]) == {"3", "4", "9"} for f in valid_fits)
+        # one warning per target, however many fits reach it
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: extrapolation target n={n} lies below the largest fitted size n=6"
+            for n in (3, 4)
+        ]
+
+    def test_targets_below_one_exit_two_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel was built before the target was refused")
+
+        monkeypatch.setattr("qkshots.scaling.gram_matrix", refuse)
+        payload = base_config(sweep={"n_values": [2, 3, 4, 5], "extrapolate_to": [-3, 0]})
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration",
+            "message": "sweep.extrapolate_to: expected an integer >= 1, got -3",
+        }
+        assert not (tmp_path / "fits.json").exists()
 
 
 class TestResourcesCommand:
@@ -209,6 +226,26 @@ class TestResourcesCommand:
         assert first["code_distance"] is not None
         assert "crossover_n" in report
         assert report["provenance"]["command"] == "resources"
+
+    def test_crossover_is_the_smallest_passing_size_in_any_order(self, tmp_path):
+        reports = []
+        for n_values in ([8, 16, 24, 32, 40, 48], [48, 40, 32, 24, 16, 8]):
+            payload = {
+                "kernel": {"family": "fidelity"},
+                "feature_map": {"repetitions": 2, "entanglement": "full"},
+                "resources": {
+                    "m": 100, "shots_per_estimate": 1024, "n_values": n_values,
+                    "corrected": True, "error_budget": 1e-3, "classical": {"c0": 1e7},
+                },
+            }
+            out = tmp_path / str(n_values[0])
+            cfg = write_config(tmp_path, payload, name=f"{n_values[0]}.yaml")
+            assert main(["resources", "--config", cfg, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "resources.json").read_text()))
+        for report in reports:
+            assert report["crossover_n"] == {"runtime": 24, "energy": 16}
+            assert [row["n"] for row in report["scenarios"]] == [8, 16, 24, 32, 40, 48]
+        assert reports[0]["scenarios"] == reports[1]["scenarios"]
 
     def test_ideal_report_without_classical(self, tmp_path):
         payload = {
@@ -396,12 +433,46 @@ class TestOptionalSections:
         }
 
     @pytest.mark.parametrize(
+        "key", ["seed", "dataset.seed", "dataset.stratify_seed", "sampling.seed"])
+    def test_negative_seeds_exit_two_naming_the_key(self, tmp_path, capsys, monkeypatch, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was generated before the seed was refused")
+
+        monkeypatch.setattr("qkshots.cli.generate_twonorm", refuse)
+        payload = base_config(sampling={"n_shots": 8})
+        section, _, name = key.rpartition(".")
+        section_mapping(payload, section)[name] = -1
+        cfg = write_config(tmp_path, payload)
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration", "message": f"{key}: expected an integer >= 0, got -1",
+        }
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "--seed: expected an integer >= 0, got -1"),
+        ("--threads", "0", "--threads: expected an integer >= 1, got 0"),
+        ("--threads", "-4", "--threads: expected an integer >= 1, got -4"),
+    ], ids=["seed-negative", "threads-zero", "threads-negative"])
+    def test_bad_seed_and_thread_flags_exit_two_before_any_work(
+            self, tmp_path, capsys, monkeypatch, flag, value, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"the dataset was generated before {flag} was refused")
+
+        monkeypatch.setattr("qkshots.cli.generate_twonorm", refuse)
+        cfg = write_config(tmp_path, base_config())
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path), flag, value]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration", "message": message,
+        }
+
+    @pytest.mark.parametrize(
         "command, payload, expensive",
         [
             ("sweep", base_config(sweep={"n_values": [2, 3, 2, 4]}),
              "qkshots.scaling.gram_matrix"),
             ("characterize", base_config(characterize={"n_values": [3, 2, 3]}),
              "qkshots.cli.embedding_diagnostics"),
+            ("resources", resources_config(n_values=[8, 8, 16]), "qkshots.cli.quantum_cost"),
         ],
     )
     def test_repeated_qubit_counts_exit_two_before_any_work(

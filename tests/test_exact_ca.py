@@ -1,12 +1,13 @@
 """The exact concentration-avoidance search against the exhaustive scan.
 
-At mu = 1/2 ``n_ca_binomial_exact`` bisects over odd N; for every other
-mu it scans upward and skips ranges of N where a certificate proves the
-condition fails; these tests pin its result to ``oracles.exhaustive_ca_shots``,
-which evaluates the CDF at every N from 1. Where the minimal N runs into
-the millions (gaps of 1e-3 and 5e-4 from 1/2 at p_ca >= 0.9) a full scan
-takes seconds per case, so the oracle scans every N outside the certified
-range and the test probes the range itself.
+``n_ca_binomial_exact`` searches at the two concentration values: at
+mu = 0 it bisects over all N, at mu = 1/2 over odd N. These tests pin its
+result to ``oracles.exhaustive_ca_shots``, which evaluates the CDF at
+every N from 1. Where the minimal N runs into the millions (gaps of 1e-3
+and 5e-4 from 1/2 at p_ca >= 0.9) a full scan takes seconds per case, so
+one such case is scanned in full and the others are probed below their
+minimum. Every other mu is refused; ``ca_condition_probability`` still
+evaluates the condition there.
 """
 
 import math
@@ -16,12 +17,14 @@ import pytest
 from scipy.special import ndtr
 
 from qkshots import n_ca_binomial_exact, n_ca_fq, n_ca_noisy_binomial_exact
-from qkshots.shot_bounds import _certified_failures, ca_condition_probability
+from qkshots.shot_bounds import ca_condition_probability
+from qkshots.statevector import ConfigurationError
 
 from oracles import correct_side_probabilities, exhaustive_ca_shots
 
 P_ERROR = 1e-3
 N_QUBITS = 6
+EXACT_MU = (0.0, 0.5)
 
 
 def _cases():
@@ -29,8 +32,8 @@ def _cases():
     for p_ca in (0.6, 0.9, 0.99):
         # mu = 0 is the fidelity concentration value: only q > mu exists
         cases += [(q, 0.0, p_ca) for q in (0.02, 2.0**-12)]
-        # away from 1/2 one side of mu lacks the certificate's preconditions
-        # (q < mu above 1/2, q > mu below it) and is scanned exhaustively
+        # no search runs at these mu; the cases pin the refusal and the
+        # condition the library still evaluates there
         for mu in (0.1, 0.3, 0.7):
             cases += [(mu + s * gap, mu, p_ca) for gap in (0.05, 0.02) for s in (-1, 1)]
     for gap, p_ca in [(2e-3, 0.6), (1e-3, 0.6), (5e-4, 0.6), (2e-3, 0.9), (2e-3, 0.99)]:
@@ -45,18 +48,44 @@ def _shifted(q, mu):
     return (1.0 - P_ERROR) * q + P_ERROR * 0.5, "projected"
 
 
+def _check_outside_exact_mu(search, q, mu, p_ca):
+    """``search`` refuses mu, and the first N at which the library's
+    ``ca_condition_probability`` reaches p_ca is the oracle's."""
+    with pytest.raises(ConfigurationError, match="mu = 0 or mu = 0.5"):
+        search()
+    expected = exhaustive_ca_shots(q, mu, p_ca)
+    passing = ca_condition_probability(np.arange(1, expected + 1), q, mu) >= p_ca
+    assert passing[-1] and not passing[:-1].any()
+
+
 @pytest.mark.parametrize("q, mu, p_ca", _cases())
 def test_search_equals_exhaustive_scan(q, mu, p_ca):
+    if mu not in EXACT_MU:
+        _check_outside_exact_mu(lambda: n_ca_binomial_exact(q, mu, p_ca), q, mu, p_ca)
+        return
     assert n_ca_binomial_exact(q, mu, p_ca) == exhaustive_ca_shots(q, mu, p_ca)
 
 
 @pytest.mark.parametrize("q, mu, p_ca", [c for c in _cases() if c[1] != 0.5 or c[2] == 0.6])
 def test_noisy_search_equals_exhaustive_scan(q, mu, p_ca):
     shifted, family = _shifted(q, mu)
-    got = n_ca_noisy_binomial_exact(
-        q, mu, p_ca, P_ERROR, family=family, n_qubits=N_QUBITS
-    )
-    assert got == exhaustive_ca_shots(shifted, mu, p_ca)
+
+    def search():
+        return n_ca_noisy_binomial_exact(q, mu, p_ca, P_ERROR, family=family,
+                                         n_qubits=N_QUBITS)
+
+    if mu not in EXACT_MU:
+        _check_outside_exact_mu(search, shifted, mu, p_ca)
+        return
+    assert search() == exhaustive_ca_shots(shifted, mu, p_ca)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.3, 0.7, 1.0])
+def test_both_exact_entry_points_refuse_other_concentration_values(mu):
+    with pytest.raises(ConfigurationError, match="mu = 0 or mu = 0.5"):
+        n_ca_binomial_exact(0.45, mu, 0.9)
+    with pytest.raises(ConfigurationError, match="mu = 0 or mu = 0.5"):
+        n_ca_noisy_binomial_exact(0.45, mu, 0.9, P_ERROR)
 
 
 @pytest.mark.parametrize("gap", [1e-3, 5e-4])
@@ -64,25 +93,25 @@ def test_noisy_search_equals_exhaustive_scan(q, mu, p_ca):
 @pytest.mark.parametrize("side", [-1, 1])
 @pytest.mark.parametrize("noisy", [False, True])
 def test_million_shot_cases_equal_exhaustive_scan(gap, p_ca, side, noisy):
-    """Minima of 0.4M to 5.4M shots. Every N within 1,024 of a certified
-    edge and 2,048 evenly spaced N between the edges fail; the oracle scans
-    every N outside the certified range."""
+    """Minima of 0.4M to 5.4M shots. The minimum passes, and the two N
+    before it, the 1,024 N just below it and 2,048 evenly spaced N from 1
+    up to it fail; q = 0.501 at p_ca 0.9 is scanned at every N."""
     q = 0.5 + side * gap
     if noisy:
         shifted, _ = _shifted(q, 0.5)
         got = n_ca_noisy_binomial_exact(q, 0.5, p_ca, P_ERROR)
     else:
         shifted, got = q, n_ca_binomial_exact(q, 0.5, p_ca)
-    ranges = _certified_failures(shifted, 0.5, p_ca)
-    assert sum(b - a for a, b in ranges) > 0.99 * got
-    for a, b in ranges:
-        probe = np.unique(np.concatenate([
-            np.arange(a, min(a + 1024, b)),
-            np.arange(max(a, b - 1024), b),
-            np.linspace(a, b - 1, 2048).astype(int),
-        ]))
-        assert np.all(correct_side_probabilities(probe, shifted, 0.5) < p_ca)
-    assert got == exhaustive_ca_shots(shifted, 0.5, p_ca, skip=ranges)
+    assert got > 400_000
+    assert correct_side_probabilities(got, shifted, 0.5) >= p_ca
+    below = np.unique(np.concatenate([
+        [got - 1, got - 2],
+        np.arange(got - 1024, got),
+        np.linspace(1, got - 1, 2048).astype(int),
+    ]))
+    assert np.all(correct_side_probabilities(below, shifted, 0.5) < p_ca)
+    if (gap, p_ca, side, noisy) == (1e-3, 0.9, 1, False):
+        assert got == exhaustive_ca_shots(q, 0.5, p_ca) == 410_593
 
 
 # every proportion 0.01 .. 0.99 but 1/2
@@ -111,35 +140,24 @@ def test_bisection_at_one_half_stops_at_the_search_cap(q):
         n_ca_binomial_exact(q, 0.5, 0.99)
 
 
-def test_certified_ranges_fail():
-    """Every N inside a certified range fails the evaluated condition,
-    including its edges."""
-    rng = np.random.default_rng(31)
-    ranges_seen = 0
-    for _ in range(300):
-        mu = float(rng.choice([0.0, 0.2, 0.5, 0.5, 0.8]))
-        q = mu + float(rng.choice([-1, 1])) * 10 ** rng.uniform(-3.5, -0.5)
-        if not 0.0 < q < 1.0:
-            continue
-        p_ca = float(rng.uniform(0.51, 0.9999))
-        for a, b in _certified_failures(q, mu, p_ca):
-            ranges_seen += 1
-            probe = np.unique(np.concatenate(
-                [[a, b - 1], rng.integers(a, b, size=64)]
-            ))
-            assert np.all(ca_condition_probability(probe, q, mu) < p_ca)
-    assert ranges_seen > 100
-
-
 def test_fidelity_search_is_tight_for_tiny_probabilities():
-    """At mu = 0 the certificate is the closed form, so the scan window is a
-    handful of N even where the minimum is in the billions."""
+    """At mu = 0 the search bisects over all N, and its minimum is within
+    one of the closed form even where it is in the billions."""
     q, p_ca = 1e-9, 0.99
     got = n_ca_binomial_exact(q, 0.0, p_ca)
     expected = math.ceil(math.log(1.0 - p_ca) / math.log1p(-q))
     assert abs(got - expected) <= 1
     assert ca_condition_probability(got, q, 0.0) >= p_ca
     assert ca_condition_probability(got - 1, q, 0.0) < p_ca
+
+
+def test_fidelity_search_at_one_in_a_trillion():
+    """q = 1e-12 needs trillions of shots; the bisection finds the minimum
+    in under a hundred evaluations."""
+    got = n_ca_binomial_exact(1e-12, 0.0, 0.99)
+    assert got == 4_605_170_185_986
+    assert ca_condition_probability(got, 1e-12, 0.0) >= 0.99
+    assert ca_condition_probability(got - 1, 1e-12, 0.0) < 0.99
 
 
 def test_first_success_bound_is_minimal_for_tiny_probabilities():

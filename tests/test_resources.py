@@ -195,6 +195,13 @@ class TestCrossover:
         idx = ns.index(n)
         assert quantum[idx - 1] >= classical[idx - 1]
 
+    def test_smallest_passing_size_in_any_order(self):
+        # 8 and 6 both pass; list order must not pick 8
+        ns = [8, 6, 4, 2]
+        quantum = [4.0, 5.0, 8.0, 10.0]
+        classical = [20.0, 6.0, 2.0, 1.0]
+        assert find_crossover(ns, quantum, classical) == 6
+
     def test_no_crossover(self):
         assert find_crossover([2, 3], [5.0, 5.0], [1.0, 1.0]) is None
 
