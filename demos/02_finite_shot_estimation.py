@@ -11,7 +11,6 @@ import numpy as np
 
 from qkshots import (
     FeatureMapConfig,
-    NoiseModel,
     generate_twonorm,
     gram_matrix,
     preprocess,
@@ -25,7 +24,7 @@ exact = gram_matrix(dataset.features, cfg)
 
 print("shot count vs worst-case entry error (noiseless):")
 for n_shots in (100, 1_000, 10_000, 100_000):
-    sampled = sample_gram(dataset.features, cfg, n_shots=n_shots, seed=8)
+    sampled = sample_gram(exact, n_shots=n_shots, seed=8)
     worst = np.max(np.abs(sampled.values - exact.values))
     print(f"  N = {n_shots:>7}: max |error| = {worst:.5f}   "
           f"(binomial scale {0.5 / np.sqrt(n_shots):.5f}), "
@@ -37,9 +36,9 @@ kappa_true, k = 0.6, 15
 one_qubit = FeatureMapConfig(n_qubits=1)
 # k copies of x = 0 and of y = arccos(sqrt(kappa)): k^2 entries of value kappa
 points = [[0.0]] * k + [[np.arccos(np.sqrt(kappa_true))]] * k
+pair_kernel = gram_matrix(points, one_qubit)
 for p_error in (0.0, 0.1, 0.3):
-    noisy = sample_gram(points, one_qubit, n_shots=2_000,
-                        noise=NoiseModel(p_error=p_error), seed=5)
+    noisy = sample_gram(pair_kernel, n_shots=2_000, p_error=p_error, seed=5)
     mean = noisy.values[:k, k:].mean()
     expected = (1 - p_error) * kappa_true + p_error * 0.5
     print(f"  p = {p_error:.1f}: mean estimate {mean:.4f}, "
@@ -47,10 +46,8 @@ for p_error in (0.0, 0.1, 0.3):
 
 print("\nprojected kernels sample one tomography per point, so entries that "
       "share a point are correlated:")
-pq_sampled = sample_gram(
-    dataset.features, cfg, family="projected", n_shots=4_096, seed=21
-)
 pq_exact = gram_matrix(dataset.features, cfg, family="projected")
+pq_sampled = sample_gram(pq_exact, n_shots=4_096, seed=21)
 worst = np.max(np.abs(pq_sampled.values - pq_exact.values))
 print(f"  N = 4096 per basis: max |error| = {worst:.5f}, "
       f"total runs {pq_sampled.metadata['total_shots']}")

@@ -12,7 +12,6 @@ import numpy as np
 
 from qkshots import (
     FeatureMapConfig,
-    NoiseModel,
     dataset_budget,
     error_budget,
     generate_twonorm,
@@ -41,9 +40,7 @@ for family in ("fidelity", "projected"):
     kernel = gram_matrix(data.features, cfg, family=family, gamma=1.0)
     stats = kernel_statistics(kernel)
     clean = dataset_budget(kernel, eps=1.0, p_spread=0.9, p_ca=0.99)
-    noisy = dataset_budget(
-        kernel, eps=1.0, p_spread=0.9, p_ca=0.99, noise=NoiseModel(p_error=0.05)
-    )
+    noisy = dataset_budget(kernel, eps=1.0, p_spread=0.9, p_ca=0.99, p_error=0.05)
     print(f"\n{family} dataset budget at n={n} "
           f"(median {stats.median:.4f}, IQR {stats.iqr:.4f}):")
     print(f"  noiseless: spread {clean.n_spread}, ca {clean.n_ca}, "

@@ -8,7 +8,7 @@ concentration scaling laws, and converts shot budgets into runtime and
 energy estimates for ideal, error-corrected and classical execution.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .statevector import (
     DEFAULT_QUBIT_CAP,
@@ -31,11 +31,10 @@ from .kernels import (
     reduced_component_table,
 )
 from .measurement import (
-    IDEAL,
-    NoiseModel,
     depolarized_component_probability,
     depolarized_fidelity_probability,
     sample_gram,
+    total_shots,
 )
 from .shot_bounds import (
     EntryBudgets,
@@ -82,7 +81,6 @@ from .resources import (
     find_crossover,
     logical_error_rate,
     quantum_cost,
-    total_shots,
 )
 from .datasets import (
     Dataset,

@@ -23,17 +23,18 @@ empty, makes ``kernels`` sample, and a ``resources.classical`` section
 turns on the classical baseline. Every section may appear in the config of
 every command, and every value present goes through its key's cast before
 any work. Seeds (>= 0) and extrapolation targets (>= 1) carry their bound
-in the cast; other range checks, such as eps > 0, stay with the commands
-that read the key. ``--seed`` takes the seed cast and ``--threads`` must be
-at least 1. ``--out`` names the output directory; without it, ``out_dir``
-does.
+in the cast, and float keys refuse NaN and infinities; other range checks,
+such as eps > 0, stay with the commands that read the key. ``--seed`` takes
+the seed cast and ``--threads`` must be at least 1. ``--out`` names the
+output directory; without it, ``out_dir`` does.
 
 Exit codes: 0 on success. 2 for configuration problems: an unreadable or
 malformed config, a key the table does not know (the message names the
 closest known key), a missing key or a value of the wrong type, and every
-parameter the library refuses with a ConfigurationError (eps <= 0, a
-probability outside its range, an odd twonorm m or subset size, fewer than
-2 points, repeated sizes, more qubits than features or than qubit_cap).
+parameter the library refuses with a ConfigurationError (eps <= 0 or too
+small for a finite spread bound, a probability outside its range, an odd
+twonorm m or subset size, fewer than 2 points, repeated sizes, more qubits
+than features or than qubit_cap).
 1 for failures that come from the data or the files, such as an unreadable
 or malformed CSV, a zero IQR or a zero kernel entry. Either way the error
 is one JSON object on stderr.
@@ -45,6 +46,7 @@ import argparse
 import difflib
 import functools
 import json
+import math
 import sys
 import warnings
 from dataclasses import MISSING, asdict, fields, replace
@@ -73,7 +75,7 @@ from .kernels import (
     gram_matrix,
     kernel_statistics,
 )
-from .measurement import NoiseModel, sample_gram
+from .measurement import sample_gram
 from .resources import (
     CLASSICAL_ALPHA_DEFAULTS,
     ClassicalProfile,
@@ -103,6 +105,14 @@ def _at_least(low: int):
             raise ValueError(f"expected an integer >= {low}, got {value}")
         return value
     return cast
+
+
+def _finite(value) -> float:
+    """A float cast that refuses NaN and +-inf."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
 
 
 def _ints(item=int):
@@ -144,7 +154,7 @@ _PROFILES = {"resources.hardware": HardwareProfile, "resources.classical": Class
 # Every config key: dotted name -> (cast, default). The profile dataclasses
 # own their keys and defaults; the classical alpha has none, since it
 # depends on the kernel family. YAML 1.1 reads exponent literals without a
-# sign ("1e7") as strings, which the float cast reads as numbers.
+# sign ("1e7") as strings, which ``_finite`` reads as numbers.
 _KEYS = {
     "seed": (_SEED, 0),
     "out_dir": (_text, "."),
@@ -163,14 +173,14 @@ _KEYS = {
     "feature_map.repetitions": (int, 1),
     "feature_map.entanglement": (_choice(*ENTANGLEMENT_STRATEGIES), LINEAR),
     "kernel.family": (_choice(*KERNEL_FAMILIES), FIDELITY),
-    "kernel.gamma": (float, 1.0),
+    "kernel.gamma": (_finite, 1.0),
     "sampling.n_shots": (int, _REQUIRED),
-    "sampling.p_error": (float, 0.0),
+    "sampling.p_error": (_finite, 0.0),
     "sampling.seed": (_SEED, _PER_RUN),
-    "budget.eps": (float, 1.0),
-    "budget.p_spread": (float, 0.9),
-    "budget.p_ca": (float, 0.99),
-    "budget.p_error": (float, 0.0),
+    "budget.eps": (_finite, 1.0),
+    "budget.p_spread": (_finite, 0.9),
+    "budget.p_ca": (_finite, 0.99),
+    "budget.p_error": (_finite, 0.0),
     "sweep.n_values": (_ints(), _REQUIRED),
     "sweep.extrapolate_to": (_ints(_at_least(1)), ()),
     "sweep.include_budgets": (_flag, True),
@@ -179,9 +189,9 @@ _KEYS = {
     "resources.shots_per_estimate": (int, _REQUIRED),
     "resources.n_values": (_ints(), _REQUIRED),
     "resources.corrected": (_flag, False),
-    "resources.error_budget": (float, None),
+    "resources.error_budget": (_finite, None),
     **{
-        f"{section}.{f.name}": (float, _PER_RUN if f.default is MISSING else f.default)
+        f"{section}.{f.name}": (_finite, _PER_RUN if f.default is MISSING else f.default)
         for section, cls in _PROFILES.items()
         for f in fields(cls)
     },
@@ -334,13 +344,13 @@ def _resolve_gram(config: dict, seed: int) -> tuple[Dataset, FeatureMapConfig, d
 
 
 def _resolve_budget(config: dict) -> dict:
-    """Keyword arguments eps, p_spread, p_ca and noise of the budget
+    """Keyword arguments eps, p_spread, p_ca and p_error of the budget
     section."""
     return {
         "eps": _field(config, "budget.eps"),
         "p_spread": _field(config, "budget.p_spread"),
         "p_ca": _field(config, "budget.p_ca"),
-        "noise": NoiseModel(p_error=_field(config, "budget.p_error")),
+        "p_error": _field(config, "budget.p_error"),
     }
 
 
@@ -372,18 +382,14 @@ def _write_series(out_dir: Path, names: tuple[str, str], series_map: dict[str, S
 
 def cmd_kernels(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     subset, fmap, kernel_args = _resolve_gram(config, seed)
+    kernel = gram_matrix(subset.features, fmap, **kernel_args, threads=threads)
     if _lookup(config, "sampling") is not None:
         kernel = sample_gram(
-            subset.features,
-            fmap,
-            **kernel_args,
+            kernel,
             n_shots=_field(config, "sampling.n_shots"),
-            noise=NoiseModel(p_error=_field(config, "sampling.p_error")),
+            p_error=_field(config, "sampling.p_error"),
             seed=_field(config, "sampling.seed", _derived_seed(seed, 2)),
-            threads=threads,
         )
-    else:
-        kernel = gram_matrix(subset.features, fmap, **kernel_args, threads=threads)
     kernel.metadata.setdefault("dataset", subset.describe())
     csv_path, meta_path = write_kernel_csv(
         out_dir / "gram.csv",
@@ -404,7 +410,7 @@ def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> 
     check_ensemble_iqr(stats.iqr)
     entries = entry_budgets(
         kernel.family, kernel.values, budget["eps"], stats.iqr, budget["p_spread"],
-        budget["p_ca"], budget["noise"].p_error,
+        budget["p_ca"], budget["p_error"],
         table=kernel.component_table, gamma=kernel_args["gamma"], n_qubits=fmap.n_qubits,
     )
     dataset_level = dataset_budget(kernel, **budget, entries=entries)

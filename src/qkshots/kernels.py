@@ -42,7 +42,7 @@ def check_family(family: str, name: str = "family") -> str:
 def check_gamma(gamma: float, name: str = "gamma") -> float:
     """Return ``gamma`` if it is > 0, else raise a ConfigurationError;
     ``name`` is the field the message reports."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ConfigurationError(f"{name} must be > 0, got {gamma}")
     return gamma
 

@@ -28,18 +28,11 @@ for a given seed whatever the thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .feature_map import FeatureMapConfig
-from .kernels import (
-    FIDELITY,
-    KernelMatrix,
-    check_family,
-    gram_matrix,
-    projected_gram_values,
-)
+from .kernels import FIDELITY, KernelMatrix, check_family, projected_gram_values
 from .statevector import ConfigurationError
 
 
@@ -47,20 +40,6 @@ def check_p_error(p_error: float) -> None:
     """Raise a ConfigurationError unless ``p_error`` is in [0, 1]."""
     if not 0.0 <= p_error <= 1.0:
         raise ConfigurationError(f"p_error must be in [0, 1], got {p_error}")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-run depolarising error: with probability ``p_error`` the run
-    produced the maximally mixed state instead of the intended one."""
-
-    p_error: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_p_error(self.p_error)
-
-
-IDEAL = NoiseModel(0.0)
 
 
 def depolarized_fidelity_probability(
@@ -117,12 +96,6 @@ def _clip_physical(d, r, i) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([d, r * scale, i * scale], axis=-1), outside
 
 
-def _tomography_probabilities(table, p_error: float) -> np.ndarray:
-    """Basis success probabilities of a (..., 3) component table."""
-    # the clip guards rounding dust at the edges
-    return np.clip(component_proportions(table, p_error), 0.0, 1.0)
-
-
 def _estimated_components(counts, n_shots: int) -> tuple[np.ndarray, np.ndarray]:
     """Physical components from (..., 3) basis counts, and the clip mask;
     inverts :func:`component_proportions` at p_error = 0."""
@@ -130,7 +103,7 @@ def _estimated_components(counts, n_shots: int) -> tuple[np.ndarray, np.ndarray]
     return _clip_physical(z, x - 0.5, 0.5 - y)
 
 
-def total_shot_count(family: str, m: int, n_shots: int) -> int:
+def total_shots(family: str, m: int, n_shots: int) -> int:
     """Circuit runs needed for a full m-point Gram matrix (m >= 2).
 
     Fidelity estimates each of the m(m-1)/2 independent entries with
@@ -145,46 +118,45 @@ def total_shot_count(family: str, m: int, n_shots: int) -> int:
 
 
 def sample_gram(
-    points,
-    cfg: FeatureMapConfig,
-    family: str = FIDELITY,
-    gamma: float = 1.0,
-    n_shots: int = 1024,
-    noise: NoiseModel = IDEAL,
-    seed: int = 0,
-    cap: int | None = None,
-    threads: int = 1,
+    exact: KernelMatrix, n_shots: int = 1024, p_error: float = 0.0, seed: int = 0
 ) -> KernelMatrix:
     """Finite-shot estimate of the full Gram matrix, drawn from the exact
-    :func:`gram_matrix` of the points.
+    kernel ``exact`` that :func:`gram_matrix` built; each run is
+    depolarised with probability ``p_error``.
 
     Fidelity: every upper-triangle entry is sampled independently.
     Projected: each point's tomography is sampled once (per basis), then
     all entries follow by classical post-processing, so estimation errors
     of entries sharing a data point are correlated, exactly as on hardware;
     ``metadata["psd_clipped"]`` counts the (point, qubit) estimates that
-    were rescaled onto the physical set.
+    were rescaled onto the physical set. An estimated kernel, or a
+    projected one without its component table, raises a ValueError.
     """
-    m = np.atleast_2d(points).shape[0]
+    if exact.metadata.get("estimated"):
+        raise ValueError("sample_gram draws from an exact kernel, got an estimated one")
+    if exact.family != FIDELITY and exact.component_table is None:
+        raise ValueError("sampling a projected kernel needs its component table")
+    check_p_error(p_error)
+    m = exact.m
     metadata = {
         "estimated": True,
         "n_shots": n_shots,
-        "p_error": noise.p_error,
+        "p_error": p_error,
         "seed": seed,
-        "total_shots": total_shot_count(family, m, n_shots),
+        "total_shots": total_shots(exact.family, m, n_shots),
     }
-    exact = gram_matrix(points, cfg, family=family, gamma=gamma, cap=cap, threads=threads)
-    if family == FIDELITY:
-        q = depolarized_fidelity_probability(exact.values, noise.p_error, cfg.n_qubits)
+    if exact.family == FIDELITY:
+        q = depolarized_fidelity_probability(exact.values, p_error, exact.config.n_qubits)
         values = np.zeros((m, m))
         for i in range(m - 1):
             values[i, i + 1:] = _rng(seed, i).binomial(n_shots, q[i, i + 1:]) / n_shots
         values = values + values.T
         np.fill_diagonal(values, 1.0)
     else:
-        q = _tomography_probabilities(exact.component_table, noise.p_error)
+        # the clip guards rounding dust at the edges
+        q = np.clip(component_proportions(exact.component_table, p_error), 0.0, 1.0)
         counts = np.stack([_rng(seed, i).binomial(n_shots, q[i]) for i in range(m)])
         estimated, clipped = _estimated_components(counts, n_shots)
-        values = projected_gram_values(estimated, gamma)
+        values = projected_gram_values(estimated, exact.gamma)
         metadata["psd_clipped"] = int(clipped.sum())
     return replace(exact, values=values, metadata=metadata, component_table=None)

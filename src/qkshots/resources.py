@@ -27,7 +27,7 @@ import numpy as np
 
 from .feature_map import FULL, FeatureMapConfig
 from .kernels import FIDELITY, PROJECTED, check_family
-from .measurement import total_shot_count
+from .measurement import total_shots
 from .statevector import ConfigurationError
 
 MAX_CODE_DISTANCE = 51
@@ -53,7 +53,7 @@ class HardwareProfile:
             "power_per_qubit_w",
             "qubit_overhead_factor",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
 
 
@@ -68,7 +68,7 @@ class ClassicalProfile:
     power_w: float = 1e5
 
     def __post_init__(self) -> None:
-        if self.c0 <= 0 or self.flops_per_second <= 0 or self.power_w <= 0:
+        if not (self.c0 > 0 and self.flops_per_second > 0 and self.power_w > 0):
             raise ConfigurationError("classical profile constants must be positive")
 
 
@@ -87,11 +87,6 @@ class ClassicalCost:
     runtime_s: float
     energy_j: float
     flops: float
-
-
-# circuit runs for a full m-point Gram matrix at the given per-entry
-# (fidelity) or per-basis (projected) shot count
-total_shots = total_shot_count
 
 
 def pair_layer_count(n_qubits: int, entanglement: str) -> int:
@@ -207,7 +202,7 @@ def quantum_cost(
 
 def _entry_count(family: str, m: int) -> int:
     """Kernel entries (fidelity) or data points (projected): not the 3 m
-    runs per shot that total_shot_count counts for projected tomography."""
+    runs per shot that total_shots counts for projected tomography."""
     if check_family(family) == FIDELITY:
         return m * (m - 1) // 2
     return m

@@ -24,7 +24,7 @@ import numpy as np
 from .datasets import Dataset, select_features
 from .feature_map import FeatureMapConfig
 from .kernels import gram_matrix, kernel_statistics
-from .measurement import NoiseModel
+from .measurement import check_p_error
 from .shot_bounds import dataset_budget
 from .statevector import ConfigurationError
 
@@ -176,7 +176,7 @@ def sweep(
     eps: float = 1.0,
     p_spread: float = 0.9,
     p_ca: float = 0.99,
-    noise: NoiseModel | None = None,
+    p_error: float = 0.0,
     include_budgets: bool = True,
     cap: int | None = None,
     threads: int = 1,
@@ -186,8 +186,10 @@ def sweep(
     For each n the first n variance-ordered features are selected, the
     exact Gram matrix is built, and the ensemble mean/std/median/IQR are
     recorded; with ``include_budgets`` the dataset-level spread and
-    concentration shot counts are recorded as well.
+    concentration shot counts are recorded as well, noisy when
+    ``p_error > 0``.
     """
+    check_p_error(p_error)
     n_values = sorted(int(n) for n in n_values)
     if not n_values:
         raise ConfigurationError("n_values must be non-empty")
@@ -214,7 +216,7 @@ def sweep(
         columns["iqr"].append(stats.iqr)
         if include_budgets:
             budget = dataset_budget(
-                kernel, eps=eps, p_spread=p_spread, p_ca=p_ca, noise=noise,
+                kernel, eps=eps, p_spread=p_spread, p_ca=p_ca, p_error=p_error,
             )
             columns["n_spread"].append(float(budget.n_spread))
             columns["n_ca"].append(float(budget.n_ca))
@@ -224,7 +226,7 @@ def sweep(
         "entanglement": entanglement,
         "gamma": gamma,
         "dataset_id": dataset.dataset_id,
-        "noisy": bool(noise is not None and noise.p_error > 0.0),
+        "noisy": bool(p_error > 0.0),
     }
     names = list(STATISTIC_NAMES) if include_budgets else list(STATISTIC_NAMES[:4])
     return {

@@ -51,7 +51,6 @@ from .kernels import (
     kernel_statistics,
 )
 from .measurement import (
-    NoiseModel,
     check_p_error,
     component_proportions,
     depolarized_component_probability,
@@ -85,19 +84,15 @@ class ShotCount(int):
         return obj
 
 
-def _ceil_shots(x: float) -> ShotCount:
-    return ShotCount(max(1, math.ceil(x - _CEIL_GUARD)))
-
-
 def _ceil_array(x):
-    """``_ceil_shots`` elementwise, as integer-valued floats."""
+    """max(1, ceil(x - 1e-9)) elementwise, as integer-valued floats."""
     return np.maximum(1.0, np.ceil(x - _CEIL_GUARD))
 
 
 def _spread_denominator(eps: float, delta_ensemble: float, p_spread: float) -> float:
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ConfigurationError(f"eps must be > 0, got {eps}")
-    if delta_ensemble <= 0.0:
+    if not delta_ensemble > 0.0:
         raise ValueError(
             "delta_ensemble must be > 0 (an ensemble with zero spread has "
             f"indistinguishable entries), got {delta_ensemble}"
@@ -143,8 +138,13 @@ def _variance_terms(zx, zy, noise_robust: bool, weights=None) -> np.ndarray:
 
 
 def _spread_shots(numerator, denominator: float, degenerate):
-    """Chebyshev spread shots numerator / denominator; 1 where degenerate."""
-    return np.where(degenerate, 1.0, _ceil_array(numerator / denominator))
+    """Chebyshev spread shots numerator / denominator; 1 where degenerate.
+    A count past the float range (a tiny eps) raises a ConfigurationError."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        shots = np.where(degenerate, 1.0, _ceil_array(np.divide(numerator, denominator)))
+    if not np.isfinite(shots).all():
+        raise ConfigurationError("eps is too small: the spread bound exceeds the float range")
+    return shots
 
 
 def _pq_spread(v_total, n: int, kappa, gamma: float, denominator: float, noisy: bool):
@@ -180,7 +180,8 @@ def n_spread_noisy_fq(
     """Noisy spread bound for fidelity entries: 4 in the numerator (half
     the deviation is budgeted to circuit errors) and worst-case variance 1,
     so the bound no longer depends on the kernel value."""
-    return _ceil_shots(4.0 / _spread_denominator(eps, delta_ensemble, p_spread))
+    denominator = _spread_denominator(eps, delta_ensemble, p_spread)
+    return ShotCount(int(_spread_shots(4.0, denominator, False)))
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +644,11 @@ def dataset_budget(
     eps: float = 1.0,
     p_spread: float = 0.9,
     p_ca: float = 0.99,
-    noise: NoiseModel | None = None,
+    p_error: float = 0.0,
     entries: EntryBudgets | None = None,
 ) -> ShotBudget:
-    """Whole-dataset shot budget from kernel-matrix statistics.
+    """Whole-dataset shot budget from kernel-matrix statistics;
+    ``p_error > 0`` selects the noisy bounds.
 
     Fidelity: the :func:`entry_budgets` budget of the ensemble median, with
     the inter-quartile range as the spread.
@@ -663,9 +665,9 @@ def dataset_budget(
     average from the pass that budgeted the pairs instead of a second pass
     over the table.
     """
+    check_p_error(p_error)
     stats_ = kernel_statistics(kernel)
     check_ensemble_iqr(stats_.iqr)
-    p_error = noise.p_error if noise else 0.0
     noisy = p_error > 0.0
     kappa_repr = stats_.median
     delta_ensemble = stats_.iqr
@@ -699,7 +701,7 @@ def dataset_budget(
         raise ValueError("inferred proportion offset is zero; no finite budget")
     mu = PQ_CONCENTRATION_VALUE
     z = float(ndtri(p_ca))
-    n_ca = _ceil_shots(z**2 * mu * (1.0 - mu) / scale_eff**2) if z > 0 else ShotCount(1)
+    n_ca = _ceil_array(z**2 * mu * (1.0 - mu) / scale_eff**2) if z > 0 else 1.0
 
     if kernel.component_table is not None:
         pairs = kernel.m * (kernel.m - 1) // 2

@@ -72,13 +72,13 @@ def test_results_bit_identical_across_threads_over_several_blocks():
     cfg = FeatureMapConfig(n_qubits=n, repetitions=2, entanglement="full")
 
     def run(threads: int) -> list:
+        fidelity = gram_matrix(points, cfg, threads=threads)
+        projected = gram_matrix(points, cfg, family="projected", threads=threads)
         return [
-            gram_matrix(points, cfg, threads=threads).values,
-            gram_matrix(points, cfg, family="projected", threads=threads).values,
-            sample_gram(points, cfg, n_shots=64, seed=3, threads=threads).values,
-            sample_gram(
-                points, cfg, family="projected", n_shots=64, seed=3, threads=threads
-            ).values,
+            fidelity.values,
+            projected.values,
+            sample_gram(fidelity, n_shots=64, seed=3).values,
+            sample_gram(projected, n_shots=64, seed=3).values,
             mean_relative_entropy(points, cfg, threads=threads),
         ]
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import yaml
 
 import qkshots
+from qkshots import ClassicalProfile, HardwareProfile
 from qkshots.cli import _KEYS, _PER_RUN, _REQUIRED, _check_keys, _field, main
 from qkshots.serialize import read_kernel_csv, read_series_csv
 
@@ -155,6 +157,28 @@ class TestEstimateShotsCommand:
                        "finite spread budget exists",
         }
         assert not (tmp_path / "shot_budgets.json").exists()
+
+
+@pytest.mark.parametrize("p_error", [0.0, 0.01])
+@pytest.mark.parametrize("family", ["fidelity", "projected"])
+@pytest.mark.parametrize("command, eps, artifact", [
+    ("estimate-shots", 1e-300, "shot_budgets.json"),
+    ("sweep", 1e-160, "series.csv"),
+])
+def test_spread_count_past_the_float_range_exits_two(
+        tmp_path, capsys, command, eps, artifact, family, p_error):
+    # eps^2 underflows (1e-300) or the count overflows (1e-160)
+    cfg = write_config(tmp_path, base_config(
+        kernel={"family": family}, budget={"eps": eps, "p_error": p_error},
+        sweep={"n_values": [2, 3, 4, 5]}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "configuration",
+        "message": "eps is too small: the spread bound exceeds the float range",
+    }
+    assert not (tmp_path / artifact).exists()
 
 
 class TestSweepCommand:
@@ -675,6 +699,38 @@ class TestKeyTable:
             "message": f"{key}: expected a list of integers, got {value!r}",
         }
         assert not (tmp_path / "series.csv").exists()
+
+    FLOAT_KEYS = [
+        "kernel.gamma", "sampling.p_error", "budget.eps", "budget.p_spread", "budget.p_ca",
+        "budget.p_error", "resources.error_budget",
+        *(f"resources.{section}.{f.name}"
+          for section, cls in (("hardware", HardwareProfile), ("classical", ClassicalProfile))
+          for f in fields(cls)),
+    ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=[".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_floats_exit_two_naming_the_key_before_any_work(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was generated before the value was refused")
+
+        monkeypatch.setattr("qkshots.cli.generate_twonorm", refuse)
+        assert key in _KEYS
+        payload = base_config(sampling={"n_shots": 8})
+        section, _, name = key.rpartition(".")
+        section_mapping(payload, section)[name] = value
+        # written without write_config: NaN never equals itself, so the
+        # loaders cannot be compared by value
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["kernels", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "configuration", "message": f"{key}: expected a finite number, got {value}",
+        }
 
     def test_unread_range_problem_is_left_to_the_commands_that_read_it(self, tmp_path):
         cfg = write_config(tmp_path, base_config(budget={"eps": -1}))

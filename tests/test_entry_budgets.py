@@ -16,7 +16,6 @@ from scipy.special import ndtri
 
 from qkshots import (
     FeatureMapConfig,
-    NoiseModel,
     dataset_budget,
     entry_budgets,
     gram_matrix,
@@ -135,9 +134,9 @@ def test_fidelity_nearly_orthogonal_entry_is_finite():
 
 
 @pytest.mark.parametrize("family", ["fidelity", "projected"])
-def test_zero_noise_model_is_noiseless(family):
+def test_zero_p_error_is_noiseless(family):
     kernel = _kernel(family, n=3)
-    quiet = dataset_budget(kernel, noise=NoiseModel(0.0))
+    quiet = dataset_budget(kernel, p_error=0.0)
     assert quiet.to_dict() == dataset_budget(kernel).to_dict()
 
 
@@ -186,12 +185,11 @@ def test_entry_pass_gives_the_standalone_dataset_budget(p_error):
     delta = kernel_statistics(kernel).iqr
     entries = entry_budgets("projected", kernel.values, EPS, delta, P_SPREAD, P_CA, p_error,
                             table=kernel.component_table, gamma=GAMMA)
-    noise = NoiseModel(p_error)
-    shared = dataset_budget(kernel, EPS, P_SPREAD, P_CA, noise, entries=entries)
+    shared = dataset_budget(kernel, EPS, P_SPREAD, P_CA, p_error, entries=entries)
     assert shared.inputs["spread_path"] == "components"
-    assert asdict(shared) == asdict(dataset_budget(kernel, EPS, P_SPREAD, P_CA, noise))
+    assert asdict(shared) == asdict(dataset_budget(kernel, EPS, P_SPREAD, P_CA, p_error))
     with pytest.raises(ValueError, match="another kernel or p_error"):
-        dataset_budget(kernel, EPS, P_SPREAD, P_CA, NoiseModel(0.01), entries=entries)
+        dataset_budget(kernel, EPS, P_SPREAD, P_CA, 0.01, entries=entries)
 
 
 @pytest.mark.parametrize("family, p_error", [("projected", 0.0), ("fidelity", 0.01)])

@@ -5,6 +5,7 @@ from qkshots import (
     ClassicalProfile,
     ConfigurationError,
     FeatureMapConfig,
+    HardwareProfile,
     KernelMatrix,
     circuit_depth,
     classical_cost,
@@ -14,10 +15,12 @@ from qkshots import (
     gram_matrix,
     kernel_statistics,
     n_ca_noisy_binomial_exact,
-    sample_gram,
+    n_spread_fq,
+    n_spread_noisy_fq,
+    quantum_cost,
+    total_shots,
 )
-from qkshots.kernels import fidelity_gram_values, projected_gram_values
-from qkshots.measurement import total_shot_count
+from qkshots.kernels import check_gamma, fidelity_gram_values, projected_gram_values
 
 from oracles import quantile_type7
 
@@ -214,8 +217,8 @@ class TestKernelMatrixValidation:
     [
         lambda: KernelMatrix(values=np.eye(2), family="swap", config=FeatureMapConfig(2)),
         lambda: gram_matrix(np.zeros((2, 2)), FeatureMapConfig(2), family="swap"),
-        lambda: sample_gram(np.zeros((2, 2)), FeatureMapConfig(2), family="swap"),
-        lambda: total_shot_count("swap", 4, 10),
+        lambda: quantum_cost(10, FeatureMapConfig(2), "swap", 4),
+        lambda: total_shots("swap", 4, 10),
         lambda: circuit_depth(FeatureMapConfig(2), "swap"),
         lambda: classical_cost("swap", 2, 4, ClassicalProfile(c0=1.0, alpha=1.0)),
         lambda: error_budget("swap", 0.5, 1.0, 0.2),
@@ -227,3 +230,23 @@ def test_every_family_dispatch_shares_one_check(call):
     with pytest.raises(ConfigurationError) as err:
         call()
     assert str(err.value) == "family must be one of ('fidelity', 'projected'), got 'swap'"
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: check_gamma(NAN), ConfigurationError, "gamma must be > 0, got nan"),
+    (lambda: n_spread_fq(0.5, NAN, 0.2, 0.9), ConfigurationError, "eps must be > 0, got nan"),
+    (lambda: n_spread_noisy_fq(1.0, NAN, 0.9), ValueError,
+     "delta_ensemble must be > 0 (an ensemble with zero spread has indistinguishable "
+     "entries), got nan"),
+    (lambda: HardwareProfile(gate_time_s=NAN), ConfigurationError,
+     "gate_time_s must be positive"),
+    (lambda: ClassicalProfile(alpha=1.0, c0=NAN), ConfigurationError,
+     "classical profile constants must be positive"),
+], ids=["check_gamma", "eps", "delta_ensemble", "HardwareProfile", "ClassicalProfile"])
+def test_positivity_checks_refuse_nan(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -1,26 +1,29 @@
 import numpy as np
 import pytest
 
+import qkshots
 from qkshots import (
     ConfigurationError,
     FeatureMapConfig,
-    NoiseModel,
+    KernelMatrix,
+    dataset_budget,
     entry_budgets,
+    generate_twonorm,
     gram_matrix,
     n_ca_noisy_binomial_exact,
     n_ca_noisy_fq,
     n_ca_noisy_pq_normal,
     sample_gram,
+    sweep,
 )
 from qkshots.kernels import projected_gram_values, reduced_component_table
 from qkshots.measurement import (
     _estimated_components,
     _rng,
-    _tomography_probabilities,
     component_proportions,
     depolarized_component_probability,
     depolarized_fidelity_probability,
-    total_shot_count,
+    total_shots,
 )
 
 from oracles import components_to_matrix
@@ -28,31 +31,34 @@ from oracles import components_to_matrix
 ONE_QUBIT = FeatureMapConfig(n_qubits=1)
 
 
-def sample_entries(kappa, n_shots, reps, noise=NoiseModel(), seed=0):
+def sample_entries(kappa, n_shots, reps, p_error=0.0, seed=0):
     """``reps`` sampled fidelity entries of true value ``kappa``: one-qubit
     points 0 and arccos(sqrt(kappa)) have kernel cos^2(x - y) = kappa, and
     a Gram matrix of k copies of each holds k^2 such entries."""
     k = int(np.ceil(np.sqrt(reps)))
     y = np.arccos(np.sqrt(kappa))
     points = [[0.0]] * k + [[y]] * k
-    sampled = sample_gram(points, ONE_QUBIT, n_shots=n_shots, noise=noise, seed=seed)
+    sampled = sample_gram(gram_matrix(points, ONE_QUBIT), n_shots, p_error, seed)
     return sampled.values[:k, k:].reshape(-1)[:reps]
 
 
-def tomography(table, n_shots, noise=NoiseModel(), seed=0, stream=0):
+def tomography(table, n_shots, p_error=0.0, seed=0, stream=0):
     """One point's tomography as ``sample_gram`` draws point ``stream``:
     (n, 3) basis counts, then the estimated physical (n, 3) components and
     the clip mask."""
-    q = _tomography_probabilities(np.reshape(table, (-1, 3)), noise.p_error)
+    q = np.clip(component_proportions(np.reshape(table, (-1, 3)), p_error), 0.0, 1.0)
     counts = _rng(seed, stream).binomial(n_shots, q)
     return (counts, *_estimated_components(counts, n_shots))
 
 
-class TestNoiseModel:
-    def test_rejects_invalid_probability(self):
-        with pytest.raises(ConfigurationError):
-            NoiseModel(p_error=1.5)
+def test_one_noise_spelling_and_one_run_count():
+    for name in ("NoiseModel", "IDEAL", "total_shot_count"):
+        assert not hasattr(qkshots, name) and not hasattr(qkshots.measurement, name)
+    assert qkshots.total_shots is qkshots.measurement.total_shots
+    assert qkshots.resources.total_shots is qkshots.measurement.total_shots
 
+
+class TestDepolarisation:
     def test_depolarized_probabilities(self):
         assert depolarized_fidelity_probability(0.8, 0.1, 1) == pytest.approx(0.77)
         assert depolarized_fidelity_probability(0.5, 0.0, 4) == 0.5
@@ -61,11 +67,17 @@ class TestNoiseModel:
 
 KAPPAS = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.5], [0.2, 0.5, 1.0]])
 TABLE = np.full((3, 2, 3), [0.7, 0.1, 0.05])
+TWONORM = generate_twonorm(m=8, n_features=3, seed=2)
+EXACT = {family: gram_matrix(TWONORM.features, FeatureMapConfig(2), family=family)
+         for family in ("fidelity", "projected")}
 
 
 @pytest.mark.parametrize("p_error", [-0.5, 1.2, 1.5, float("nan")])
 @pytest.mark.parametrize("call", [
-    lambda p: NoiseModel(p_error=p),
+    lambda p: sample_gram(EXACT["fidelity"], 16, p),
+    lambda p: sample_gram(EXACT["projected"], 16, p),
+    lambda p: sweep(TWONORM, "fidelity", 1, "linear", [1, 2], p_error=p, include_budgets=False),
+    lambda p: dataset_budget(EXACT["projected"], p_error=p),
     lambda p: entry_budgets("fidelity", KAPPAS, 1.0, 0.2, 0.9, 0.99, p, n_qubits=3),
     lambda p: entry_budgets("projected", KAPPAS, 1.0, 0.2, 0.9, 0.99, p, table=TABLE),
     lambda p: n_ca_noisy_fq(0.3, 0.99, p, 3),
@@ -75,7 +87,8 @@ TABLE = np.full((3, 2, 3), [0.7, 0.1, 0.05])
     lambda p: depolarized_fidelity_probability(0.3, p, 3),
     lambda p: depolarized_component_probability(0.3, p),
     lambda p: component_proportions(TABLE, p),
-], ids=["NoiseModel", "entry_budgets-fidelity", "entry_budgets-projected", "n_ca_noisy_fq",
+], ids=["sample_gram-fidelity", "sample_gram-projected", "sweep", "dataset_budget",
+        "entry_budgets-fidelity", "entry_budgets-projected", "n_ca_noisy_fq",
         "n_ca_noisy_pq_normal", "n_ca_noisy_binomial_exact-projected",
         "n_ca_noisy_binomial_exact-fidelity", "depolarized_fidelity_probability",
         "depolarized_component_probability", "component_proportions"])
@@ -104,7 +117,7 @@ class TestSampleFidelity:
     def test_noisy_mean_matches_arithmetic(self):
         # q = 0.9 * 0.8 + 0.1 * 0.5 = 0.77 for a single qubit
         n_shots, reps = 10, 100_000
-        mean = sample_entries(0.8, n_shots, reps, noise=NoiseModel(0.1), seed=7).mean()
+        mean = sample_entries(0.8, n_shots, reps, p_error=0.1, seed=7).mean()
         se = np.sqrt(0.77 * 0.23 / (n_shots * reps))
         assert abs(mean - 0.77) <= 3 * se
 
@@ -139,7 +152,7 @@ class TestSampleTomography:
 
     def test_full_depolarising_forgets_the_state(self):
         n_shots = 200_000
-        _, estimated, _ = tomography([1.0, 0.0, 0.0], n_shots, noise=NoiseModel(1.0), seed=4)
+        _, estimated, _ = tomography([1.0, 0.0, 0.0], n_shots, p_error=1.0, seed=4)
         d, r, i = estimated[0]
         sigma = np.sqrt(0.25 / n_shots)
         assert abs(d - 0.5) <= 3 * sigma
@@ -172,9 +185,9 @@ class TestSampleTomography:
 
 class TestSampleGram:
     def test_total_shot_formulas(self):
-        assert total_shot_count("fidelity", 100, 1000) == 4_950_000
-        assert total_shot_count("projected", 100, 1000) == 300_000
-        assert total_shot_count("fidelity", 2, 77) == 77
+        assert total_shots("fidelity", 100, 1000) == 4_950_000
+        assert total_shots("projected", 100, 1000) == 300_000
+        assert total_shots("fidelity", 2, 77) == 77
 
     def test_estimates_converge_to_exact(self):
         rng = np.random.default_rng(2)
@@ -182,7 +195,7 @@ class TestSampleGram:
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
         exact = gram_matrix(points, cfg)
         n_shots = 10_000_000
-        sampled = sample_gram(points, cfg, n_shots=n_shots, seed=12)
+        sampled = sample_gram(exact, n_shots=n_shots, seed=12)
         worst = 5 * np.sqrt(0.25 / n_shots)
         assert np.max(np.abs(sampled.values - exact.values)) <= worst
 
@@ -190,9 +203,7 @@ class TestSampleGram:
         rng = np.random.default_rng(3)
         points = rng.normal(size=(4, 2))
         cfg = FeatureMapConfig(n_qubits=2)
-        sampled = sample_gram(
-            points, cfg, n_shots=64, noise=NoiseModel(0.05), seed=77
-        )
+        sampled = sample_gram(gram_matrix(points, cfg), n_shots=64, p_error=0.05, seed=77)
         assert sampled.metadata["seed"] == 77
         assert sampled.metadata["n_shots"] == 64
         assert sampled.metadata["p_error"] == 0.05
@@ -202,7 +213,8 @@ class TestSampleGram:
         rng = np.random.default_rng(4)
         points = rng.normal(size=(4, 2))
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
-        sampled = sample_gram(points, cfg, family="projected", n_shots=32, seed=5)
+        exact = gram_matrix(points, cfg, family="projected")
+        sampled = sample_gram(exact, n_shots=32, seed=5)
         assert np.all(np.diag(sampled.values) == 1.0)
         assert sampled.metadata["total_shots"] == 3 * 4 * 32
 
@@ -211,9 +223,9 @@ class TestSampleGram:
         rng = np.random.default_rng(9)
         points = rng.normal(size=(6, 2))
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
-        serial = sample_gram(points, cfg, family=family, n_shots=256, seed=42)
+        serial = sample_gram(gram_matrix(points, cfg, family=family), n_shots=256, seed=42)
         pooled = sample_gram(
-            points, cfg, family=family, n_shots=256, seed=42, threads=4
+            gram_matrix(points, cfg, family=family, threads=4), n_shots=256, seed=42
         )
         assert np.array_equal(serial.values, pooled.values)
 
@@ -222,9 +234,7 @@ class TestSampleGram:
         points = rng.normal(size=(4, 2))
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
         exact = gram_matrix(points, cfg, family="projected", gamma=1.0)
-        sampled = sample_gram(
-            points, cfg, family="projected", gamma=1.0, n_shots=1_000_000, seed=6
-        )
+        sampled = sample_gram(exact, n_shots=1_000_000, seed=6)
         assert np.max(np.abs(sampled.values - exact.values)) < 5e-3
 
     @pytest.mark.parametrize("p_error", [0.0, 0.05])
@@ -234,11 +244,10 @@ class TestSampleGram:
         rng = np.random.default_rng(12)
         points = rng.normal(size=(5, 3))
         cfg = FeatureMapConfig(n_qubits=3, repetitions=2, entanglement="full")
-        noise = NoiseModel(p_error)
-        batch = sample_gram(points, cfg, family="projected", gamma=0.7, n_shots=16,
-                            noise=noise, seed=19)
+        batch = sample_gram(gram_matrix(points, cfg, family="projected", gamma=0.7),
+                            n_shots=16, p_error=p_error, seed=19)
         table = reduced_component_table(points, cfg)
-        results = [tomography(row, 16, noise=noise, seed=19, stream=i)
+        results = [tomography(row, 16, p_error=p_error, seed=19, stream=i)
                    for i, row in enumerate(table)]
         estimated = np.array([r[1] for r in results])
         assert np.array_equal(batch.values, projected_gram_values(estimated, 0.7))
@@ -256,10 +265,8 @@ class TestSampleGram:
         points = rng.normal(size=(6, 4))
         points[[3, 5], :3] = points[0, :3]
         cfg = FeatureMapConfig(n_qubits=3, repetitions=2, entanglement="full")
-        noise = NoiseModel(p_error)
         exact = gram_matrix(points, cfg, family=family, gamma=0.7)
-        sampled = sample_gram(points, cfg, family=family, gamma=0.7, n_shots=64,
-                              noise=noise, seed=31)
+        sampled = sample_gram(exact, n_shots=64, p_error=p_error, seed=31)
         if family == "fidelity":
             q = depolarized_fidelity_probability(exact.values, p_error, 3)
             upper = np.zeros((6, 6))
@@ -267,7 +274,7 @@ class TestSampleGram:
                 upper[i, i + 1:] = _rng(31, i).binomial(64, q[i, i + 1:]) / 64
             expected = upper + upper.T + np.eye(6)
         else:
-            estimated = np.array([tomography(row, 64, noise=noise, seed=31, stream=i)[1]
+            estimated = np.array([tomography(row, 64, p_error=p_error, seed=31, stream=i)[1]
                                   for i, row in enumerate(exact.component_table)])
             expected = projected_gram_values(estimated, 0.7)
         assert np.array_equal(sampled.values, expected)
@@ -281,7 +288,7 @@ class TestSampleGram:
         rng = np.random.default_rng(13)
         points = rng.normal(size=(8, 3))
         cfg = FeatureMapConfig(n_qubits=3, repetitions=2, entanglement="full")
-        sampled = sample_gram(points, cfg, family="projected", n_shots=4, seed=23)
+        sampled = sample_gram(gram_matrix(points, cfg, family="projected"), n_shots=4, seed=23)
         table = reduced_component_table(points, cfg)
         expected = 0
         for i, row in enumerate(table):
@@ -289,4 +296,16 @@ class TestSampleGram:
             for z, x, y in counts / 4:
                 expected += (x - 0.5) ** 2 + (0.5 - y) ** 2 > z * (1 - z)
         assert sampled.metadata["psd_clipped"] == expected > 0
-        assert "psd_clipped" not in sample_gram(points, cfg, n_shots=4, seed=23).metadata
+        assert "psd_clipped" not in sample_gram(gram_matrix(points, cfg), 4, seed=23).metadata
+
+    @pytest.mark.parametrize("family", ["fidelity", "projected"])
+    def test_refuses_an_estimated_kernel(self, family):
+        sampled = sample_gram(EXACT[family], n_shots=8, seed=1)
+        with pytest.raises(ValueError, match="got an estimated one"):
+            sample_gram(sampled, n_shots=8, seed=1)
+
+    def test_refuses_a_projected_kernel_without_its_table(self):
+        exact = EXACT["projected"]
+        bare = KernelMatrix(exact.values, "projected", exact.config, gamma=exact.gamma)
+        with pytest.raises(ValueError, match="needs its component table"):
+            sample_gram(bare, n_shots=8, seed=1)

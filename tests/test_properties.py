@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkshots import (FeatureMapConfig, NoiseModel, entry_budgets, gram_matrix, sample_gram,
-                     shot_bounds)
+from qkshots import FeatureMapConfig, entry_budgets, gram_matrix, sample_gram, shot_bounds
 from qkshots.serialize import write_json
 
 from oracles import budget_json
@@ -27,8 +26,8 @@ def _points(seed: int, m: int, n: int) -> np.ndarray:
 def test_sampled_gram_is_a_thread_independent_kernel(family, m, n, n_shots, p_error, seed):
     cfg = FeatureMapConfig(n_qubits=n, repetitions=2, entanglement="full")
     runs = [
-        sample_gram(_points(seed, m, n), cfg, family=family, n_shots=n_shots,
-                    noise=NoiseModel(p_error), seed=seed, threads=threads).values
+        sample_gram(gram_matrix(_points(seed, m, n), cfg, family=family, threads=threads),
+                    n_shots, p_error, seed).values
         for threads in (1, 2, 4)
     ]
     values = runs[0]

@@ -107,7 +107,7 @@ def _sampled_kernel():
     """Finite-shot entries k / 4 of 12 points: at most 5 distinct values, so
     every block of at least one row formats each distinct value once."""
     points = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, size=(12, 2))
-    values = sample_gram(points, FeatureMapConfig(2), n_shots=4, seed=5).values
+    values = sample_gram(gram_matrix(points, FeatureMapConfig(2)), n_shots=4, seed=5).values
     assert np.unique(values).size <= 5 and np.any(values == 0.0)
     return values
 

@@ -8,7 +8,6 @@ from scipy.special import ndtri
 from qkshots import (
     FeatureMapConfig,
     KernelMatrix,
-    NoiseModel,
     dataset_budget,
     entry_budgets,
     epsilon_r_from_kernel,
@@ -398,7 +397,7 @@ class TestDatasetBudget:
 
     def test_noisy_fidelity_budget(self):
         kernel = _kernel_from_offdiag([0.3, 0.4, 0.5, 0.5, 0.6, 0.7])
-        noisy = dataset_budget(kernel, noise=NoiseModel(0.2))
+        noisy = dataset_budget(kernel, p_error=0.2)
         clean = dataset_budget(kernel)
         assert noisy.noisy and not clean.noisy
         assert noisy.n_spread == n_spread_noisy_fq(1.0, clean.inputs["delta_ensemble"], 0.9)
