@@ -8,10 +8,9 @@ concentration scaling laws, and converts shot budgets into runtime and
 energy estimates for ideal, error-corrected and classical execution.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .statevector import (
-    DEFAULT_QUBIT_CAP,
     ConfigurationError,
     qubit_components,
 )

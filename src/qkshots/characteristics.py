@@ -30,16 +30,14 @@ def haar_second_moment(n_qubits: int) -> float:
     return 1.0 / (2.0 ** (n_qubits - 1) * (2.0**n_qubits + 1.0))
 
 
-def expressibility(
-    points, cfg: FeatureMapConfig, cap: int | None = None, threads: int = 1
-) -> float:
+def expressibility(points, cfg: FeatureMapConfig, threads: int = 1) -> float:
     """Dataset expressibility estimate.
 
     Averages |overlap|^4 over all ordered pairs of embedded points,
     including the i = j diagonal, then subtracts the Haar term. Values
     near 0 indicate a 2-design-like embedding.
     """
-    amplitudes = embedding_matrix(points, cfg, cap=cap, threads=threads)
+    amplitudes = embedding_matrix(points, cfg, threads=threads)
     return _expressibility(amplitudes, cfg.n_qubits)
 
 
@@ -60,22 +58,18 @@ def component_relative_entropy(table) -> np.ndarray:
     return np.clip(LN2 + xlogy(lo, lo) + xlogy(hi, hi), 0.0, LN2)
 
 
-def mean_relative_entropy(
-    points, cfg: FeatureMapConfig, cap: int | None = None, threads: int = 1
-) -> float:
+def mean_relative_entropy(points, cfg: FeatureMapConfig, threads: int = 1) -> float:
     """Relative entropy to the maximally mixed state, averaged over the n
     one-qubit reduced states of every embedded point."""
-    table = reduced_component_table(points, cfg, cap=cap, threads=threads)
+    table = reduced_component_table(points, cfg, threads=threads)
     return float(np.mean(component_relative_entropy(table)))
 
 
-def embedding_diagnostics(
-    points, cfg: FeatureMapConfig, cap: int | None = None, threads: int = 1
-) -> tuple[float, float]:
+def embedding_diagnostics(points, cfg: FeatureMapConfig, threads: int = 1) -> tuple[float, float]:
     """(expressibility, mean relative entropy) from one embedding of the
     points: the component table is read off the same amplitude rows, one
     row block at a time, so its temporaries stay block-sized."""
-    amplitudes = embedding_matrix(points, cfg, cap=cap, threads=threads)
+    amplitudes = embedding_matrix(points, cfg, threads=threads)
     step = block_rows(cfg.n_qubits)
     table = np.concatenate([
         qubit_components(amplitudes[start:start + step], cfg.n_qubits)

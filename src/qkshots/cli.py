@@ -22,11 +22,17 @@ null key, takes its defaults. A ``sampling`` section that is present, even
 empty, makes ``kernels`` sample, and a ``resources.classical`` section
 turns on the classical baseline. Every section may appear in the config of
 every command, and every value present goes through its key's cast before
-any work. Seeds (>= 0) and extrapolation targets (>= 1) carry their bound
-in the cast, and float keys refuse NaN and infinities; other range checks,
-such as eps > 0, stay with the commands that read the key. ``--seed`` takes
+any work. Integer keys refuse booleans and fractional floats; seeds (>= 0),
+extrapolation targets and ``qubit_cap`` (>= 1) carry their bound in the
+cast; float keys refuse NaN and infinities. Other range checks, such as
+eps > 0, stay with the commands that read the key. ``--seed`` takes
 the seed cast and ``--threads`` must be at least 1. ``--out`` names the
 output directory; without it, ``out_dir`` does.
+
+``qubit_cap`` (default 14) is the only qubit limit; the library has none.
+``kernels`` and ``estimate-shots`` check ``feature_map.n_qubits`` against
+it, and ``sweep`` and ``characterize`` every size of their ``n_values``,
+before any embedding. ``resources`` simulates nothing and is not capped.
 
 Exit codes: 0 on success. 2 for configuration problems: an unreadable or
 malformed config, a key the table does not know (the message names the
@@ -34,7 +40,7 @@ closest known key), a missing key or a value of the wrong type, and every
 parameter the library refuses with a ConfigurationError (eps <= 0 or too
 small for a finite spread bound, a probability outside its range, an odd
 twonorm m or subset size, fewer than 2 points, repeated sizes, more qubits
-than features or than qubit_cap).
+than features), and a qubit count past qubit_cap.
 1 for failures that come from the data or the files, such as an unreadable
 or malformed CSV, a zero IQR or a zero kernel entry. Either way the error
 is one JSON object on stderr.
@@ -97,10 +103,18 @@ _PER_RUN = object()  # the default depends on the run, and the caller passes it
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing the booleans and the fractional floats that
+    ``int`` would silently truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and int(value) != value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _at_least(low: int):
     """An integer cast that refuses values below ``low``."""
     def cast(value) -> int:
-        value = int(value)
+        value = _integer(value)
         if value < low:
             raise ValueError(f"expected an integer >= {low}, got {value}")
         return value
@@ -115,7 +129,7 @@ def _finite(value) -> float:
     return value
 
 
-def _ints(item=int):
+def _ints(item=_integer):
     """A cast to a YAML list of integers, each through ``item``; a string
     or a mapping is refused, not iterated."""
     def cast(values) -> list[int]:
@@ -158,23 +172,23 @@ _PROFILES = {"resources.hardware": HardwareProfile, "resources.classical": Class
 _KEYS = {
     "seed": (_SEED, 0),
     "out_dir": (_text, "."),
-    "qubit_cap": (int, None),
+    "qubit_cap": (_at_least(1), 14),
     "dataset.type": (_choice("twonorm", "random_angles", "csv"), _REQUIRED),
-    "dataset.m": (int, _REQUIRED),
-    "dataset.n_features": (int, _PER_RUN),
+    "dataset.m": (_integer, _REQUIRED),
+    "dataset.n_features": (_integer, _PER_RUN),
     "dataset.path": (_text, _REQUIRED),
     "dataset.label_column": (_text, _REQUIRED),
     "dataset.preprocess": (_flag, _PER_RUN),
     "dataset.seed": (_SEED, _PER_RUN),
-    "dataset.subset_size": (int, None),
-    "dataset.subset_index": (int, 0),
+    "dataset.subset_size": (_integer, None),
+    "dataset.subset_index": (_integer, 0),
     "dataset.stratify_seed": (_SEED, _PER_RUN),
-    "feature_map.n_qubits": (int, _REQUIRED),
-    "feature_map.repetitions": (int, 1),
+    "feature_map.n_qubits": (_integer, _REQUIRED),
+    "feature_map.repetitions": (_integer, 1),
     "feature_map.entanglement": (_choice(*ENTANGLEMENT_STRATEGIES), LINEAR),
     "kernel.family": (_choice(*KERNEL_FAMILIES), FIDELITY),
     "kernel.gamma": (_finite, 1.0),
-    "sampling.n_shots": (int, _REQUIRED),
+    "sampling.n_shots": (_integer, _REQUIRED),
     "sampling.p_error": (_finite, 0.0),
     "sampling.seed": (_SEED, _PER_RUN),
     "budget.eps": (_finite, 1.0),
@@ -185,8 +199,8 @@ _KEYS = {
     "sweep.extrapolate_to": (_ints(_at_least(1)), ()),
     "sweep.include_budgets": (_flag, True),
     "characterize.n_values": (_ints(), _REQUIRED),
-    "resources.m": (int, _REQUIRED),
-    "resources.shots_per_estimate": (int, _REQUIRED),
+    "resources.m": (_integer, _REQUIRED),
+    "resources.shots_per_estimate": (_integer, _REQUIRED),
     "resources.n_values": (_ints(), _REQUIRED),
     "resources.corrected": (_flag, False),
     "resources.error_budget": (_finite, None),
@@ -330,17 +344,25 @@ def _resolve_kernel(config: dict) -> tuple[str, float]:
     return family, gamma
 
 
+def _check_qubit_cap(config: dict, key: str, n_values) -> None:
+    """Refuse a qubit count of ``key`` past ``qubit_cap``, before any
+    embedding; the library itself has no qubit limit."""
+    cap, largest = _field(config, "qubit_cap"), max(n_values, default=0)
+    if largest > cap:
+        raise ConfigurationError(f"{key}: {largest} exceeds qubit_cap = {cap}")
+
+
 def _resolve_gram(config: dict, seed: int) -> tuple[Dataset, FeatureMapConfig, dict]:
-    """The feature subset, the feature map, and the family, gamma and cap
+    """The feature subset, the feature map, and the family and gamma
     keywords of a command on one feature map. Sections resolve in the order
-    dataset, kernel, feature map, cap, so the first error of a config is
-    the one reported."""
+    dataset, kernel, feature map, then the features and the cap check, so
+    the first error of a config is the one reported."""
     dataset = _resolve_dataset(config, seed)
     family, gamma = _resolve_kernel(config)
     fmap = _resolve_feature_map(config)
-    cap = _field(config, "qubit_cap")
     subset = select_features(dataset, fmap.n_qubits)
-    return subset, fmap, {"family": family, "gamma": gamma, "cap": cap}
+    _check_qubit_cap(config, "feature_map.n_qubits", [fmap.n_qubits])
+    return subset, fmap, {"family": family, "gamma": gamma}
 
 
 def _resolve_budget(config: dict) -> dict:
@@ -431,16 +453,17 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path
     dataset = _resolve_dataset(config, seed)
     family, gamma = _resolve_kernel(config)
     shape = _resolve_feature_map(config, n_qubits=1)
+    n_values = _field(config, "sweep.n_values")
+    _check_qubit_cap(config, "sweep.n_values", n_values)
     series_map = sweep(
         dataset,
         family=family,
         repetitions=shape.repetitions,
         entanglement=shape.entanglement,
-        n_values=_field(config, "sweep.n_values"),
+        n_values=n_values,
         gamma=gamma,
         **_resolve_budget(config),
         include_budgets=_field(config, "sweep.include_budgets"),
-        cap=_field(config, "qubit_cap"),
         threads=threads,
     )
     targets = _field(config, "sweep.extrapolate_to")
@@ -502,12 +525,12 @@ def cmd_characterize(config: dict, out_dir: Path, seed: int, threads: int) -> li
     shape = _resolve_feature_map(config, n_qubits=1)
     n_values = sorted(_field(config, "characterize.n_values"))
     check_qubit_counts(n_values)
-    cap = _field(config, "qubit_cap")
+    _check_qubit_cap(config, "characterize.n_values", n_values)
     expr, entropy = [], []
     for n in n_values:
         subset = select_features(dataset, n)
         expressive, entangled = embedding_diagnostics(
-            subset.features, replace(shape, n_qubits=n), cap=cap, threads=threads
+            subset.features, replace(shape, n_qubits=n), threads=threads
         )
         expr.append(expressive)
         entropy.append(entangled)

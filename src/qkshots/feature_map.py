@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import (
-    ConfigurationError,
-    check_qubit_count,
-    qubit_components,
-    walsh_hadamard,
-)
+from .statevector import ConfigurationError, qubit_components, walsh_hadamard
 
 LINEAR = "linear"
 FULL = "full"
@@ -126,8 +121,7 @@ def _rotation(factors: np.ndarray, couplings: list, out: np.ndarray) -> None:
 
 
 def embed_batch(
-    points, cfg: FeatureMapConfig, components: bool = False,
-    cap: int | None = None, threads: int = 1,
+    points, cfg: FeatureMapConfig, components: bool = False, threads: int = 1,
 ) -> np.ndarray:
     """Embed every data point, one fixed row block at a time.
 
@@ -138,7 +132,6 @@ def embed_batch(
     thread count.
     """
     angles = angle_table(points, cfg)
-    check_qubit_count(cfg.n_qubits, cap)
     m, n = angles.shape[0], cfg.n_qubits
     # a zero angle after the pair angles stands in for every uncoupled pair
     factors = np.exp(1j * np.concatenate([angles, np.zeros((m, 1))], axis=1))

@@ -96,22 +96,18 @@ class KernelStatistics:
     log_mean: float | None = None  # mean of ln(entries); projected family only
 
 
-def embedding_matrix(
-    points, cfg: FeatureMapConfig, cap: int | None = None, threads: int = 1
-) -> np.ndarray:
+def embedding_matrix(points, cfg: FeatureMapConfig, threads: int = 1) -> np.ndarray:
     """Embed every data point once; rows are statevector amplitudes."""
-    return embed_batch(points, cfg, cap=cap, threads=threads)
+    return embed_batch(points, cfg, threads=threads)
 
 
-def reduced_component_table(
-    points, cfg: FeatureMapConfig, cap: int | None = None, threads: int = 1
-) -> np.ndarray:
+def reduced_component_table(points, cfg: FeatureMapConfig, threads: int = 1) -> np.ndarray:
     """(m, n_qubits, 3) table of reduced-matrix components per data point.
 
     The last axis holds (population, Re offdiag, Im offdiag). Amplitudes
     live one row block at a time.
     """
-    return embed_batch(points, cfg, components=True, cap=cap, threads=threads)
+    return embed_batch(points, cfg, components=True, threads=threads)
 
 
 def _symmetrised(upper: np.ndarray) -> np.ndarray:
@@ -147,7 +143,6 @@ def gram_matrix(
     cfg: FeatureMapConfig,
     family: str = FIDELITY,
     gamma: float = 1.0,
-    cap: int | None = None,
     threads: int = 1,
 ) -> KernelMatrix:
     """Exact Gram matrix over a dataset; each distinct encoded point is
@@ -165,12 +160,10 @@ def gram_matrix(
     distinct = points[first[order]]
     table = None
     if check_family(family) == FIDELITY:
-        values = fidelity_gram_values(
-            embedding_matrix(distinct, cfg, cap=cap, threads=threads)
-        )
+        values = fidelity_gram_values(embedding_matrix(distinct, cfg, threads=threads))
         gamma_out = None
     else:
-        table = reduced_component_table(distinct, cfg, cap=cap, threads=threads)
+        table = reduced_component_table(distinct, cfg, threads=threads)
         values = projected_gram_values(table, gamma)
         table = table[index]
         gamma_out = gamma

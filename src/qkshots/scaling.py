@@ -178,7 +178,6 @@ def sweep(
     p_ca: float = 0.99,
     p_error: float = 0.0,
     include_budgets: bool = True,
-    cap: int | None = None,
     threads: int = 1,
 ) -> dict[str, ScalingSeries]:
     """Kernel-statistic series over a range of machine sizes.
@@ -206,8 +205,7 @@ def sweep(
             n_qubits=n, repetitions=repetitions, entanglement=entanglement
         )
         kernel = gram_matrix(
-            subset.features, cfg, family=family, gamma=gamma, cap=cap,
-            threads=threads,
+            subset.features, cfg, family=family, gamma=gamma, threads=threads
         )
         stats = kernel_statistics(kernel)
         columns["mean"].append(stats.mean)

@@ -10,9 +10,9 @@ Conventions used throughout the package:
 
 States are pure: the rows of (rows, 2**n) amplitude blocks, which
 :func:`walsh_hadamard` transforms in place and :func:`qubit_components`
-reduces to (rows, n, 3) one-qubit components. Memory is the only hard
-limit, enforced by a configurable qubit cap (default 14, i.e. 16384
-amplitudes).
+reduces to (rows, n, 3) one-qubit components. The engine has no qubit
+limit: a row of n qubits takes 2**n * 16 bytes, and the command line is
+the only place that bounds n.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from functools import reduce
 
 import numpy as np
 
-DEFAULT_QUBIT_CAP = 14
-
 # qubits per Kronecker factor of :func:`walsh_hadamard`; larger groups trade
 # fewer matrix products for 2**g multiply-adds per amplitude each
 HADAMARD_GROUP_BITS = 4
@@ -30,16 +28,6 @@ HADAMARD_GROUP_BITS = 4
 
 class ConfigurationError(ValueError):
     """Invalid run configuration (qubit counts, strategies, probabilities)."""
-
-
-def check_qubit_count(n_qubits: int, cap: int | None = None) -> None:
-    """Raise :class:`ConfigurationError` when ``n_qubits`` is outside
-    ``[1, cap]``; the cap (default ``DEFAULT_QUBIT_CAP``) bounds memory use."""
-    limit = DEFAULT_QUBIT_CAP if cap is None else cap
-    if not 1 <= n_qubits <= limit:
-        raise ConfigurationError(
-            f"n_qubits must be in [1, {limit}], got {n_qubits}"
-        )
 
 
 # unnormalised Hadamard matrices on g = 0..HADAMARD_GROUP_BITS qubits, and

@@ -346,6 +346,41 @@ class TestConfigEdgeCases:
         cfg = write_config(tmp_path, payload)
         assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("command, payload, key, largest, cap", [
+        ("kernels", base_config(qubit_cap=3, feature_map={"n_qubits": 4}),
+         "feature_map.n_qubits", 4, 3),
+        ("estimate-shots", base_config(qubit_cap=3, feature_map={"n_qubits": 4}),
+         "feature_map.n_qubits", 4, 3),
+        ("sweep", base_config(qubit_cap=3, sweep={"n_values": [2, 3, 4]}),
+         "sweep.n_values", 4, 3),
+        ("characterize", base_config(qubit_cap=3, characterize={"n_values": [4, 2]}),
+         "characterize.n_values", 4, 3),
+        ("sweep", base_config(dataset={"type": "twonorm", "m": 16, "n_features": 16},
+                              sweep={"n_values": [2, 15]}),
+         "sweep.n_values", 15, 14),
+    ], ids=["kernels", "estimate-shots", "sweep", "characterize", "sweep-default-cap"])
+    def test_qubit_count_past_the_cap_exits_two_before_any_embedding(
+            self, tmp_path, capsys, monkeypatch, command, payload, key, largest, cap):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a point was embedded before the qubit count was refused")
+
+        monkeypatch.setattr("qkshots.kernels.embed_batch", refuse)
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "configuration", "message": f"{key}: {largest} exceeds qubit_cap = {cap}",
+        }
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.yaml"]
+
+    def test_resources_are_not_capped(self, tmp_path):
+        # resources simulates nothing, so qubit_cap does not bound its sizes
+        cfg = write_config(tmp_path, {**resources_config(n_values=[8, 16, 48]), "qubit_cap": 14})
+        assert main(["resources", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "resources.json").read_text())
+        assert [row["n"] for row in report["scenarios"]] == [8, 16, 48]
+
 
 def resources_config(**resources):
     return {
@@ -396,6 +431,9 @@ class TestOptionalSections:
             ("kernels", base_config(feature_map={"n_qubits": 7})),
             ("estimate-shots", base_config(feature_map={"n_qubits": 7})),
             ("characterize", base_config(characterize={"n_values": [2, 7]})),
+            # reported before the qubit cap
+            ("kernels", base_config(qubit_cap=3, feature_map={"n_qubits": 7})),
+            ("estimate-shots", base_config(qubit_cap=3, feature_map={"n_qubits": 7})),
         ],
     )
     def test_more_qubits_than_features_exits_two(self, tmp_path, capsys, command, payload):
@@ -418,6 +456,7 @@ class TestOptionalSections:
              "budget.eps: could not convert string to float: 'small'"),
             ("kernels", base_config(qubit_cap="big"),
              "qubit_cap: invalid literal for int() with base 10: 'big'"),
+            ("kernels", base_config(qubit_cap=0), "qubit_cap: expected an integer >= 1, got 0"),
             ("sweep", base_config(sweep={"n_values": [2, 3, 4, 5], "extrapolate_to": [9, "far"]}),
              "sweep.extrapolate_to: invalid literal for int() with base 10: 'far'"),
             ("resources", resources_config(corrected=True, error_budget="tiny"),
@@ -550,6 +589,15 @@ class TestOptionalSections:
         fits = json.loads((tmp_path / "characteristics_fits.json").read_text())["fits"]
         assert fits == {name: {"skipped": "fewer than 4 points"}
                         for name in ("expressibility", "relative_entropy")}
+
+
+def _passes(cast, value) -> bool:
+    """Whether ``cast`` returns ``value`` unchanged, in value and type."""
+    try:
+        result = cast(value)
+    except (TypeError, ValueError):
+        return False
+    return result == value and type(result) is type(value)
 
 
 def section_mapping(payload, section):
@@ -731,6 +779,41 @@ class TestKeyTable:
         assert json.loads(err) == {
             "error": "configuration", "message": f"{key}: expected a finite number, got {value}",
         }
+
+    # keys whose cast passes an integer as itself, and keys of integer lists
+    INTEGER_KEYS = [key for key, (cast, _) in _KEYS.items() if _passes(cast, 3)]
+    INTEGER_LIST_KEYS = [key for key, (cast, _) in _KEYS.items() if _passes(cast, [3])]
+
+    def test_integer_keys_are_found(self):
+        assert {"seed", "qubit_cap", "dataset.m", "feature_map.n_qubits",
+                "resources.shots_per_estimate"} <= set(self.INTEGER_KEYS)
+        assert len(self.INTEGER_KEYS) == 14
+        assert len(self.INTEGER_LIST_KEYS) == 4
+
+    @pytest.mark.parametrize("value", [2.5, True], ids=["2.5", "true"])
+    @pytest.mark.parametrize("key", INTEGER_KEYS + INTEGER_LIST_KEYS)
+    def test_inexact_integers_exit_two_naming_the_key_before_any_work(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        # int() once truncated n_qubits: 2.9 to 2 qubits, and read true as 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was generated before the value was refused")
+
+        monkeypatch.setattr("qkshots.cli.generate_twonorm", refuse)
+        payload = base_config(sampling={"n_shots": 8})
+        section, _, name = key.rpartition(".")
+        section_mapping(payload, section)[name] = [value] if key in self.INTEGER_LIST_KEYS else value
+        cfg = write_config(tmp_path, payload)
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "configuration", "message": f"{key}: expected an integer, got {value!r}",
+        }
+
+    def test_integral_floats_still_count(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(feature_map={"n_qubits": 3.0}))
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert read_kernel_csv(tmp_path / "gram.csv").config.n_qubits == 3
 
     def test_unread_range_problem_is_left_to_the_commands_that_read_it(self, tmp_path):
         cfg = write_config(tmp_path, base_config(budget={"eps": -1}))

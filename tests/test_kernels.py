@@ -151,6 +151,26 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             gram_matrix([[0.1, 0.2]], FeatureMapConfig(n_qubits=2))
 
+    @pytest.mark.parametrize("family", ["fidelity", "projected"])
+    def test_no_qubit_limit_past_fourteen(self, family):
+        # the library has no qubit cap; two points at n = 15 take 1 MB
+        points = np.random.default_rng(15).uniform(0.0, 2.0 * np.pi, size=(2, 15))
+        cfg = FeatureMapConfig(n_qubits=15)
+        kernel = gram_matrix(points, cfg, family=family, gamma=0.5)
+        assert kernel.values.shape == (2, 2)
+        assert np.array_equal(kernel.values, kernel.values.T)
+        assert np.all(np.diag(kernel.values) == 1.0)
+        assert 0.0 < kernel.values[0, 1] < 1.0
+        if family == "fidelity":
+            amps = embedding_matrix(points, cfg)
+            assert kernel.values[0, 1] == pytest.approx(abs(np.vdot(amps[0], amps[1])) ** 2)
+        else:
+            # one repetition leaves every qubit's population at 1/2
+            table = kernel.component_table
+            assert np.allclose(table[:, :, 0], 0.5, atol=1e-12)
+            distance = np.sum((table[0] - table[1]) ** 2)
+            assert kernel.values[0, 1] == pytest.approx(np.exp(-2.0 * 0.5 * distance))
+
     def test_threads_do_not_change_result(self):
         rng = np.random.default_rng(10)
         points = rng.normal(size=(8, 3))

@@ -18,6 +18,8 @@ REMOVED = {
     "epsilon_r_from_components", "relative_entropy_to_mixed",
     # README, "Removed in 0.9.0"
     "StateVector", "ReducedDensityMatrix", "reduce_to_qubit", "fidelity_kernel", "embed",
+    # README, "Removed in 0.13.0": the qubit cap is the CLI's qubit_cap key
+    "check_qubit_count", "DEFAULT_QUBIT_CAP",
 }
 
 

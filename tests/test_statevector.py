@@ -4,7 +4,7 @@ import pytest
 from qkshots import ConfigurationError, FeatureMapConfig, qubit_components
 from qkshots.feature_map import embed_batch
 from qkshots.kernels import fidelity_gram_values
-from qkshots.statevector import check_qubit_count, walsh_hadamard
+from qkshots.statevector import walsh_hadamard
 
 from oracles import components_to_matrix, dense_partial_trace
 
@@ -38,7 +38,7 @@ def hadamard_layer(amplitudes):
 
 
 class TestVacuumState:
-    """The vacuum every embedding starts from, and the qubit cap."""
+    """The vacuum every embedding starts from."""
 
     def test_single_qubit(self):
         # two repetitions at angle 0: H H |0> = |0>
@@ -53,14 +53,7 @@ class TestVacuumState:
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ConfigurationError):
-            check_qubit_count(0)
-        with pytest.raises(ConfigurationError):
             FeatureMapConfig(n_qubits=0)
-
-    def test_cap_enforced(self):
-        with pytest.raises(ConfigurationError):
-            check_qubit_count(15)
-        check_qubit_count(15, cap=16)
 
 
 class TestHadamardLayer:
