@@ -34,16 +34,17 @@ output directory; without it, ``out_dir`` does.
 it, and ``sweep`` and ``characterize`` every size of their ``n_values``,
 before any embedding. ``resources`` simulates nothing and is not capped.
 
-Exit codes: 0 on success. 2 for configuration problems: an unreadable or
-malformed config, a key the table does not know (the message names the
-closest known key), a missing key or a value of the wrong type, and every
-parameter the library refuses with a ConfigurationError (eps <= 0 or too
-small for a finite spread bound, a probability outside its range, an odd
-twonorm m or subset size, fewer than 2 points, repeated sizes, more qubits
-than features), and a qubit count past qubit_cap.
+Exit codes: 0 on success. 2 for configuration problems: a bad command or
+flag (the message names it), an unreadable or malformed config, a key the
+table does not know (the message names the closest known key), a missing
+key or a value of the wrong type, and every parameter the library refuses
+with a ConfigurationError (eps <= 0 or too small for a finite spread
+bound, a probability outside its range, an odd twonorm m or subset size,
+fewer than 2 points, repeated sizes, more qubits than features), and a
+qubit count past qubit_cap.
 1 for failures that come from the data or the files, such as an unreadable
 or malformed CSV, a zero IQR or a zero kernel entry. Either way the error
-is one JSON object on stderr.
+is one JSON object on stderr; ``--help`` and ``--version`` exit 0.
 """
 
 from __future__ import annotations
@@ -430,17 +431,14 @@ def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> 
     # the dataset-level refusal comes first; the pair pass then serves both
     # budgets
     check_ensemble_iqr(stats.iqr)
-    entries = entry_budgets(
-        kernel.family, kernel.values, budget["eps"], stats.iqr, budget["p_spread"],
-        budget["p_ca"], budget["p_error"],
-        table=kernel.component_table, gamma=kernel_args["gamma"], n_qubits=fmap.n_qubits,
-    )
+    entries = entry_budgets(kernel, budget["eps"], stats.iqr, budget["p_spread"],
+                            budget["p_ca"], budget["p_error"])
     dataset_level = dataset_budget(kernel, **budget, entries=entries, statistics=stats)
     p_budget = error_budget(
         kernel.family, stats.median, budget["eps"], stats.iqr, n_qubits=fmap.n_qubits
     )
     payload = {
-        "dataset_budget": dataset_level.to_dict(),
+        "dataset_budget": asdict(dataset_level),
         "entries": entries,
         "error_budget": asdict(p_budget),
         "statistics": asdict(stats),
@@ -559,10 +557,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise a ConfigurationError: one JSON line, not usage."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkshots",
         description="Quantum kernel shot budgets, scaling fits and resource estimates",
     )
@@ -584,8 +589,8 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         with open(args.config, encoding="utf-8") as handle:
             config = yaml.load(handle, Loader=_YAML_LOADER)
         if not isinstance(config, dict):

@@ -53,8 +53,9 @@ class KernelMatrix:
 
     ``metadata`` records provenance (dataset id, sampling parameters, ...);
     exact and shot-estimated matrices share this container. An exact
-    projected matrix also keeps the (m, n, 3) ``component_table`` it was
-    built from, so callers need not embed the points again.
+    projected matrix also keeps the (m, n_qubits, 3) ``component_table`` it
+    was built from, so callers need not embed the points again; a table of
+    any other shape is refused.
     """
 
     values: np.ndarray
@@ -74,6 +75,9 @@ class KernelMatrix:
         if np.max(np.abs(np.diag(vals) - 1.0)) > 1e-10:
             raise ValueError("kernel diagonal must equal 1")
         self.values = vals
+        shape, expected = np.shape(self.component_table), (self.m, self.config.n_qubits, 3)
+        if self.component_table is not None and shape != expected:
+            raise ValueError(f"component table has shape {shape}, expected {expected}")
 
     @property
     def m(self) -> int:

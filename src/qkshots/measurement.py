@@ -103,18 +103,20 @@ def _estimated_components(counts, n_shots: int) -> tuple[np.ndarray, np.ndarray]
     return _clip_physical(z, x - 0.5, 0.5 - y)
 
 
-def total_shots(family: str, m: int, n_shots: int) -> int:
-    """Circuit runs needed for a full m-point Gram matrix (m >= 2).
+def _estimate_count(family: str, m: int) -> int:
+    """Estimates per m-point Gram matrix: m(m-1)/2 fidelity entries or m
+    projected data points."""
+    return m * (m - 1) // 2 if check_family(family) == FIDELITY else m
 
-    Fidelity estimates each of the m(m-1)/2 independent entries with
-    n_shots runs; projected tomography spends 3 n_shots runs per data
-    point."""
+
+def total_shots(family: str, m: int, n_shots: int) -> int:
+    """Circuit runs needed for a full m-point Gram matrix (m >= 2): n_shots
+    runs per fidelity entry, 3 n_shots (one batch per basis) per projected
+    data point."""
     if m < 2:
         raise ConfigurationError(f"need at least 2 points, got {m}")
     _check_shots(n_shots)
-    if check_family(family) == FIDELITY:
-        return n_shots * m * (m - 1) // 2
-    return 3 * m * n_shots
+    return _estimate_count(family, m) * n_shots * (1 if family == FIDELITY else 3)
 
 
 def sample_gram(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .feature_map import FULL, FeatureMapConfig
 from .kernels import FIDELITY, PROJECTED, check_family
-from .measurement import total_shots
+from .measurement import _estimate_count, total_shots
 from .statevector import ConfigurationError
 
 MAX_CODE_DISTANCE = 51
@@ -200,19 +200,11 @@ def quantum_cost(
     )
 
 
-def _entry_count(family: str, m: int) -> int:
-    """Kernel entries (fidelity) or data points (projected): not the 3 m
-    runs per shot that total_shots counts for projected tomography."""
-    if check_family(family) == FIDELITY:
-        return m * (m - 1) // 2
-    return m
-
-
 def classical_cost(
     family: str, n_qubits: int, m: int, profile: ClassicalProfile
 ) -> ClassicalCost:
     """Classical simulation cost under the exponential flop model."""
-    flops = profile.c0 * 2.0 ** (profile.alpha * n_qubits) * _entry_count(family, m)
+    flops = profile.c0 * 2.0 ** (profile.alpha * n_qubits) * _estimate_count(family, m)
     runtime = flops / profile.flops_per_second
     return ClassicalCost(
         runtime_s=float(runtime),
@@ -232,7 +224,7 @@ def calibrate_c0(
     if measured_runtime_s <= 0:
         raise ValueError("measured runtime must be positive")
     flops_needed = measured_runtime_s * profile.flops_per_second
-    return flops_needed / (2.0 ** (profile.alpha * n_qubits) * _entry_count(family, m))
+    return flops_needed / (2.0 ** (profile.alpha * n_qubits) * _estimate_count(family, m))
 
 
 def find_crossover(n_values, quantum_values, classical_values) -> int | None:

@@ -4,8 +4,8 @@ scaling series as long-format CSV, budgets and fits as JSON.
 All JSON is written UTF-8 with sorted keys and an indent of 2; every file
 (or its sidecar) embeds a provenance block with the tool version and the
 configuration, as written, that produced it. Per-entry shot budgets are
-streamed straight from their arrays, in the bytes ``json.dump`` would
-give their ``EntryBudgets.entries()`` records.
+streamed straight from their arrays, each pair's ``ShotBudget`` fields
+plus "i" and "j", in the bytes ``json.dump`` would give those records.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import __version__
 from .feature_map import FeatureMapConfig
 from .kernels import KernelMatrix
 from .scaling import ScalingSeries
-from .shot_bounds import CONCENTRATION_AVOIDANCE, SPREAD, EntryBudgets
+from .shot_bounds import CONCENTRATION_AVOIDANCE, SPREAD, EntryBudgets, ShotBudget
 
 # budget records encoded per write: one big string would cost its size in
 # peak memory, one write per record the call overhead
@@ -72,19 +72,19 @@ def _slot(name: str) -> str:
 
 def _record_template(budgets: EntryBudgets) -> tuple[str, list[str]]:
     """%-format template of one budget record, indented as an item of a
-    top-level list, and its per-entry fields in template order. Everything
-    else in the record is the same for every pair and encoded once."""
-    record = {"i": 0, "j": 0, **budgets.budget(0).to_dict()}
-    fields = ["i", "j", "n_spread", "n_ca", "n_required", "unbounded",
-              "effect_dominant", "degenerate"]
+    top-level list, and its per-entry fields in template order: the
+    :class:`ShotBudget` fields, "i" and "j", with the shared family, noisy
+    and inputs encoded once."""
+    shared = {"family": budgets.family, "noisy": budgets.noisy}
+    names = ["i", "j"] + [f.name for f in fields(ShotBudget) if f.name not in {*shared, "inputs"}]
     inputs = ["kappa"] + (["ca_imposed"] if budgets.ca_imposed is not None else [])
-    record.update((name, _SLOT + name) for name in fields)
-    record["inputs"].update((name, _SLOT + name) for name in inputs)
+    record = {**{name: _SLOT + name for name in names}, **shared,
+              "inputs": {**budgets.inputs, **{name: _SLOT + name for name in inputs}}}
     text = "    " + _dumps(record).replace("%", "%%").replace("\n", "\n    ")
-    fields = sorted(fields + inputs, key=lambda name: text.index(_slot(name)))
-    for name in fields:
+    names = sorted(names + inputs, key=lambda name: text.index(_slot(name)))
+    for name in names:
         text = text.replace(_slot(name), "%s")
-    return text, fields
+    return text, names
 
 
 # JSON tokens looked up by a boolean: index False, then True
@@ -106,7 +106,7 @@ def _counts(values, null) -> list:
 
 def _entry_columns(budgets: EntryBudgets, rows: slice) -> dict[str, list]:
     """JSON tokens of every per-entry field of the pairs in ``rows``, as
-    ``ShotBudget.to_dict`` and ``_jsonable`` would encode them."""
+    ``_jsonable`` would encode the ``asdict`` of their ``ShotBudget``."""
     kappa = budgets.kappa[rows]
     n_spread = np.trunc(budgets.n_spread[rows])
     n_ca = np.trunc(budgets.n_ca[rows])
@@ -148,7 +148,7 @@ def _write_entries(handle, budgets: EntryBudgets) -> None:
 
 def write_json(path, payload: dict) -> Path:
     """Write ``payload`` as indented JSON with sorted keys. Top-level
-    :class:`EntryBudgets` values are written as their ``entries()`` lists,
+    :class:`EntryBudgets` values are written as lists of per-pair records,
     streamed from the arrays."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -26,9 +26,8 @@ up a factor 4 (the error budget consumes half the allowed deviation) and
 the binomial variance must be replaced by its worst-case bound.
 
 Per-entry budgets are array functions: :func:`entry_budgets` computes all
-pairs of a kernel matrix at once. One pair is its m = 2 case, the 2 x 2
-Gram matrix, which is how :func:`dataset_budget` budgets the fidelity
-median.
+pairs of a kernel matrix at once, and :func:`dataset_budget` budgets the
+fidelity median through the same array helper, as an array of one value.
 All bounds return integer shot counts: ceilings of the real-valued
 expressions (with a 1e-9 guard against floating dust), floored at 1.
 """
@@ -460,9 +459,14 @@ SPREAD = "spread"
 CONCENTRATION_AVOIDANCE = "concentration_avoidance"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShotBudget:
-    """Shot requirement combining both effects: N = max(N_spread, N_ca)."""
+    """Shot requirement combining both effects: N = max(N_spread, N_ca).
+
+    The constructor takes the two counts and sets the rest: ``n_ca`` and
+    ``n_required`` are ints, or inf where no N suffices (``unbounded``);
+    ``effect_dominant`` names the larger count, the spread on a tie.
+    """
 
     family: str
     n_spread: int
@@ -470,28 +474,18 @@ class ShotBudget:
     noisy: bool = False
     degenerate: bool = False
     inputs: dict = field(default_factory=dict)
+    n_required: int | float = field(init=False)
+    unbounded: bool = field(init=False)
+    effect_dominant: str = field(init=False)
 
-    @property
-    def n_required(self) -> int | float:
-        return max(self.n_spread, self.n_ca)
-
-    @property
-    def effect_dominant(self) -> str:
-        return SPREAD if self.n_spread >= self.n_ca else CONCENTRATION_AVOIDANCE
-
-    def to_dict(self) -> dict:
-        unbounded = math.isinf(self.n_ca)
-        return {
-            "family": self.family,
-            "noisy": self.noisy,
-            "n_spread": int(self.n_spread),
-            "n_ca": None if unbounded else int(self.n_ca),
-            "n_required": None if unbounded else int(self.n_required),
-            "unbounded": unbounded,
-            "effect_dominant": self.effect_dominant,
-            "degenerate": self.degenerate,
-            "inputs": dict(self.inputs),
-        }
+    def __post_init__(self) -> None:
+        n_spread, unbounded = int(self.n_spread), math.isinf(self.n_ca)
+        n_ca = math.inf if unbounded else int(self.n_ca)
+        effect = SPREAD if n_spread >= n_ca else CONCENTRATION_AVOIDANCE
+        for name, value in (("n_spread", n_spread), ("n_ca", n_ca), ("unbounded", unbounded),
+                            ("n_required", max(n_spread, n_ca)), ("effect_dominant", effect),
+                            ("degenerate", bool(self.degenerate))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -500,8 +494,10 @@ class EntryBudgets:
     array per quantity. Shot counts are integer-valued floats, ``n_ca`` is
     inf where no N suffices; ``ca_imposed`` (projected only) is False where
     all of a pair's proportions sit at 1/2; ``inputs`` holds the shared
-    parameters. ``variance_total`` (projected only) is sum_k V_k summed over
-    all pairs, which :func:`dataset_budget` averages for its spread bound."""
+    parameters. A pair's record is the :class:`ShotBudget` fields of its
+    counts, with its ``kappa`` (and ``ca_imposed``) added to ``inputs``.
+    ``variance_total`` (projected only) is sum_k V_k summed over all pairs,
+    which :func:`dataset_budget` averages for its spread bound."""
 
     family: str
     noisy: bool
@@ -518,21 +514,6 @@ class EntryBudgets:
     @property
     def unbounded(self) -> np.ndarray:
         return np.isinf(self.n_ca)
-
-    def budget(self, k: int) -> ShotBudget:
-        """The ShotBudget of pair k."""
-        inputs = {"kappa": float(self.kappa[k]), **self.inputs}
-        if self.ca_imposed is not None:
-            inputs["ca_imposed"] = bool(self.ca_imposed[k])
-        n_ca = float(self.n_ca[k])
-        return ShotBudget(self.family, int(self.n_spread[k]),
-                          n_ca if math.isinf(n_ca) else int(n_ca), self.noisy,
-                          bool(self.degenerate[k]), inputs)
-
-    def entries(self) -> list[dict]:
-        """``ShotBudget.to_dict`` of every pair, with its "i" and "j"."""
-        return [{"i": i, "j": j, **self.budget(k).to_dict()}
-                for k, (i, j) in enumerate(zip(self.i.tolist(), self.j.tolist()))]
 
 
 def _pair_blocks(m: int, n: int):
@@ -565,52 +546,57 @@ def _pair_variance_blocks(props: np.ndarray, noise_robust: bool):
         yield i, j, terms
 
 
+def _fidelity_budgets(kappa, denominator: float, p_ca: float, p_error: float, n_qubits: int):
+    """Spread shots, concentration-avoidance shots and degeneracy of
+    fidelity entries of values ``kappa``: from kappa (1 - kappa), or the
+    worst case 4 when ``p_error > 0``, and the fewest shots giving one
+    success at the depolarised value."""
+    if p_error > 0.0:
+        n_spread = np.full(kappa.shape, _spread_shots(4.0, denominator, False))
+        degenerate = np.zeros(kappa.shape, dtype=bool)
+    else:
+        n_spread, degenerate = _fq_spread(kappa, denominator)
+    q = depolarized_fidelity_probability(kappa, p_error, n_qubits)
+    return n_spread, _first_success_shots(q, p_ca), degenerate
+
+
+def _gamma(kernel: KernelMatrix) -> float:
+    """The kernel's gamma, 1 where it records none."""
+    return check_gamma(1.0 if kernel.gamma is None else kernel.gamma)
+
+
 def entry_budgets(
-    family: str, values, eps: float, delta_ensemble: float, p_spread: float,
-    p_ca: float, p_error: float = 0.0, *, table=None, gamma: float = 1.0,
-    n_qubits: int | None = None,
+    kernel: KernelMatrix, eps: float, delta_ensemble: float, p_spread: float,
+    p_ca: float, p_error: float = 0.0,
 ) -> EntryBudgets:
-    """Per-entry budgets of all pairs of an exact kernel matrix ``values``;
-    ``p_error > 0`` selects the noisy bounds.
+    """Per-entry budgets of all pairs of an exact ``kernel``; ``p_error > 0``
+    selects the noisy bounds.
 
     Fidelity: n_spread from kappa (1 - kappa) (noisy: the worst case 4),
     n_ca the fewest shots giving one success at the depolarised value.
-    Projected (needs the (m, n, 3) component ``table``): n_spread from the
-    pair's variance factors (noise-robust and at kappa^((1-p)^2) when
-    noisy), n_ca the worst z-score bound over its 6 n depolarised
-    proportions, skipping those at 1/2. Pairs run in blocks of whole rows
-    (:data:`PAIR_BLOCK`), so temporaries stay O(block).
+    Projected (needs ``kernel.component_table``): n_spread from the pair's
+    variance factors (noise-robust and at kappa^((1-p)^2) when noisy), n_ca
+    the worst z-score bound over its 6 n depolarised proportions, skipping
+    those at 1/2. Pairs run in blocks of whole rows (:data:`PAIR_BLOCK`),
+    so temporaries stay O(block).
     """
-    check_family(family)
     _check_probability("p_ca", p_ca)
     check_p_error(p_error)
     denominator = _spread_denominator(eps, delta_ensemble, p_spread)
-    values = np.asarray(values, dtype=float)
+    values = kernel.values
     noisy = p_error > 0.0
     inputs = dict(eps=eps, delta_ensemble=delta_ensemble, p_spread=p_spread,
                   p_ca=p_ca, p_error=p_error)
-    if family == FIDELITY:
-        i, j = np.triu_indices(values.shape[0], k=1)
+    if kernel.family == FIDELITY:
+        i, j = np.triu_indices(kernel.m, k=1)
         kappa = values[i, j]
-        if not noisy:
-            n_spread, degenerate = _fq_spread(kappa, denominator)
-        elif n_qubits is None:
-            raise ValueError("n_qubits is required for noisy fidelity budgets")
-        else:
-            n_spread = np.full(kappa.shape, float(n_spread_noisy_fq(eps, delta_ensemble, p_spread)))
-            degenerate = np.zeros(kappa.shape, dtype=bool)
-        # the depolarised value is kappa itself at p_error = 0, whatever n
-        q = depolarized_fidelity_probability(kappa, p_error, n_qubits or 0)
-        return EntryBudgets(FIDELITY, noisy, i, j, kappa, n_spread,
-                            _first_success_shots(q, p_ca), degenerate, None, inputs)
+        columns = _fidelity_budgets(kappa, denominator, p_ca, p_error, kernel.config.n_qubits)
+        return EntryBudgets(FIDELITY, noisy, i, j, kappa, *columns, None, inputs)
 
-    check_gamma(gamma)
-    if table is None:
+    gamma = _gamma(kernel)
+    if kernel.component_table is None:
         raise ValueError("projected budgets need the component table")
-    props = component_proportions(table, p_error)
-    if props.shape[0] != values.shape[0]:
-        raise ValueError(f"component table has {props.shape[0]} points, "
-                         f"kernel matrix {values.shape[0]}")
+    props = component_proportions(kernel.component_table, p_error)
     worst, imposed = _pq_point_ca(props, p_ca)
     blocks, variance_total = [], 0.0
     for i, j, terms in _pair_variance_blocks(props, noisy):
@@ -652,8 +638,8 @@ def dataset_budget(
     """Whole-dataset shot budget from kernel-matrix statistics;
     ``p_error > 0`` selects the noisy bounds.
 
-    Fidelity: the :func:`entry_budgets` budget of the ensemble median, with
-    the inter-quartile range as the spread.
+    Fidelity: the budget of one entry at the ensemble median, by the rule
+    of :func:`entry_budgets`, with the inter-quartile range as the spread.
 
     Projected: the concentration bound uses the z-score formula at the
     root-mean-square proportion offset inferred from the kernel entries
@@ -672,6 +658,7 @@ def dataset_budget(
     if statistics is None:
         statistics = kernel_statistics(kernel)
     check_ensemble_iqr(statistics.iqr)
+    _check_probability("p_ca", p_ca)
     noisy = p_error > 0.0
     kappa_repr = statistics.median
     delta_ensemble = statistics.iqr
@@ -686,18 +673,17 @@ def dataset_budget(
     }
 
     if kernel.family == FIDELITY:
-        budget = entry_budgets(
-            FIDELITY, [[1.0, kappa_repr], [kappa_repr, 1.0]], eps, delta_ensemble,
-            p_spread, p_ca, p_error, n_qubits=n,
-        ).budget(0)
+        n_spread, n_ca, degenerate = _fidelity_budgets(
+            np.array([kappa_repr]), _spread_denominator(eps, delta_ensemble, p_spread),
+            p_ca, p_error, n,
+        )
         if noisy:
             inputs["kappa_repr_noisy"] = depolarized_fidelity_probability(
                 kappa_repr, p_error, n
             )
-        budget.inputs = inputs
-        return budget
+        return ShotBudget(FIDELITY, n_spread[0], n_ca[0], noisy, degenerate[0], inputs)
 
-    gamma = kernel.gamma if kernel.gamma is not None else 1.0
+    gamma = _gamma(kernel)
     scale = epsilon_r_from_kernel(kernel, gamma, n)
     scale_eff = (1.0 - p_error) * scale
     inputs.update({"gamma": gamma, "epsilon_r": scale, "epsilon_r_noisy": scale_eff})
@@ -710,7 +696,7 @@ def dataset_budget(
     if kernel.component_table is not None:
         pairs = kernel.m * (kernel.m - 1) // 2
         if entries is None:
-            v_mean = _mean_pair_variance_terms(kernel.component_table, p_error, noisy)
+            v_mean = _mean_pair_variance_terms(kernel.component_table, p_error)
         elif (entries.variance_total is None or entries.inputs["p_error"] != p_error
               or entries.i.size != pairs):
             raise ValueError("entries were budgeted for another kernel or p_error")
@@ -725,17 +711,17 @@ def dataset_budget(
         v_mean, n, kappa_repr ** ((1.0 - p_error) ** 2), gamma,
         _spread_denominator(eps, delta_ensemble, p_spread), noisy,
     )
-    return ShotBudget(PROJECTED, int(n_spread), int(n_ca), noisy, bool(degenerate), inputs)
+    return ShotBudget(PROJECTED, n_spread, n_ca, noisy, degenerate, inputs)
 
 
-def _mean_pair_variance_terms(table, p_error: float, noise_robust: bool) -> float:
-    """Mean over all point pairs of sum_k V_k, accumulated over the row
-    blocks of :func:`_pair_blocks`."""
+def _mean_pair_variance_terms(table, p_error: float) -> float:
+    """Mean over all point pairs of sum_k V_k, noise-robust when
+    ``p_error > 0``, accumulated over the row blocks of :func:`_pair_blocks`."""
     props = component_proportions(table, p_error)
     m = props.shape[0]
     if m < 2:
         raise ValueError("component table needs at least two points")
     total = 0.0
-    for _, _, terms in _pair_variance_blocks(props, noise_robust):
+    for _, _, terms in _pair_variance_blocks(props, p_error > 0.0):
         total += float(terms.sum())
     return total / (m * (m - 1) // 2)

@@ -205,13 +205,55 @@ def ols_line(xs, ys) -> tuple[float, float, float]:
     return slope, intercept, (sxy * sxy) / (sxx * syy)
 
 
+def _plain(value):
+    """Standard-library JSON values: NumPy scalars and arrays as Python
+    ones, every non-finite float as None."""
+    if isinstance(value, np.ndarray):
+        return _plain(value.tolist())
+    if isinstance(value, np.generic):
+        return _plain(value.item())
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def budget_records(budgets) -> list[dict]:
+    """One record per pair, built in a loop from the ``EntryBudgets`` arrays:
+    its indices, the shared family, noise flag and inputs, its kappa (and
+    ca_imposed), the two counts, n_required = max of them, an unbounded
+    n_ca written as null, and the dominant effect (spread on a tie)."""
+    records = []
+    for k in range(budgets.i.size):
+        n_spread, n_ca = int(budgets.n_spread[k]), float(budgets.n_ca[k])
+        unbounded = math.isinf(n_ca)
+        inputs = {**budgets.inputs, "kappa": float(budgets.kappa[k])}
+        if budgets.ca_imposed is not None:
+            inputs["ca_imposed"] = bool(budgets.ca_imposed[k])
+        records.append({
+            "i": int(budgets.i[k]),
+            "j": int(budgets.j[k]),
+            "family": budgets.family,
+            "noisy": budgets.noisy,
+            "n_spread": n_spread,
+            "n_ca": None if unbounded else int(n_ca),
+            "n_required": None if unbounded else max(n_spread, int(n_ca)),
+            "unbounded": unbounded,
+            "effect_dominant": "spread" if n_spread >= n_ca else "concentration_avoidance",
+            "degenerate": bool(budgets.degenerate[k]),
+            "inputs": inputs,
+        })
+    return records
+
+
 def budget_json(payload: dict, budgets) -> str:
     """The shot-budget file as the standard-library encoder writes it: the
-    per-pair ``EntryBudgets.entries()`` dicts under "entries", through
+    :func:`budget_records` of ``budgets`` under "entries", through
     ``json.dump`` with indent 2 and sorted keys."""
-    from qkshots.serialize import _jsonable
-
     text = io.StringIO()
-    json.dump(_jsonable({**payload, "entries": budgets.entries()}), text,
+    json.dump(_plain({**payload, "entries": budget_records(budgets)}), text,
               indent=2, sort_keys=True)
     return text.getvalue() + "\n"

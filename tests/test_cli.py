@@ -512,6 +512,10 @@ class TestOptionalSections:
             ("kernels", base_config(sampling={}), "sampling.n_shots is required"),
             ("resources", resources_config(hardware={"gate_time_s": -1}),
              "resources.hardware: gate_time_s must be positive"),
+            # a projected sweep budgets no pairs; its dataset budget checks p_ca
+            ("sweep", base_config(kernel={"family": "projected"}, budget={"p_ca": 1.5},
+                                  sweep={"n_values": [2, 3]}),
+             "p_ca must be in (0, 1), got 1.5"),
         ],
     )
     def test_configuration_problems_exit_two(self, tmp_path, capsys, command, payload, message):
@@ -553,6 +557,31 @@ class TestOptionalSections:
         assert json.loads(capsys.readouterr().err) == {
             "error": "configuration", "message": message,
         }
+
+    @pytest.mark.parametrize("argv, named", [
+        (["kernels", "--config", "{cfg}", "--seed", "abc"], "--seed"),
+        (["kernels", "--config", "{cfg}", "--threads", "1.5"], "--threads"),
+        (["kernels", "--seed", "3"], "--config"),
+        (["kernels", "--config", "{cfg}", "--bogus"], "--bogus"),
+        (["bogus", "--config", "{cfg}"], "bogus"),
+        ([], "command"),
+    ], ids=["seed-text", "threads-fraction", "no-config", "unknown-flag", "unknown-command",
+            "no-command"])
+    def test_command_line_errors_are_one_json_line(self, tmp_path, capsys, argv, named):
+        cfg = write_config(tmp_path, base_config())
+        assert main([arg.format(cfg=cfg) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "configuration" and named in payload["message"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["kernels", "--help"], ["--version"]])
+    def test_help_and_version_still_print_and_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == "" and (qkshots.__version__ in out or "usage: qkshots" in out)
 
     @pytest.mark.parametrize(
         "command, payload, expensive",

@@ -7,7 +7,7 @@ variance sums of ``oracles`` and the scalar closed forms.
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from scipy.special import ndtri
 
 from qkshots import (
     FeatureMapConfig,
+    KernelMatrix,
     dataset_budget,
     entry_budgets,
     gram_matrix,
@@ -24,6 +25,7 @@ from qkshots import (
 )
 from qkshots.cli import _resolve_dataset, main
 from qkshots.datasets import select_features
+from qkshots.serialize import write_json
 
 from oracles import first_success_shots, pq_noise_robust_term_sum, pq_variance_term_sum
 
@@ -79,10 +81,7 @@ def _reference(kernel, delta, p_error, n):
 def test_entry_budgets_match_per_pair_loop(family, n, p_error):
     kernel = _kernel(family, n)
     delta = kernel_statistics(kernel).iqr
-    got = entry_budgets(
-        family, kernel.values, EPS, delta, P_SPREAD, P_CA, p_error,
-        table=kernel.component_table, gamma=GAMMA, n_qubits=n,
-    )
+    got = entry_budgets(kernel, EPS, delta, P_SPREAD, P_CA, p_error)
     iu = np.triu_indices(kernel.m, k=1)
     assert np.array_equal(got.i, iu[0]) and np.array_equal(got.j, iu[1])
     assert np.array_equal(got.kappa, kernel.values[iu])
@@ -98,66 +97,72 @@ def test_one_pair_functions_are_the_array_case():
     """Every pair of the batch equals the m = 2 case on its own two points,
     whatever row block it fell in."""
     kernel = _kernel("projected", 3, m=6)
-    budgets = entry_budgets(
-        "projected", kernel.values, EPS, 0.2, P_SPREAD, P_CA, 0.02,
-        table=kernel.component_table, gamma=GAMMA,
-    )
-    for k, (i, j) in enumerate(zip(budgets.i, budgets.j)):
-        pair = [i, j]
-        single = entry_budgets(
-            "projected", kernel.values[np.ix_(pair, pair)], EPS, 0.2, P_SPREAD, P_CA, 0.02,
-            table=kernel.component_table[pair], gamma=GAMMA,
-        ).budget(0)
-        batch = budgets.budget(k)
-        assert (single.n_spread, single.n_ca, single.degenerate) == (
-            batch.n_spread, batch.n_ca, batch.degenerate)
-        assert single.inputs == batch.inputs
+    budgets = entry_budgets(kernel, EPS, 0.2, P_SPREAD, P_CA, 0.02)
+    singles = [
+        entry_budgets(replace(kernel, values=kernel.values[np.ix_(pair, pair)],
+                              component_table=kernel.component_table[pair]),
+                      EPS, 0.2, P_SPREAD, P_CA, 0.02)
+        for pair in np.stack([budgets.i, budgets.j], axis=1)
+    ]
+    for name in ("kappa", "n_spread", "n_ca", "degenerate", "ca_imposed"):
+        single = np.concatenate([getattr(pair, name) for pair in singles])
+        assert np.array_equal(single, getattr(budgets, name)), name
+    assert all(pair.inputs == budgets.inputs for pair in singles)
 
 
-def test_fidelity_zero_entry_is_unbounded():
-    values = np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 1.0], [0.3, 1.0, 1.0]])
-    budgets = entry_budgets("fidelity", values, 1.0, 0.2, 0.9, 0.99)
+def _fidelity(values):
+    return KernelMatrix(np.array(values), "fidelity", FeatureMapConfig(2))
+
+
+def _written_entries(tmp_path, budgets):
+    return json.loads(write_json(tmp_path / "b.json", {"entries": budgets}).read_text())["entries"]
+
+
+def test_fidelity_zero_entry_is_unbounded(tmp_path):
+    values = [[1.0, 0.0, 0.3], [0.0, 1.0, 1.0], [0.3, 1.0, 1.0]]
+    budgets = entry_budgets(_fidelity(values), 1.0, 0.2, 0.9, 0.99)
     assert budgets.unbounded.tolist() == [True, False, False]
     assert budgets.degenerate.tolist() == [True, False, True]
-    first = budgets.entries()[0]
+    first = _written_entries(tmp_path, budgets)[0]
     assert first["n_ca"] is None and first["n_required"] is None and first["unbounded"]
 
 
-def test_fidelity_nearly_orthogonal_entry_is_finite():
+def test_fidelity_nearly_orthogonal_entry_is_finite(tmp_path):
     """Nearly orthogonal states leave Gram entries of about 1e-33, not 0; the
     one-success bound is then about 4.6e33 shots and must still end."""
-    values = np.array([[1.0, 1e-33], [1e-33, 1.0]])
-    entry = entry_budgets("fidelity", values, 1.0, 0.2, 0.9, 0.99).entries()[0]
-    assert not entry["unbounded"]
-    assert entry["n_ca"] == pytest.approx(-math.log(0.01) * 1e33, rel=1e-12)
-    assert json.loads(json.dumps(entry))["n_required"] == entry["n_ca"]
+    budgets = entry_budgets(_fidelity([[1.0, 1e-33], [1e-33, 1.0]]), 1.0, 0.2, 0.9, 0.99)
+    assert not budgets.unbounded[0]
+    assert budgets.n_ca[0] == pytest.approx(-math.log(0.01) * 1e33, rel=1e-12)
+    entry = _written_entries(tmp_path, budgets)[0]
+    assert entry["n_required"] == entry["n_ca"] == int(budgets.n_ca[0])
 
 
 @pytest.mark.parametrize("family", ["fidelity", "projected"])
 def test_zero_p_error_is_noiseless(family):
     kernel = _kernel(family, n=3)
     quiet = dataset_budget(kernel, p_error=0.0)
-    assert quiet.to_dict() == dataset_budget(kernel).to_dict()
+    assert quiet == dataset_budget(kernel)
 
 
 def test_fidelity_qubit_count_unused_without_noise():
+    """The depolarised value is kappa itself at p_error = 0, whatever the
+    kernel's qubit count; with noise it moves towards 2**-n."""
     kernel = _kernel("fidelity", n=3)
+    other = replace(kernel, config=FeatureMapConfig(1, 2, "full"))
     delta = kernel_statistics(kernel).iqr
-    unset, given = (entry_budgets("fidelity", kernel.values, EPS, delta, P_SPREAD, P_CA, 0.0,
-                                  n_qubits=n) for n in (None, 3))
-    for name in ("i", "j", "kappa", "n_spread", "n_ca", "degenerate"):
-        assert np.array_equal(getattr(unset, name), getattr(given, name))
-    assert not unset.noisy and unset.ca_imposed is None
-    with pytest.raises(ValueError, match="n_qubits"):
-        entry_budgets("fidelity", kernel.values, EPS, delta, P_SPREAD, P_CA, 0.05)
+    for p_error in (0.0, 0.05):
+        given, moved = (entry_budgets(k, EPS, delta, P_SPREAD, P_CA, p_error)
+                        for k in (kernel, other))
+        for name in ("i", "j", "kappa", "n_spread", "degenerate"):
+            assert np.array_equal(getattr(given, name), getattr(moved, name))
+        assert np.array_equal(given.n_ca, moved.n_ca) == (p_error == 0.0)
+        assert given.noisy == (p_error > 0.0) and given.ca_imposed is None
 
 
-def test_projected_budgets_refuse_a_table_of_other_points():
-    kernel = _kernel("projected", n=2, m=6)
-    for table in (None, kernel.component_table[:5]):
-        with pytest.raises(ValueError, match="component table"):
-            entry_budgets("projected", kernel.values, EPS, 0.2, P_SPREAD, P_CA,
-                          table=table, gamma=GAMMA)
+def test_projected_budgets_need_the_component_table():
+    kernel = replace(_kernel("projected", n=2, m=6), component_table=None)
+    with pytest.raises(ValueError, match="projected budgets need the component table"):
+        entry_budgets(kernel, EPS, 0.2, P_SPREAD, P_CA)
 
 
 def test_mean_pair_variance_terms_chunked_equals_one_block(monkeypatch):
@@ -166,11 +171,9 @@ def test_mean_pair_variance_terms_chunked_equals_one_block(monkeypatch):
     m, n = 150, 8
     assert shot_bounds.PAIR_BLOCK // (m * n) < (m - 1) // 2  # several blocks
     table = _kernel("projected", n, m=m, seed=9).component_table
-    blocked = [shot_bounds._mean_pair_variance_terms(table, p, robust)
-               for p, robust in ((0.0, False), (0.05, True))]
+    blocked = [shot_bounds._mean_pair_variance_terms(table, p) for p in (0.0, 0.05)]
     monkeypatch.setattr(shot_bounds, "PAIR_BLOCK", 1 << 40)
-    single = [shot_bounds._mean_pair_variance_terms(table, p, robust)
-              for p, robust in ((0.0, False), (0.05, True))]
+    single = [shot_bounds._mean_pair_variance_terms(table, p) for p in (0.0, 0.05)]
     assert blocked == pytest.approx(single, rel=1e-12, abs=0)
 
 
@@ -183,8 +186,7 @@ def test_entry_pass_gives_the_standalone_dataset_budget(p_error):
     assert shot_bounds.PAIR_BLOCK // (m * n) < (m - 1) // 2  # several blocks
     kernel = _kernel("projected", n, m=m, seed=9)
     stats = kernel_statistics(kernel)
-    entries = entry_budgets("projected", kernel.values, EPS, stats.iqr, P_SPREAD, P_CA, p_error,
-                            table=kernel.component_table, gamma=GAMMA)
+    entries = entry_budgets(kernel, EPS, stats.iqr, P_SPREAD, P_CA, p_error)
     shared = dataset_budget(kernel, EPS, P_SPREAD, P_CA, p_error, entries=entries,
                             statistics=stats)
     assert shared.inputs["spread_path"] == "components"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,19 @@ class TestKernelMatrixValidation:
         with pytest.raises(ConfigurationError):
             KernelMatrix(values=np.eye(2), family="swap", config=FeatureMapConfig(2))
 
+    def test_component_table_must_match_points_and_qubits(self):
+        """A table of other points or another qubit count is refused when the
+        kernel is made, so no budget or draw reads a mismatched one."""
+        points = np.random.default_rng(6).uniform(0.0, 2.0 * np.pi, size=(6, 2))
+        kernel = gram_matrix(points, FeatureMapConfig(2), family="projected")
+        assert kernel.component_table.shape == (6, 2, 3)
+        table = kernel.component_table
+        for other in (table[:5], table[:, :1], table[..., :2]):
+            with pytest.raises(ValueError, match=r"component table has shape .*, "
+                                                 r"expected \(6, 2, 3\)"):
+                replace(kernel, component_table=other)
+        assert replace(kernel, component_table=None).component_table is None
+
 
 @pytest.mark.parametrize(
     "call",
@@ -243,7 +258,11 @@ class TestKernelMatrixValidation:
         lambda: classical_cost("swap", 2, 4, ClassicalProfile(c0=1.0, alpha=1.0)),
         lambda: error_budget("swap", 0.5, 1.0, 0.2),
         lambda: n_ca_noisy_binomial_exact(0.4, 0.5, 0.9, 0.01, family="swap"),
-        lambda: entry_budgets("swap", np.eye(2), 1.0, 0.2, 0.9, 0.99),
+        # entry_budgets reads the family of a KernelMatrix, which checked it
+        lambda: entry_budgets(
+            KernelMatrix(values=np.eye(2), family="swap", config=FeatureMapConfig(2)),
+            1.0, 0.2, 0.9, 0.99,
+        ),
     ],
 )
 def test_every_family_dispatch_shares_one_check(call):

@@ -78,8 +78,10 @@ EXACT = {family: gram_matrix(TWONORM.features, FeatureMapConfig(2), family=famil
     lambda p: sample_gram(EXACT["projected"], 16, p),
     lambda p: sweep(TWONORM, "fidelity", 1, "linear", [1, 2], p_error=p, include_budgets=False),
     lambda p: dataset_budget(EXACT["projected"], p_error=p),
-    lambda p: entry_budgets("fidelity", KAPPAS, 1.0, 0.2, 0.9, 0.99, p, n_qubits=3),
-    lambda p: entry_budgets("projected", KAPPAS, 1.0, 0.2, 0.9, 0.99, p, table=TABLE),
+    lambda p: entry_budgets(KernelMatrix(KAPPAS, "fidelity", FeatureMapConfig(3)),
+                            1.0, 0.2, 0.9, 0.99, p),
+    lambda p: entry_budgets(KernelMatrix(KAPPAS, "projected", FeatureMapConfig(2),
+                                         component_table=TABLE), 1.0, 0.2, 0.9, 0.99, p),
     lambda p: n_ca_noisy_fq(0.3, 0.99, p, 3),
     lambda p: n_ca_noisy_pq_normal(0.3, 0.5, 0.99, p),
     lambda p: n_ca_noisy_binomial_exact(0.3, 0.5, 0.99, p),

@@ -47,8 +47,7 @@ def test_budget_writer_bytes_equal_stdlib_encoder(tmp_path_factory, family, m, n
                                                   p_error, eps, seed):
     kernel = gram_matrix(_points(seed, m, n), FeatureMapConfig(n, 2, "full"),
                          family=family, gamma=0.7)
-    budgets = entry_budgets(family, kernel.values, eps, 0.3, 0.9, 0.99, p_error,
-                            table=kernel.component_table, gamma=0.7, n_qubits=n)
+    budgets = entry_budgets(kernel, eps, 0.3, 0.9, 0.99, p_error)
     payload = {"statistics": {"iqr": 0.3}, "provenance": {"seed": seed}}
     path = write_json(tmp_path_factory.mktemp("budgets") / "b.json",
                       {**payload, "entries": budgets})

@@ -42,9 +42,17 @@ def test_namespace_is_the_array_api():
 
 
 def test_records_have_no_hand_written_dicts():
-    # README, "Removed in 0.6.0": dataclasses.asdict writes these records
+    # README, "Removed in 0.6.0" and "Removed in 0.15.0": dataclasses.asdict
+    # writes these records
     from qkshots import serialize
 
-    records = (qkshots.QuantumCost, qkshots.ClassicalCost, qkshots.ScalingFit)
+    records = (qkshots.QuantumCost, qkshots.ClassicalCost, qkshots.ScalingFit,
+               qkshots.ShotBudget)
     assert not [cls.__name__ for cls in records if hasattr(cls, "to_dict")]
     assert not hasattr(serialize, "fit_payload")
+
+
+def test_entry_budgets_build_no_per_pair_object():
+    # README, "Removed in 0.15.0": the pairs are arrays, and the writer
+    # streams their records from the arrays
+    assert not [name for name in ("budget", "entries") if hasattr(qkshots.EntryBudgets, name)]

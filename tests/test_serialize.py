@@ -3,8 +3,8 @@
 ``write_json`` streams per-entry shot budgets straight from the
 ``EntryBudgets`` arrays and ``write_kernel_csv`` formats each distinct
 value of a block of rows once; the
-references here are ``json.dump`` of ``EntryBudgets.entries()`` and
-``csv.writer``, and the bytes must be equal.
+references here are ``json.dump`` of records the oracle builds from the
+arrays in a loop, and ``csv.writer``; the bytes must be equal.
 """
 
 import csv
@@ -39,32 +39,35 @@ def _payload():
             "provenance": {"version": "x", "config": {"seed": 3}}}
 
 
-def _fidelity_values():
+CFG = FeatureMapConfig(N_QUBITS, 2, "full")
+
+
+def _fidelity_kernel():
     """Random entries plus an orthogonal pair (kappa = 0: unbounded at
     p_error 0, and degenerate), a nearly orthogonal one (1e-33: n_ca about
     4.6e33, past int64) and a duplicated point (kappa = 1: degenerate)."""
     points = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, size=(7, N_QUBITS))
     points[6] = points[5]
-    values = gram_matrix(points, FeatureMapConfig(N_QUBITS, 2, "full")).values.copy()
+    values = gram_matrix(points, CFG).values.copy()
     values[0, 1] = values[1, 0] = 0.0
     values[0, 2] = values[2, 0] = 1e-33
-    return values
+    return KernelMatrix(values=values, family="fidelity", config=CFG)
 
 
-def _projected_table():
+def _projected_kernel():
     """Random points plus two maximally mixed ones: their pair has no
     proportion off 1/2 (ca_imposed false, degenerate)."""
     points = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, size=(6, N_QUBITS))
-    kernel = gram_matrix(points, FeatureMapConfig(N_QUBITS, 2, "full"),
-                         family="projected", gamma=GAMMA)
+    kernel = gram_matrix(points, CFG, family="projected", gamma=GAMMA)
     mixed = np.tile([0.5, 0.0, 0.0], (2, N_QUBITS, 1))
-    return np.concatenate([kernel.component_table, mixed])
+    table = np.concatenate([kernel.component_table, mixed])
+    return KernelMatrix(values=projected_gram_values(table, GAMMA), family="projected",
+                        config=CFG, gamma=GAMMA, component_table=table)
 
 
 @pytest.mark.parametrize("p_error", [0.0, 0.05])
 def test_fidelity_budget_bytes_equal_stdlib_encoder(tmp_path, p_error):
-    budgets = entry_budgets("fidelity", _fidelity_values(), EPS, DELTA, P_SPREAD, P_CA,
-                            p_error, n_qubits=N_QUBITS)
+    budgets = entry_budgets(_fidelity_kernel(), EPS, DELTA, P_SPREAD, P_CA, p_error)
     if p_error == 0.0:
         assert budgets.n_ca[1] > 2.0**63
         assert budgets.unbounded[0] and budgets.degenerate[0] and budgets.degenerate[-1]
@@ -73,9 +76,7 @@ def test_fidelity_budget_bytes_equal_stdlib_encoder(tmp_path, p_error):
 
 @pytest.mark.parametrize("p_error", [0.0, 0.05])
 def test_projected_budget_bytes_equal_stdlib_encoder(tmp_path, p_error):
-    table = _projected_table()
-    budgets = entry_budgets("projected", projected_gram_values(table, GAMMA), EPS, DELTA,
-                            P_SPREAD, P_CA, p_error, table=table, gamma=GAMMA)
+    budgets = entry_budgets(_projected_kernel(), EPS, DELTA, P_SPREAD, P_CA, p_error)
     assert not budgets.ca_imposed[-1] and budgets.degenerate[-1]
     assert budgets.ca_imposed[:-1].all()
     assert written_json(tmp_path, _payload(), budgets) == reference_json(_payload(), budgets)
@@ -83,13 +84,14 @@ def test_projected_budget_bytes_equal_stdlib_encoder(tmp_path, p_error):
 
 def test_budget_blocks_join_like_one_list(tmp_path, monkeypatch):
     """Records spanning several write blocks give the same bytes."""
-    budgets = entry_budgets("fidelity", _fidelity_values(), EPS, DELTA, P_SPREAD, P_CA)
+    budgets = entry_budgets(_fidelity_kernel(), EPS, DELTA, P_SPREAD, P_CA)
     monkeypatch.setattr(serialize, "ENTRY_BLOCK", 4)
     assert written_json(tmp_path, {}, budgets) == reference_json({}, budgets)
 
 
 def test_empty_budgets_and_plain_payloads(tmp_path):
-    budgets = entry_budgets("fidelity", np.ones((1, 1)), EPS, DELTA, P_SPREAD, P_CA)
+    one_point = KernelMatrix(values=np.ones((1, 1)), family="fidelity", config=CFG)
+    budgets = entry_budgets(one_point, EPS, DELTA, P_SPREAD, P_CA)
     assert written_json(tmp_path, _payload(), budgets) == reference_json(_payload(), budgets)
     plain = write_json(tmp_path / "plain.json", _payload()).read_text(encoding="utf-8")
     assert plain == json.dumps(_jsonable(_payload()), indent=2, sort_keys=True) + "\n"

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.special import ndtri
 from qkshots import (
     FeatureMapConfig,
     KernelMatrix,
+    ShotBudget,
     dataset_budget,
     entry_budgets,
     epsilon_r_from_kernel,
@@ -24,6 +27,7 @@ from qkshots import (
 )
 from qkshots.kernels import projected_gram_values
 from qkshots.measurement import component_proportions
+from qkshots.serialize import _jsonable
 from qkshots.shot_bounds import _variance_terms, ca_condition_probability
 
 from oracles import correct_side_probability, pq_variance_term_sum
@@ -38,13 +42,15 @@ def random_physical_components(rng):
 
 
 def pair_budget(rho_x, rho_y, gamma, eps, delta, p_spread, p_ca=0.99, p_error=0.0):
-    """The ShotBudget of one projected pair: the m = 2 case of entry_budgets
-    on the (2, n, 3) table of the two points' component rows."""
+    """The budgets of one projected pair, arrays of length 1: the m = 2 case
+    of entry_budgets on the (2, n, 3) table of the two points' component
+    rows."""
     table = np.array([rho_x, rho_y], dtype=float)
-    return entry_budgets(
-        "projected", projected_gram_values(table, gamma), eps, delta, p_spread, p_ca,
-        p_error, table=table, gamma=gamma,
-    ).budget(0)
+    kernel = KernelMatrix(
+        values=projected_gram_values(table, gamma), family="projected",
+        config=FeatureMapConfig(n_qubits=table.shape[1]), gamma=gamma, component_table=table,
+    )
+    return entry_budgets(kernel, eps, delta, p_spread, p_ca, p_error)
 
 
 def variance_terms(rho_x, rho_y, noise_robust=False):
@@ -78,7 +84,7 @@ class TestSpreadProjected:
     def test_identical_matrices_degenerate(self):
         rho = [(0.6, 0.1, 0.2), (0.4, 0.0, -0.1)]
         bound = pair_budget(rho, rho, gamma=1.0, eps=0.5, delta=0.3, p_spread=0.9)
-        assert bound.n_spread == 1 and bound.degenerate
+        assert bound.n_spread.tolist() == [1] and bound.degenerate.tolist() == [True]
 
     def test_variance_term_ground_vs_mixed(self):
         # ground state vs maximally mixed: proportions (1, .5, .5) vs (.5, .5, .5)
@@ -105,13 +111,13 @@ class TestSpreadProjected:
         rho_y = [random_physical_components(rng) for _ in range(2)]
         gamma, eps, delta, p = 0.8, 0.4, 0.2, 0.9
         got = pair_budget(rho_x, rho_y, gamma=gamma, eps=eps, delta=delta, p_spread=p)
-        kappa = got.inputs["kappa"]
+        kappa = got.kappa[0]
         v_sum = sum(
             pq_variance_term_sum(component_proportions(rx), component_proportions(ry))
             for rx, ry in zip(rho_x, rho_y)
         )
         expected = 2 * gamma**2 * kappa**2 * v_sum / ((1 - p) * eps**2 * delta**2)
-        assert got.n_spread == math.ceil(expected - 1e-9)
+        assert got.n_spread.tolist() == [math.ceil(expected - 1e-9)]
 
     def test_gamma_kappa_scaling(self):
         # holding the variance terms fixed, the bound scales as gamma^2 kappa^2
@@ -120,9 +126,9 @@ class TestSpreadProjected:
         v = float(variance_terms(rho_x, rho_y)[0])
         for gamma in (0.5, 1.0, 2.0):
             got = pair_budget(rho_x, rho_y, gamma=gamma, eps=0.5, delta=0.2, p_spread=0.9)
-            kappa = got.inputs["kappa"]
+            kappa = got.kappa[0]
             expected = gamma**2 * kappa**2 * v / ((1 - 0.9) * 0.25 * 0.04)
-            assert got.n_spread == max(1, math.ceil(expected - 1e-9))
+            assert got.n_spread.tolist() == [max(1, math.ceil(expected - 1e-9))]
 
 
 class TestConcentrationAvoidanceFidelity:
@@ -250,7 +256,8 @@ class TestNoisyBounds:
         bound = pair_budget(
             rho, rho, gamma=1.0, eps=0.5, delta=0.2, p_spread=0.9, p_error=0.01
         )
-        assert bound.noisy and bound.n_spread == 1 and bound.degenerate
+        assert bound.noisy
+        assert bound.n_spread.tolist() == [1] and bound.degenerate.tolist() == [True]
 
     def test_noisy_pq_uses_derivative_only_terms(self):
         robust = variance_terms([(1.0, 0.0, 0.0)], [(0.5, 0.0, 0.0)], noise_robust=True)
@@ -406,20 +413,32 @@ class TestDatasetBudget:
 
     def test_serialisation_round_trip(self):
         kernel = _kernel_from_offdiag([0.3, 0.4, 0.5, 0.5, 0.6, 0.7])
-        payload = dataset_budget(kernel).to_dict()
+        payload = json.loads(json.dumps(_jsonable(asdict(dataset_budget(kernel)))))
         assert payload["n_required"] == max(payload["n_spread"], payload["n_ca"])
         assert payload["effect_dominant"] in ("spread", "concentration_avoidance")
         assert not payload["unbounded"]
 
+    @pytest.mark.parametrize("n_spread, n_ca, record", [
+        (3.0, 7.0, {"n_spread": 3, "n_ca": 7, "n_required": 7, "unbounded": False,
+                    "effect_dominant": "concentration_avoidance"}),
+        (7, 7, {"n_spread": 7, "n_ca": 7, "n_required": 7, "unbounded": False,
+                "effect_dominant": "spread"}),
+        (3, math.inf, {"n_spread": 3, "n_ca": None, "n_required": None, "unbounded": True,
+                       "effect_dominant": "concentration_avoidance"}),
+    ], ids=["ca", "tie", "unbounded"])
+    def test_constructor_sets_the_derived_fields(self, n_spread, n_ca, record):
+        budget = ShotBudget("fidelity", n_spread, n_ca, inputs={"eps": 1.0})
+        payload = json.loads(json.dumps(_jsonable(asdict(budget)), allow_nan=False))
+        assert payload == {**record, "family": "fidelity", "noisy": False,
+                           "degenerate": False, "inputs": {"eps": 1.0}}
+        assert type(budget.n_spread) is int and type(budget.n_required) is type(budget.n_ca)
+
 
 class TestEntryBudgets:
     def test_fidelity_entry_budget(self):
-        budget = entry_budgets(
-            "fidelity", [[1.0, 0.5], [0.5, 1.0]], 1.0, 0.2, 0.9, 0.99
-        ).budget(0)
-        assert budget.n_spread == n_spread_fq(0.5, 1.0, 0.2, 0.9)
-        assert budget.n_ca == n_ca_fq(0.5, 0.99)
-        assert budget.n_required == max(budget.n_spread, budget.n_ca)
+        budget = entry_budgets(_kernel_from_offdiag([0.5]), 1.0, 0.2, 0.9, 0.99)
+        assert budget.n_spread.tolist() == [n_spread_fq(0.5, 1.0, 0.2, 0.9)]
+        assert budget.n_ca.tolist() == [n_ca_fq(0.5, 0.99)]
 
     def test_projected_entry_budget_worst_component(self):
         rho_x = [(0.8, 0.1, 0.0)]
@@ -431,13 +450,13 @@ class TestEntryBudgets:
             for q in proportions
             if abs(q - 0.5) > 1e-15
         )
-        assert budget.n_ca == expected
+        assert budget.n_ca.tolist() == [expected]
 
     def test_projected_entry_all_components_at_mu(self):
         rho = [(0.5, 0.0, 0.0)]
         budget = pair_budget(rho, rho, 1.0, 1.0, 0.2, 0.9, 0.99)
-        assert budget.degenerate
-        assert budget.n_ca == 1
+        assert budget.degenerate.tolist() == [True]
+        assert budget.n_ca.tolist() == [1]
 
 
 class TestMonotonicity:
