@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .feature_map import FeatureMapConfig, block_rows
-from .kernels import embedding_matrix, fidelity_gram_values, reduced_component_table
+from .kernels import embedding_matrix, expand, fidelity_gram_values, reduced_component_table
 from .statevector import qubit_components
 
 LN2 = float(np.log(2.0))
@@ -42,7 +42,8 @@ def expressibility(points, cfg: FeatureMapConfig, threads: int = 1) -> float:
 
 
 def _expressibility(amplitudes: np.ndarray, n_qubits: int) -> float:
-    fidelities = fidelity_gram_values(amplitudes)
+    # the mean of the m x m matrix; (m + 2 sum(upper**2)) / m**2 rounds differently
+    fidelities = expand(fidelity_gram_values(amplitudes))
     return float(np.mean(fidelities**2) - haar_second_moment(n_qubits))
 
 

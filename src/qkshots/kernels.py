@@ -9,12 +9,16 @@ one-qubit reduced density matrices,
 where for 2x2 Hermitian differences the squared 2-norm equals twice the
 sum of squared component differences (population, Re offdiag, Im offdiag).
 
-Ensemble statistics are always taken over the strictly-upper-triangle
-entries; the diagonal is identically 1 and carries no information.
+A kernel matrix is stored as its packed strict upper triangle, the
+m(m-1)/2 entries of the pairs i < j in row-major order; the unit diagonal
+carries no information. This module owns that order: :func:`row_blocks`
+maps rows [start, end) to their slice of the packed array, and the
+builders, draws, budgets, statistics and CSV files all go through it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,18 +51,88 @@ def check_gamma(gamma: float, name: str = "gamma") -> float:
     return gamma
 
 
+# cells per block of whole rows when packing or expanding a triangle
+ROW_BLOCK_CELLS = 2**16
+
+
+def _row_start(m: int, i):
+    """Index of pair (i, i + 1), the first of row i, in the packed triangle
+    of an m x m matrix; ``i`` may be an array."""
+    return i * (2 * m - i - 1) // 2
+
+
+def row_blocks(m: int, rows: int):
+    """Blocks of ``rows`` whole rows of the strict upper triangle of an
+    m x m matrix, as (start, end, part): rows [start, end) are the entries
+    ``part`` of the packed triangle, which holds the pairs i < j in
+    row-major order. An m of 1 gives one empty block."""
+    for start in range(0, max(m - 1, 1), rows):
+        end = min(start + rows, m - 1)
+        yield start, end, slice(_row_start(m, start), _row_start(m, end))
+
+
+def pair_indices(m: int, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the pairs of rows [start, end) of the packed
+    triangle, in its order."""
+    first = np.arange(start, end)
+    i = np.repeat(first, m - 1 - first)
+    return i, np.arange(_row_start(m, start), _row_start(m, end)) - _row_start(m, i) + i + 1
+
+
+def pack(m: int, block, finish=None) -> np.ndarray:
+    """The packed strict upper triangle of an m x m matrix. ``block(start,
+    end)`` returns its rows [start, end) over the columns [start + 1, m);
+    ``finish``, if given, maps the packed entries of each block elementwise."""
+    upper = np.empty(m * (m - 1) // 2)
+    for start, end, part in row_blocks(m, max(1, ROW_BLOCK_CELLS // m)):
+        entries = block(start, end)[np.arange(m - start - 1) >= np.arange(end - start)[:, None]]
+        upper[part] = entries if finish is None else finish(entries)
+    return upper
+
+
+def _point_count(pairs: int) -> int | None:
+    """The m with m(m-1)/2 = ``pairs``, or None when ``pairs`` is not a
+    triangular number (0 gives 1)."""
+    m = (1 + math.isqrt(1 + 8 * pairs)) // 2
+    return m if m * (m - 1) // 2 == pairs else None
+
+
+def expand(upper: np.ndarray, rows=None) -> np.ndarray:
+    """Rows ``rows`` (indices, all by default) of the symmetric,
+    unit-diagonal m x m matrix whose packed strict upper triangle is
+    ``upper``, gathered in blocks of rows."""
+    m = _point_count(upper.size)
+    rows = np.arange(m) if rows is None else np.asarray(rows)
+    out = np.ones((len(rows), m))
+    if m < 2:
+        return out
+    # pair (i, j), i < j, sits at base[i] + j; on the diagonal base[i] + i
+    # is a valid index (-1 wraps), overwritten by the 1 below
+    cols = np.arange(m)
+    base = _row_start(m, cols) - cols - 1
+    step = max(1, ROW_BLOCK_CELLS // m)
+    for first in range(0, len(rows), step):
+        i, block = rows[first:first + step, None], out[first:first + step]
+        block[:] = upper.take(np.where(i < cols, base[i] + cols, base + i), mode="wrap")
+        block[i == cols] = 1.0
+    return out
+
+
 @dataclass
 class KernelMatrix:
-    """Symmetric m x m kernel matrix plus the configuration that produced it.
+    """Kernel matrix of m points plus the configuration that produced it.
 
-    ``metadata`` records provenance (dataset id, sampling parameters, ...);
-    exact and shot-estimated matrices share this container. An exact
-    projected matrix also keeps the (m, n_qubits, 3) ``component_table`` it
-    was built from, so callers need not embed the points again; a table of
-    any other shape is refused.
+    ``upper`` holds the m(m-1)/2 entries of pairs i < j in row-major order
+    (:func:`row_blocks`); the matrix is symmetric with a unit diagonal by
+    construction, and every entry lies in [0, 1]. ``values`` builds the
+    m x m matrix on each read. ``metadata`` records provenance (dataset id,
+    sampling parameters, ...); exact and shot-estimated matrices share this
+    container. An exact projected matrix also keeps the (m, n_qubits, 3)
+    ``component_table`` it was built from, so callers need not embed the
+    points again; a table of any other shape is refused.
     """
 
-    values: np.ndarray
+    upper: np.ndarray
     family: str
     config: FeatureMapConfig
     gamma: float | None = None
@@ -67,26 +141,26 @@ class KernelMatrix:
 
     def __post_init__(self) -> None:
         check_family(self.family)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError(f"kernel matrix must be square, got {vals.shape}")
-        if np.max(np.abs(vals - vals.T)) > 1e-10:
-            raise ValueError("kernel matrix is not symmetric")
-        if np.max(np.abs(np.diag(vals) - 1.0)) > 1e-10:
-            raise ValueError("kernel diagonal must equal 1")
-        self.values = vals
+        upper = np.asarray(self.upper, dtype=float)
+        if upper.ndim != 1 or _point_count(upper.size) is None:
+            raise ValueError(f"kernel entries must be a 1-D packed triangle of m(m-1)/2 "
+                             f"values, got shape {upper.shape}")
+        # min and max are NaN when any entry is, so NaN is refused too
+        if upper.size and not (upper.min() >= 0.0 and upper.max() <= 1.0):
+            raise ValueError("kernel entries must lie in [0, 1]")
+        self.upper = upper
         shape, expected = np.shape(self.component_table), (self.m, self.config.n_qubits, 3)
         if self.component_table is not None and shape != expected:
             raise ValueError(f"component table has shape {shape}, expected {expected}")
 
     @property
     def m(self) -> int:
-        return self.values.shape[0]
+        return _point_count(self.upper.size)
 
-    def off_diagonal(self) -> np.ndarray:
-        """The m(m-1)/2 independent entries (strict upper triangle)."""
-        iu = np.triu_indices(self.m, k=1)
-        return self.values[iu]
+    @property
+    def values(self) -> np.ndarray:
+        """The m x m matrix, built from ``upper`` on each read."""
+        return expand(self.upper)
 
 
 @dataclass(frozen=True)
@@ -114,32 +188,29 @@ def reduced_component_table(points, cfg: FeatureMapConfig, threads: int = 1) -> 
     return embed_batch(points, cfg, components=True, threads=threads)
 
 
-def _symmetrised(upper: np.ndarray) -> np.ndarray:
-    """Mirror the strict upper triangle and set the diagonal to exactly 1."""
-    sym = np.triu(upper, k=1)
-    sym = sym + sym.T
-    np.fill_diagonal(sym, 1.0)
-    return sym
-
-
 def fidelity_gram_values(embeddings: np.ndarray) -> np.ndarray:
-    """|<psi_j|psi_i>|^2 for all pairs, bit-exactly symmetric, unit diagonal."""
+    """|<psi_i|psi_j>|^2 of every pair i < j, packed (:func:`pack`)."""
     # Hermitian rank-k product: only the upper triangle, and no conjugated
     # copy of the (m, 2**n) embeddings
     overlaps = zherk(1.0, np.asarray(embeddings, dtype=complex).T, trans=2)
-    values = np.clip(np.abs(overlaps) ** 2, 0.0, 1.0)
-    return _symmetrised(values)
+    return pack(len(overlaps), lambda start, end: overlaps[start:end, start + 1:],
+                lambda entries: np.clip(np.abs(entries) ** 2, 0.0, 1.0))
 
 
 def projected_gram_values(table: np.ndarray, gamma: float) -> np.ndarray:
-    """Projected-kernel matrix from a component table (m, n, 3)."""
+    """Projected-kernel entries of every pair i < j of a component table
+    (m, n, 3), packed (:func:`pack`)."""
     check_gamma(gamma)
     flat = table.reshape(table.shape[0], -1)
     sq = np.sum(flat**2, axis=1)
-    dists = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T), 0.0)
+    products = flat @ flat.T
     # ||rho_i - rho_j||_2^2 summed over qubits = 2 * squared component distance
-    values = np.exp(-2.0 * gamma * dists)
-    return _symmetrised(values)
+    return pack(
+        len(flat),
+        lambda start, end: (sq[start:end, None] + sq[None, start + 1:])
+        - 2.0 * products[start:end, start + 1:],
+        lambda dists: np.exp(-2.0 * gamma * np.maximum(dists, 0.0)),
+    )
 
 
 def gram_matrix(
@@ -153,8 +224,9 @@ def gram_matrix(
     embedded once and reused for all pairs, so points whose first
     ``n_qubits`` features agree have kernel value exactly 1."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] < 2:
-        raise ConfigurationError(f"need at least 2 points, got {points.shape[0]}")
+    m = points.shape[0]
+    if m < 2:
+        raise ConfigurationError(f"need at least 2 points, got {m}")
     # distinct encoded rows in order of first appearance, and each point's row
     _, first, inverse = np.unique(
         points[:, : cfg.n_qubits], axis=0, return_index=True, return_inverse=True
@@ -164,27 +236,24 @@ def gram_matrix(
     distinct = points[first[order]]
     table = None
     if check_family(family) == FIDELITY:
-        values = fidelity_gram_values(embedding_matrix(distinct, cfg, threads=threads))
+        upper = fidelity_gram_values(embedding_matrix(distinct, cfg, threads=threads))
         gamma_out = None
     else:
         table = reduced_component_table(distinct, cfg, threads=threads)
-        values = projected_gram_values(table, gamma)
-        table = table[index]
+        upper = projected_gram_values(table, gamma)
         gamma_out = gamma
-    return KernelMatrix(
-        values=values[np.ix_(index, index)],
-        family=family,
-        config=cfg,
-        gamma=gamma_out,
-        component_table=table,
-    )
+    if len(distinct) < m:  # gather the entries of each point's distinct row
+        packed = upper
+        upper = pack(m, lambda start, end: expand(packed, index[start:end])[:, index[start + 1:]])
+        table = None if table is None else table[index]
+    return KernelMatrix(upper, family, cfg, gamma=gamma_out, component_table=table)
 
 
 def kernel_statistics(kernel: KernelMatrix) -> KernelStatistics:
     """Mean/std/median/IQR of the independent entries (median and IQR use
     linearly interpolated quantiles). For the projected family the mean of
     ln(entries) is also reported; zero entries yield -inf with a warning."""
-    entries = kernel.off_diagonal()
+    entries = kernel.upper
     if entries.size == 0:
         raise ValueError("kernel matrix has no independent entries")
     q25, q50, q75 = np.percentile(entries, [25.0, 50.0, 75.0])

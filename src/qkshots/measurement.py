@@ -20,8 +20,10 @@ table. Points whose encoded features agree therefore draw from kappa = 1.
 
 Reproducibility: every draw comes from a generator keyed by
 ``SeedSequence(entropy=seed, spawn_key=(key,))``. A sampled fidelity Gram
-matrix draws row i of its upper triangle, one vectorised binomial, from key
-i; a sampled projected one draws point i's (n, 3) basis counts from key i.
+matrix draws row i of its packed upper triangle (the slice that
+:func:`kernels.row_blocks` gives that row), one vectorised binomial, from
+key i; a sampled projected one draws point i's (n, 3) basis counts from
+key i.
 Draws run after the embedding, in one thread, so results are bit-identical
 for a given seed whatever the thread count.
 """
@@ -32,7 +34,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .kernels import FIDELITY, KernelMatrix, check_family, projected_gram_values
+from .kernels import FIDELITY, KernelMatrix, check_family, projected_gram_values, row_blocks
 from .statevector import ConfigurationError
 
 
@@ -148,17 +150,15 @@ def sample_gram(
         "total_shots": total_shots(exact.family, m, n_shots),
     }
     if exact.family == FIDELITY:
-        q = depolarized_fidelity_probability(exact.values, p_error, exact.config.n_qubits)
-        values = np.zeros((m, m))
-        for i in range(m - 1):
-            values[i, i + 1:] = _rng(seed, i).binomial(n_shots, q[i, i + 1:]) / n_shots
-        values = values + values.T
-        np.fill_diagonal(values, 1.0)
+        q = depolarized_fidelity_probability(exact.upper, p_error, exact.config.n_qubits)
+        upper = np.empty_like(q)
+        for i, _, part in row_blocks(m, 1):
+            upper[part] = _rng(seed, i).binomial(n_shots, q[part]) / n_shots
     else:
         # the clip guards rounding dust at the edges
         q = np.clip(component_proportions(exact.component_table, p_error), 0.0, 1.0)
         counts = np.stack([_rng(seed, i).binomial(n_shots, q[i]) for i in range(m)])
         estimated, clipped = _estimated_components(counts, n_shots)
-        values = projected_gram_values(estimated, exact.gamma)
+        upper = projected_gram_values(estimated, exact.gamma)
         metadata["psd_clipped"] = int(clipped.sum())
-    return replace(exact, values=values, metadata=metadata, component_table=None)
+    return replace(exact, upper=upper, metadata=metadata, component_table=None)

@@ -1,6 +1,10 @@
 """File formats: kernel matrices as CSV with a JSON metadata sidecar,
 scaling series as long-format CSV, budgets and fits as JSON.
 
+``gram.csv`` holds the full m x m matrix: the writer expands the packed
+triangle of a :class:`KernelMatrix` block by block of rows, and the reader,
+the one place a full matrix comes in, checks it and packs its triangle.
+
 All JSON is written UTF-8 with sorted keys and an indent of 2; every file
 (or its sidecar) embeds a provenance block with the tool version and the
 configuration, as written, that produced it. Per-entry shot budgets are
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .feature_map import FeatureMapConfig
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, expand, pack
 from .scaling import ScalingSeries
 from .shot_bounds import CONCENTRATION_AVOIDANCE, SPREAD, EntryBudgets, ShotBudget
 
@@ -184,8 +188,9 @@ def _csv_rows(block: np.ndarray, row_format: str) -> str:
 
 
 def write_kernel_csv(path, kernel: KernelMatrix, extra: dict | None = None) -> tuple[Path, Path]:
-    """Write an m x m kernel matrix as CSV plus a `.meta.json` sidecar with
-    family, feature-map and sampling metadata."""
+    """Write a kernel as its m x m matrix in CSV, each block of rows
+    expanded from the packed triangle as it is written, plus a `.meta.json`
+    sidecar with family, feature-map and sampling metadata."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # the bytes csv.writer would write: no field needs quoting, \r\n line ends
@@ -195,7 +200,8 @@ def write_kernel_csv(path, kernel: KernelMatrix, extra: dict | None = None) -> t
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(f"k{i}" for i in range(m)) + "\r\n")
         for start in range(0, m, rows):
-            handle.write(_csv_rows(kernel.values[start:start + rows], row_format))
+            handle.write(_csv_rows(expand(kernel.upper, range(start, min(start + rows, m))),
+                                   row_format))
     meta = {
         "family": kernel.family,
         "gamma": kernel.gamma,
@@ -209,14 +215,24 @@ def write_kernel_csv(path, kernel: KernelMatrix, extra: dict | None = None) -> t
 
 
 def read_kernel_csv(path, meta_path=None) -> KernelMatrix:
-    """Round-trip loader for :func:`write_kernel_csv` output."""
+    """Round-trip loader for :func:`write_kernel_csv` output. The matrix
+    must be square and symmetric, with a unit diagonal and every entry in
+    [0, 1] (up to 1e-10 for symmetry and the diagonal); its strict upper
+    triangle is kept."""
     path = Path(path)
     meta_path = Path(meta_path) if meta_path else path.with_suffix(".meta.json")
     with open(meta_path, encoding="utf-8") as handle:
         meta = json.load(handle)
-    values = np.loadtxt(path, delimiter=",", skiprows=1)
+    values = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError(f"kernel matrix must be square, got {values.shape}")
+    # written so that NaN fails each check
+    if not np.max(np.abs(np.diag(values) - 1.0)) <= 1e-10:
+        raise ValueError("kernel diagonal must equal 1")
+    if not np.max(np.abs(values - values.T)) <= 1e-10:
+        raise ValueError("kernel matrix is not symmetric")
     return KernelMatrix(
-        values=np.atleast_2d(values),
+        pack(len(values), lambda start, end: values[start:end, start + 1:]),
         family=meta["family"],
         config=FeatureMapConfig(**meta["feature_map"]),
         gamma=meta["gamma"],

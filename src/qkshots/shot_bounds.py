@@ -49,6 +49,8 @@ from .kernels import (
     check_family,
     check_gamma,
     kernel_statistics,
+    pair_indices,
+    row_blocks,
 )
 from .measurement import (
     check_p_error,
@@ -424,17 +426,11 @@ def error_budget(
 # representative scales of tomography proportions
 # ---------------------------------------------------------------------------
 
-def epsilon_r_from_kernel(
-    kernel: KernelMatrix | np.ndarray, gamma: float, n_qubits: int
-) -> float:
+def epsilon_r_from_kernel(kernel: KernelMatrix, gamma: float, n_qubits: int) -> float:
     """Root-mean-square proportion offset inferred from kernel entries
     alone: sqrt(-<ln k> / (12 gamma n)). Off-diagonal entries equal to 1
     carry no offset information and are excluded with a warning."""
-    entries = (
-        kernel.off_diagonal()
-        if isinstance(kernel, KernelMatrix)
-        else np.asarray(kernel, dtype=float).reshape(-1)
-    )
+    entries = kernel.upper
     if np.any(entries <= 0.0):
         raise ValueError("kernel entries must be positive to take logarithms")
     if np.any(entries >= 1.0):
@@ -517,25 +513,21 @@ class EntryBudgets:
 
 
 def _pair_blocks(m: int, n: int):
-    """Index arrays (i, j) of the upper-triangle pairs i < j in row-major
-    order, in blocks of whole rows; boundaries depend on (m, n) only."""
-    rows = max(1, PAIR_BLOCK // max(1, m * n))
-    for start in range(0, max(m - 1, 1), rows):
-        first = np.arange(start, min(start + rows, m - 1))
-        counts = m - 1 - first
-        i = np.repeat(first, counts)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        yield i, np.arange(i.size) - offsets + i + 1
+    """The upper-triangle pairs i < j in blocks of whole rows, as (part,
+    i, j): their slice of the packed triangle and their index arrays;
+    boundaries depend on (m, n) only."""
+    for start, end, part in row_blocks(m, max(1, PAIR_BLOCK // max(1, m * n))):
+        yield part, *pair_indices(m, start, end)
 
 
 def _pair_variance_blocks(props: np.ndarray, noise_robust: bool):
     """Per-qubit V_k of the upper-triangle pairs of the (m, n, 3)
-    proportions, as (i, j, (pairs, n) terms) per row block of
+    proportions, as (part, i, j, (pairs, n) terms) per row block of
     :func:`_pair_blocks`. Each point's standard deviations are computed
     once and gathered for its pairs."""
     sd = None if noise_robust else _binomial_sd(props)
     # np.take copies whole rows faster than fancy indexing
-    for i, j in _pair_blocks(props.shape[0], props.shape[1]):
+    for part, i, j in _pair_blocks(props.shape[0], props.shape[1]):
         weights = None
         if sd is not None:
             weights = np.take(sd, i, axis=0)
@@ -543,7 +535,7 @@ def _pair_variance_blocks(props: np.ndarray, noise_robust: bool):
         terms = _variance_terms(np.take(props, i, axis=0), np.take(props, j, axis=0),
                                 noise_robust, weights)
         del weights  # not held while the caller works on the block
-        yield i, j, terms
+        yield part, i, j, terms
 
 
 def _fidelity_budgets(kappa, denominator: float, p_ca: float, p_error: float, n_qubits: int):
@@ -583,15 +575,14 @@ def entry_budgets(
     _check_probability("p_ca", p_ca)
     check_p_error(p_error)
     denominator = _spread_denominator(eps, delta_ensemble, p_spread)
-    values = kernel.values
     noisy = p_error > 0.0
     inputs = dict(eps=eps, delta_ensemble=delta_ensemble, p_spread=p_spread,
                   p_ca=p_ca, p_error=p_error)
     if kernel.family == FIDELITY:
-        i, j = np.triu_indices(kernel.m, k=1)
-        kappa = values[i, j]
+        kappa = kernel.upper
         columns = _fidelity_budgets(kappa, denominator, p_ca, p_error, kernel.config.n_qubits)
-        return EntryBudgets(FIDELITY, noisy, i, j, kappa, *columns, None, inputs)
+        return EntryBudgets(FIDELITY, noisy, *pair_indices(kernel.m, 0, kernel.m - 1), kappa,
+                            *columns, None, inputs)
 
     gamma = _gamma(kernel)
     if kernel.component_table is None:
@@ -599,10 +590,10 @@ def entry_budgets(
     props = component_proportions(kernel.component_table, p_error)
     worst, imposed = _pq_point_ca(props, p_ca)
     blocks, variance_total = [], 0.0
-    for i, j, terms in _pair_variance_blocks(props, noisy):
+    for part, i, j, terms in _pair_variance_blocks(props, noisy):
         # summed as _mean_pair_variance_terms sums, so both give equal means
         variance_total += float(terms.sum())
-        kappa = values[i, j]
+        kappa = kernel.upper[part]
         v_total = terms.sum(axis=-1)
         n_spread, degenerate = _pq_spread(
             v_total, props.shape[1], kappa ** ((1.0 - p_error) ** 2), gamma,
@@ -722,6 +713,6 @@ def _mean_pair_variance_terms(table, p_error: float) -> float:
     if m < 2:
         raise ValueError("component table needs at least two points")
     total = 0.0
-    for _, _, terms in _pair_variance_blocks(props, p_error > 0.0):
+    for *_, terms in _pair_variance_blocks(props, p_error > 0.0):
         total += float(terms.sum())
     return total / (m * (m - 1) // 2)

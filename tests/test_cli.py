@@ -933,6 +933,51 @@ def test_cli_import_leaves_out_scipy_stats():
     assert result.stdout.strip() == "False"
 
 
+TWONORM_20 = "dataset: {type: twonorm, m: 20}\nfeature_map: {n_qubits: 2}\n"
+DOT = "out_dir: elsewhere\n" + TWONORM_20
+
+
+@pytest.mark.parametrize("argv, config, code, named", [
+    (["kernels"], "dataset: {type: twonorm, m: 21}\nfeature_map: {n_qubits: 2}\n"
+     "kernel: {family: fidelity}\n", 2, "m must be even"),
+    (["estimate-shots"], TWONORM_20 + "budget: {esp: 0.01}\n", 2, "budget.eps"),
+    (["sweep"], TWONORM_20 + 'sweep: {n_values: "2345"}\n', 2, "sweep.n_values"),
+    (["kernels"], DOT, 0, None),
+    (["kernels", "--seed", "-1"], DOT, 2, "--seed"),
+    (["kernels", "--threads", "0"], DOT, 2, "--threads"),
+    (["estimate-shots"], TWONORM_20 + "budget: {eps: .nan}\n", 2, "budget.eps"),
+    (["estimate-shots"], TWONORM_20 + "budget: {eps: 1.0e-300}\n", 2, "eps"),
+    (["sweep"], "dataset: {type: twonorm, m: 20}\nsweep: {n_values: [2, 15]}\n", 2,
+     "qubit_cap"),
+    (["kernels"], "dataset: {type: twonorm, m: 20}\nfeature_map: {n_qubits: 2.5}\n", 2,
+     "feature_map.n_qubits"),
+    (["kernels", "--seed", "abc"], DOT, 2, "--seed"),
+    (["bogus"], None, 2, "bogus"),
+], ids=["odd-m", "misspelled-key", "sizes-string", "out-dot-wins", "negative-seed",
+        "zero-threads", "nan-eps", "tiny-eps", "past-qubit-cap", "fractional-qubits",
+        "seed-not-integer", "unknown-command"])
+def test_console_errors_are_one_json_line(tmp_path, argv, config, code, named):
+    """The module entry point exits 2 with one JSON line on stderr that names
+    the key, flag or command at fault; an explicit --out . wins over the
+    config's out_dir."""
+    if config is not None:
+        write_yaml(tmp_path / "config.yaml", config)
+        argv = [argv[0], "--config", "config.yaml", "--out", ".", *argv[1:]]
+    env = {**os.environ, "PYTHONPATH": str(Path(qkshots.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "qkshots.cli", *argv], capture_output=True,
+                            text=True, env=env, cwd=tmp_path)
+    assert result.returncode == code, result.stderr
+    if code == 0:
+        assert result.stderr == ""
+        assert (tmp_path / "gram.csv").is_file() and not (tmp_path / "elsewhere").exists()
+        return
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "configuration"
+    assert named in error["message"]
+
+
 class TestKernelRoundTrip:
     def test_csv_round_trip_preserves_values(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

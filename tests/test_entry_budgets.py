@@ -58,9 +58,10 @@ def _reference(kernel, delta, p_error, n):
         for row in props:
             offsets = [q for qubit in row for q in qubit if abs(q - 0.5) >= 1e-15]
             worst.append(max([1] + [_ceil(z**2 * q * (1 - q) / (q - 0.5) ** 2) for q in offsets]))
+    values = kernel.values
     for i in range(kernel.m):
         for j in range(i + 1, kernel.m):
-            kappa = kernel.values[i, j]
+            kappa = values[i, j]
             if kernel.family == "fidelity":
                 q = (1.0 - p_error) * kappa + p_error * 2.0**-n
                 spread = _ceil(4.0 / denom) if noisy else _ceil(kappa * (1 - kappa) / denom)
@@ -84,7 +85,7 @@ def test_entry_budgets_match_per_pair_loop(family, n, p_error):
     got = entry_budgets(kernel, EPS, delta, P_SPREAD, P_CA, p_error)
     iu = np.triu_indices(kernel.m, k=1)
     assert np.array_equal(got.i, iu[0]) and np.array_equal(got.j, iu[1])
-    assert np.array_equal(got.kappa, kernel.values[iu])
+    assert np.array_equal(got.kappa, kernel.upper)
     expected = np.array(_reference(kernel, delta, p_error, n), dtype=float)
     assert np.array_equal(got.n_spread, expected[:, 0])
     assert np.array_equal(got.n_ca, expected[:, 1])
@@ -98,11 +99,12 @@ def test_one_pair_functions_are_the_array_case():
     whatever row block it fell in."""
     kernel = _kernel("projected", 3, m=6)
     budgets = entry_budgets(kernel, EPS, 0.2, P_SPREAD, P_CA, 0.02)
+    values = kernel.values
     singles = [
-        entry_budgets(replace(kernel, values=kernel.values[np.ix_(pair, pair)],
-                              component_table=kernel.component_table[pair]),
+        entry_budgets(replace(kernel, upper=[values[i, j]],
+                              component_table=kernel.component_table[[i, j]]),
                       EPS, 0.2, P_SPREAD, P_CA, 0.02)
-        for pair in np.stack([budgets.i, budgets.j], axis=1)
+        for i, j in zip(budgets.i, budgets.j)
     ]
     for name in ("kappa", "n_spread", "n_ca", "degenerate", "ca_imposed"):
         single = np.concatenate([getattr(pair, name) for pair in singles])
@@ -110,8 +112,8 @@ def test_one_pair_functions_are_the_array_case():
     assert all(pair.inputs == budgets.inputs for pair in singles)
 
 
-def _fidelity(values):
-    return KernelMatrix(np.array(values), "fidelity", FeatureMapConfig(2))
+def _fidelity(upper):
+    return KernelMatrix(np.array(upper), "fidelity", FeatureMapConfig(2))
 
 
 def _written_entries(tmp_path, budgets):
@@ -119,8 +121,7 @@ def _written_entries(tmp_path, budgets):
 
 
 def test_fidelity_zero_entry_is_unbounded(tmp_path):
-    values = [[1.0, 0.0, 0.3], [0.0, 1.0, 1.0], [0.3, 1.0, 1.0]]
-    budgets = entry_budgets(_fidelity(values), 1.0, 0.2, 0.9, 0.99)
+    budgets = entry_budgets(_fidelity([0.0, 0.3, 1.0]), 1.0, 0.2, 0.9, 0.99)
     assert budgets.unbounded.tolist() == [True, False, False]
     assert budgets.degenerate.tolist() == [True, False, True]
     first = _written_entries(tmp_path, budgets)[0]
@@ -130,7 +131,7 @@ def test_fidelity_zero_entry_is_unbounded(tmp_path):
 def test_fidelity_nearly_orthogonal_entry_is_finite(tmp_path):
     """Nearly orthogonal states leave Gram entries of about 1e-33, not 0; the
     one-success bound is then about 4.6e33 shots and must still end."""
-    budgets = entry_budgets(_fidelity([[1.0, 1e-33], [1e-33, 1.0]]), 1.0, 0.2, 0.9, 0.99)
+    budgets = entry_budgets(_fidelity([1e-33]), 1.0, 0.2, 0.9, 0.99)
     assert not budgets.unbounded[0]
     assert budgets.n_ca[0] == pytest.approx(-math.log(0.01) * 1e33, rel=1e-12)
     entry = _written_entries(tmp_path, budgets)[0]
@@ -237,4 +238,4 @@ def test_shot_budgets_json_round_trip(tmp_path, family, p_error):
     assert [(e["n_spread"], e["n_ca"], e["degenerate"]) for e in entries] == [
         (int(a), int(b), bool(c)) for a, b, c in reference]
     kappa = np.array([e["inputs"]["kappa"] for e in entries])
-    assert np.allclose(kappa, kernel.off_diagonal(), rtol=0, atol=1e-12)
+    assert np.allclose(kappa, kernel.upper, rtol=0, atol=1e-12)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,29 +15,36 @@ from qkshots import (
     embedding_matrix,
     entry_budgets,
     error_budget,
+    generate_twonorm,
     gram_matrix,
     kernel_statistics,
     n_ca_noisy_binomial_exact,
     n_spread_fq,
     n_spread_noisy_fq,
+    preprocess,
     quantum_cost,
+    select_features,
     total_shots,
 )
-from qkshots.kernels import check_gamma, fidelity_gram_values, projected_gram_values
+from qkshots.kernels import (
+    check_gamma,
+    expand,
+    fidelity_gram_values,
+    pack,
+    pair_indices,
+    projected_gram_values,
+    row_blocks,
+)
 
 from oracles import quantile_type7
 
+NAN = float("nan")
+
 
 def kernel_from_offdiag(entries, family="fidelity", n_qubits=2, gamma=None):
-    """Symmetric unit-diagonal matrix with the given strict upper triangle."""
-    entries = np.asarray(entries, dtype=float)
-    m = int((1 + np.sqrt(1 + 8 * entries.size)) / 2)
-    values = np.zeros((m, m))
-    values[np.triu_indices(m, k=1)] = entries
-    values = values + values.T
-    np.fill_diagonal(values, 1.0)
+    """Kernel whose packed strict upper triangle is ``entries``."""
     return KernelMatrix(
-        values=values,
+        np.asarray(entries, dtype=float),
         family=family,
         config=FeatureMapConfig(n_qubits=n_qubits),
         gamma=gamma,
@@ -48,20 +56,20 @@ class TestFidelityKernel:
         # the same point embedded twice, so the overlap itself is computed
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
         states = embedding_matrix([[0.4, 1.2], [0.4, 1.2]], cfg)
-        assert abs(fidelity_gram_values(states)[0, 1] - 1.0) < 1e-12
+        assert abs(fidelity_gram_values(states)[0] - 1.0) < 1e-12
 
     def test_quarter_period_vanishes(self):
         kernel = gram_matrix([[0.0], [np.pi / 2]], FeatureMapConfig(n_qubits=1))
         assert kernel.values[0, 1] < 1e-10
 
     def test_orthogonal_basis_states(self):
-        assert fidelity_gram_values(np.eye(2, dtype=complex))[0, 1] == 0.0
+        assert fidelity_gram_values(np.eye(2, dtype=complex))[0] == 0.0
 
     def test_symmetry(self):
         cfg = FeatureMapConfig(n_qubits=2, entanglement="full")
         states = embedding_matrix([[0.3, 0.9], [1.1, -0.4]], cfg)
-        forward = fidelity_gram_values(states)[0, 1]
-        assert abs(fidelity_gram_values(states[::-1])[0, 1] - forward) < 1e-12
+        forward = fidelity_gram_values(states)[0]
+        assert abs(fidelity_gram_values(states[::-1])[0] - forward) < 1e-12
 
     def test_closed_form_grid(self):
         grid = np.linspace(-3, 3, 100)
@@ -71,7 +79,7 @@ class TestFidelityKernel:
 
 def projected_pair(x, y, gamma):
     """Projected kernel of two points given their (n, 3) component rows."""
-    return projected_gram_values(np.array([x, y], dtype=float), gamma)[0, 1]
+    return projected_gram_values(np.array([x, y], dtype=float), gamma)[0]
 
 
 class TestProjectedKernel:
@@ -218,20 +226,25 @@ class TestKernelStatistics:
 
 
 class TestKernelMatrixValidation:
-    def test_rejects_asymmetric(self):
-        values = np.eye(2)
-        values[0, 1] = 0.3
+    @pytest.mark.parametrize("upper", [[NAN], [-0.1], [1.5], [0.5, NAN, 0.5],
+                                       [0.5, 0.5], np.full((3, 3), 0.5), [0.5] * 4],
+                             ids=["nan", "negative", "above-one", "nan-among-three",
+                                  "two-entries", "square", "four-entries"])
+    def test_refuses_entries_outside_the_unit_interval_and_untriangular_lengths(self, upper):
         with pytest.raises(ValueError):
-            KernelMatrix(values=values, family="fidelity", config=FeatureMapConfig(2))
+            KernelMatrix(upper, family="fidelity", config=FeatureMapConfig(2))
 
-    def test_rejects_bad_diagonal(self):
-        values = np.full((2, 2), 0.5)
-        with pytest.raises(ValueError):
-            KernelMatrix(values=values, family="fidelity", config=FeatureMapConfig(2))
+    @pytest.mark.parametrize("upper, m", [([], 1), ([0.0], 2), ([0.0, 1.0, 0.5], 3),
+                                          ([0.25] * 6, 4)])
+    def test_triangular_lengths_give_their_point_count(self, upper, m):
+        kernel = KernelMatrix(upper, family="fidelity", config=FeatureMapConfig(2))
+        assert kernel.m == m
+        assert kernel.values.shape == (m, m)
+        assert np.array_equal(kernel.values[np.triu_indices(m, k=1)], upper)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ConfigurationError):
-            KernelMatrix(values=np.eye(2), family="swap", config=FeatureMapConfig(2))
+            KernelMatrix([0.5], family="swap", config=FeatureMapConfig(2))
 
     def test_component_table_must_match_points_and_qubits(self):
         """A table of other points or another qubit count is refused when the
@@ -250,7 +263,7 @@ class TestKernelMatrixValidation:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: KernelMatrix(values=np.eye(2), family="swap", config=FeatureMapConfig(2)),
+        lambda: KernelMatrix([0.5], family="swap", config=FeatureMapConfig(2)),
         lambda: gram_matrix(np.zeros((2, 2)), FeatureMapConfig(2), family="swap"),
         lambda: quantum_cost(10, FeatureMapConfig(2), "swap", 4),
         lambda: total_shots("swap", 4, 10),
@@ -260,7 +273,7 @@ class TestKernelMatrixValidation:
         lambda: n_ca_noisy_binomial_exact(0.4, 0.5, 0.9, 0.01, family="swap"),
         # entry_budgets reads the family of a KernelMatrix, which checked it
         lambda: entry_budgets(
-            KernelMatrix(values=np.eye(2), family="swap", config=FeatureMapConfig(2)),
+            KernelMatrix([0.5], family="swap", config=FeatureMapConfig(2)),
             1.0, 0.2, 0.9, 0.99,
         ),
     ],
@@ -270,8 +283,6 @@ def test_every_family_dispatch_shares_one_check(call):
         call()
     assert str(err.value) == "family must be one of ('fidelity', 'projected'), got 'swap'"
 
-
-NAN = float("nan")
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -289,3 +300,48 @@ def test_positivity_checks_refuse_nan(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("rows", [1, 2, 5, 64])
+def test_row_blocks_cover_the_triangle_in_row_major_order(m, rows):
+    """Each block's slice follows the last, and its pairs are those of
+    ``np.triu_indices``, so packing and expanding invert each other."""
+    blocks = list(row_blocks(m, rows))
+    assert blocks[0][2].start == 0 and blocks[-1][2].stop == m * (m - 1) // 2
+    assert all(a[2].stop == b[2].start for a, b in zip(blocks, blocks[1:]))
+    pairs = np.concatenate([np.stack(pair_indices(m, start, end)) for start, end, _ in blocks],
+                           axis=1)
+    assert np.array_equal(pairs, np.triu_indices(m, k=1))
+    square = np.random.default_rng(m).uniform(size=(m, m))
+    square = np.triu(square, 1) + np.triu(square, 1).T + np.eye(m)
+    upper = pack(m, lambda start, end: square[start:end, start + 1:])
+    assert np.array_equal(upper, square[np.triu_indices(m, k=1)])
+    assert np.array_equal(expand(upper), square)
+    assert np.array_equal(expand(upper, range(m // 2, m)), square[m // 2:])
+
+
+def _twonorm(m, n):
+    return select_features(preprocess(generate_twonorm(m, seed=3)), n).features
+
+
+@pytest.mark.parametrize("family, gram_limit", [("fidelity", 6.0), ("projected", 4.0)])
+def test_peak_memory_in_multiples_of_the_triangle(family, gram_limit):
+    """At m = 2000 the builders hold one m x m product beside the packed
+    triangle, and the statistics read the triangle without copying it
+    more than once."""
+    points = _twonorm(2000, 4)
+    cfg = FeatureMapConfig(n_qubits=4, repetitions=2, entanglement="full")
+    triangle = 2000 * 1999 // 2 * 8
+    tracemalloc.start()
+    try:
+        kernel = gram_matrix(points, cfg, family=family, gamma=0.5)
+        gram_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kernel_statistics(kernel)
+        statistics_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert gram_peak <= gram_limit * triangle
+    assert statistics_peak <= 1.5 * triangle

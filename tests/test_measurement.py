@@ -65,7 +65,7 @@ class TestDepolarisation:
         assert depolarized_component_probability(0.9, 0.2) == pytest.approx(0.82)
 
 
-KAPPAS = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.5], [0.2, 0.5, 1.0]])
+KAPPAS = np.array([0.3, 0.2, 0.5])
 TABLE = np.full((3, 2, 3), [0.7, 0.1, 0.05])
 TWONORM = generate_twonorm(m=8, n_features=3, seed=2)
 EXACT = {family: gram_matrix(TWONORM.features, FeatureMapConfig(2), family=family)
@@ -252,7 +252,7 @@ class TestSampleGram:
         results = [tomography(row, 16, p_error=p_error, seed=19, stream=i)
                    for i, row in enumerate(table)]
         estimated = np.array([r[1] for r in results])
-        assert np.array_equal(batch.values, projected_gram_values(estimated, 0.7))
+        assert np.array_equal(batch.upper, projected_gram_values(estimated, 0.7))
         assert batch.metadata["psd_clipped"] == sum(int(r[2].sum()) for r in results)
 
     @pytest.mark.parametrize("p_error", [0.0, 0.05])
@@ -271,15 +271,13 @@ class TestSampleGram:
         sampled = sample_gram(exact, n_shots=64, p_error=p_error, seed=31)
         if family == "fidelity":
             q = depolarized_fidelity_probability(exact.values, p_error, 3)
-            upper = np.zeros((6, 6))
-            for i in range(5):
-                upper[i, i + 1:] = _rng(31, i).binomial(64, q[i, i + 1:]) / 64
-            expected = upper + upper.T + np.eye(6)
+            expected = np.concatenate([_rng(31, i).binomial(64, q[i, i + 1:]) / 64
+                                       for i in range(5)])
         else:
             estimated = np.array([tomography(row, 64, p_error=p_error, seed=31, stream=i)[1]
                                   for i, row in enumerate(exact.component_table)])
             expected = projected_gram_values(estimated, 0.7)
-        assert np.array_equal(sampled.values, expected)
+        assert np.array_equal(sampled.upper, expected)
         assert sampled.gamma == exact.gamma and sampled.component_table is None
         if family == "fidelity" and p_error == 0.0:
             assert np.all(sampled.values[np.ix_([0, 3, 5], [0, 3, 5])] == 1.0)
@@ -308,6 +306,6 @@ class TestSampleGram:
 
     def test_refuses_a_projected_kernel_without_its_table(self):
         exact = EXACT["projected"]
-        bare = KernelMatrix(exact.values, "projected", exact.config, gamma=exact.gamma)
+        bare = KernelMatrix(exact.upper, "projected", exact.config, gamma=exact.gamma)
         with pytest.raises(ValueError, match="needs its component table"):
             sample_gram(bare, n_shots=8, seed=1)

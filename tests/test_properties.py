@@ -69,8 +69,10 @@ def test_pair_variances_from_point_weights_equal_per_pair_terms(m, n, pair_block
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shot_bounds, "PAIR_BLOCK", pair_block)
         blocks = list(shot_bounds._pair_variance_blocks(props, robust))
-    for i, j, terms in blocks:
+    for _, i, j, terms in blocks:
         reference = shot_bounds._variance_terms(props[i], props[j], robust)
         assert terms.tobytes() == reference.tobytes()
-    pairs = np.concatenate([np.stack([i, j]) for i, j, _ in blocks], axis=1)
+    pairs = np.concatenate([np.stack([i, j]) for _, i, j, _ in blocks], axis=1)
     assert np.array_equal(pairs, np.triu_indices(m, k=1))
+    positions = np.arange(m * (m - 1) // 2)
+    assert np.array_equal(np.concatenate([positions[part] for part, *_ in blocks]), positions)

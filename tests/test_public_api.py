@@ -2,6 +2,8 @@
 criteria import still exported."""
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import qkshots
@@ -56,3 +58,15 @@ def test_entry_budgets_build_no_per_pair_object():
     # README, "Removed in 0.15.0": the pairs are arrays, and the writer
     # streams their records from the arrays
     assert not [name for name in ("budget", "entries") if hasattr(qkshots.EntryBudgets, name)]
+
+
+def test_kernel_matrix_stores_one_packed_triangle():
+    # README, "Removed in 0.16.0": the packed triangle is the only storage,
+    # and no module re-derives the pair order or symmetrises a matrix
+    names = [f.name for f in fields(qkshots.KernelMatrix)]
+    assert names == ["upper", "family", "config", "gamma", "metadata", "component_table"]
+    assert not hasattr(qkshots.KernelMatrix, "off_diagonal")
+    source = Path(qkshots.__file__).parent
+    assert not [path.name for path in sorted(source.glob("*.py"))
+                if re.search(r"triu_indices|np\.ix_|_symmetrised|off_diagonal",
+                             path.read_text(encoding="utf-8"))]

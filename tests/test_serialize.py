@@ -48,10 +48,9 @@ def _fidelity_kernel():
     4.6e33, past int64) and a duplicated point (kappa = 1: degenerate)."""
     points = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, size=(7, N_QUBITS))
     points[6] = points[5]
-    values = gram_matrix(points, CFG).values.copy()
-    values[0, 1] = values[1, 0] = 0.0
-    values[0, 2] = values[2, 0] = 1e-33
-    return KernelMatrix(values=values, family="fidelity", config=CFG)
+    upper = gram_matrix(points, CFG).upper.copy()
+    upper[:2] = 0.0, 1e-33  # pairs (0, 1) and (0, 2)
+    return KernelMatrix(upper, family="fidelity", config=CFG)
 
 
 def _projected_kernel():
@@ -61,7 +60,7 @@ def _projected_kernel():
     kernel = gram_matrix(points, CFG, family="projected", gamma=GAMMA)
     mixed = np.tile([0.5, 0.0, 0.0], (2, N_QUBITS, 1))
     table = np.concatenate([kernel.component_table, mixed])
-    return KernelMatrix(values=projected_gram_values(table, GAMMA), family="projected",
+    return KernelMatrix(projected_gram_values(table, GAMMA), family="projected",
                         config=CFG, gamma=GAMMA, component_table=table)
 
 
@@ -90,7 +89,7 @@ def test_budget_blocks_join_like_one_list(tmp_path, monkeypatch):
 
 
 def test_empty_budgets_and_plain_payloads(tmp_path):
-    one_point = KernelMatrix(values=np.ones((1, 1)), family="fidelity", config=CFG)
+    one_point = KernelMatrix(np.empty(0), family="fidelity", config=CFG)
     budgets = entry_budgets(one_point, EPS, DELTA, P_SPREAD, P_CA)
     assert written_json(tmp_path, _payload(), budgets) == reference_json(_payload(), budgets)
     plain = write_json(tmp_path / "plain.json", _payload()).read_text(encoding="utf-8")
@@ -133,7 +132,8 @@ def test_gram_csv_bytes_equal_csv_writer_and_round_trip(tmp_path, monkeypatch,
                                                         make_values, cell_block):
     values = make_values()
     m = len(values)
-    kernel = KernelMatrix(values=values, family="fidelity", config=FeatureMapConfig(2))
+    kernel = KernelMatrix(values[np.triu_indices(m, k=1)], family="fidelity",
+                          config=FeatureMapConfig(2))
     monkeypatch.setattr(serialize, "CELL_BLOCK", cell_block)
     path, _ = write_kernel_csv(tmp_path / "gram.csv", kernel)
     reference = io.StringIO(newline="")
@@ -146,6 +146,45 @@ def test_gram_csv_bytes_equal_csv_writer_and_round_trip(tmp_path, monkeypatch,
     assert np.array_equal(loaded.values, values)
     assert np.array_equal(np.signbit(loaded.values), np.signbit(values))
     assert (loaded.family, loaded.config) == ("fidelity", FeatureMapConfig(2))
+
+
+def _asymmetric():
+    values = np.eye(2)
+    values[0, 1] = 0.3
+    return values
+
+
+def _nan_cell():
+    values = np.full((3, 3), 0.5)
+    np.fill_diagonal(values, 1.0)
+    values[1, 2] = np.nan
+    return values
+
+
+def _above_one():
+    values = np.full((3, 3), 1.5)
+    np.fill_diagonal(values, 1.0)
+    return values
+
+
+@pytest.mark.parametrize("values, message", [
+    (_asymmetric(), "not symmetric"),
+    (np.full((2, 2), 0.5), "diagonal must equal 1"),
+    (_nan_cell(), "not symmetric"),
+    (np.diag([1.0, np.nan]), "diagonal must equal 1"),
+    (_above_one(), r"\[0, 1\]"),
+    (np.ones((2, 3)), "must be square"),
+], ids=["asymmetric", "bad-diagonal", "nan-cell", "nan-diagonal", "above-one", "not-square"])
+def test_read_kernel_csv_refuses_what_is_not_a_kernel_matrix(tmp_path, values, message):
+    """The reader is the one place a full matrix comes in, so it checks the
+    matrix before packing its triangle."""
+    path = tmp_path / "gram.csv"
+    header = ",".join(f"k{i}" for i in range(values.shape[1]))
+    np.savetxt(path, values, delimiter=",", header=header, comments="", fmt="%.17g")
+    meta = {"family": "fidelity", "gamma": None, "feature_map": {"n_qubits": 2}}
+    path.with_suffix(".meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=message):
+        read_kernel_csv(path)
 
 
 def test_jsonable_maps_every_infinity_to_null():

@@ -47,7 +47,7 @@ def pair_budget(rho_x, rho_y, gamma, eps, delta, p_spread, p_ca=0.99, p_error=0.
     rows."""
     table = np.array([rho_x, rho_y], dtype=float)
     kernel = KernelMatrix(
-        values=projected_gram_values(table, gamma), family="projected",
+        projected_gram_values(table, gamma), family="projected",
         config=FeatureMapConfig(n_qubits=table.shape[1]), gamma=gamma, component_table=table,
     )
     return entry_budgets(kernel, eps, delta, p_spread, p_ca, p_error)
@@ -338,15 +338,9 @@ class TestRepresentativeScales:
 
 
 def _kernel_from_offdiag(entries, family="fidelity", n_qubits=2, gamma=None):
-    entries = np.asarray(entries, dtype=float)
-    m = int((1 + math.sqrt(1 + 8 * entries.size)) / 2)
-    values = np.zeros((m, m))
-    values[np.triu_indices(m, k=1)] = entries
-    values = values + values.T
-    np.fill_diagonal(values, 1.0)
     return KernelMatrix(
-        values=values, family=family, config=FeatureMapConfig(n_qubits=n_qubits),
-        gamma=gamma,
+        np.asarray(entries, dtype=float), family=family,
+        config=FeatureMapConfig(n_qubits=n_qubits), gamma=gamma,
     )
 
 
@@ -382,7 +376,7 @@ class TestDatasetBudget:
             [[random_physical_components(rng) for _ in range(2)] for _ in range(4)]
         )
         kernel = KernelMatrix(
-            values=projected_gram_values(table, 1.0),
+            projected_gram_values(table, 1.0),
             family="projected",
             config=FeatureMapConfig(n_qubits=2),
             gamma=1.0,

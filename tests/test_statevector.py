@@ -101,24 +101,24 @@ class TestInnerProduct:
         rng = np.random.default_rng(11)
         state = random_state(rng, 4)
         values = fidelity_gram_values(np.array([state, state]))
-        assert abs(values[0, 1] - 1.0) < 1e-12
+        assert abs(values[0] - 1.0) < 1e-12
 
     def test_orthogonal_basis_states(self):
-        assert fidelity_gram_values(np.eye(2, dtype=complex))[0, 1] == 0.0
+        assert fidelity_gram_values(np.eye(2, dtype=complex))[0] == 0.0
 
     def test_cauchy_schwarz_over_random_pairs(self):
         rng = np.random.default_rng(21)
         states = np.array([random_state(rng, 3) for _ in range(100)])
         overlaps = np.abs(states.conj() @ states.T) ** 2
         assert overlaps.max() <= 1.0 + 1e-12
-        assert np.allclose(fidelity_gram_values(states), overlaps, rtol=0, atol=1e-12)
+        assert np.allclose(fidelity_gram_values(states), overlaps[np.triu_indices(100, k=1)],
+                           rtol=0, atol=1e-12)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(9)
         states = np.array([random_state(rng, 3) for _ in range(2)])
         values = fidelity_gram_values(states)
-        assert values[0, 1] == values[1, 0]
-        assert abs(fidelity_gram_values(states[::-1])[0, 1] - values[0, 1]) < 1e-12
+        assert abs(fidelity_gram_values(states[::-1])[0] - values[0]) < 1e-12
 
 
 class TestReduceToQubit:
