@@ -432,7 +432,7 @@ def cmd_estimate_shots(config: dict, out_dir: Path, seed: int, threads: int) -> 
     # budgets
     check_ensemble_iqr(stats.iqr)
     entries = entry_budgets(kernel, budget["eps"], stats.iqr, budget["p_spread"],
-                            budget["p_ca"], budget["p_error"])
+                            budget["p_ca"], budget["p_error"], threads)
     dataset_level = dataset_budget(kernel, **budget, entries=entries, statistics=stats)
     p_budget = error_budget(
         kernel.family, stats.median, budget["eps"], stats.iqr, n_qubits=fmap.n_qubits

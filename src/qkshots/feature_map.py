@@ -37,6 +37,17 @@ ENTANGLEMENT_STRATEGIES = (LINEAR, FULL)
 ROW_BLOCK_AMPLITUDES = 2**16
 
 
+def parallel_map(fn, items, threads: int = 1) -> list:
+    """``[fn(item) for item in items]``, on ``threads`` pool threads when
+    there are several items; results come in item order, and the first
+    exception an item raised is raised again."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def block_rows(n_qubits: int) -> int:
     """Rows per block of the batched path: ``ROW_BLOCK_AMPLITUDES`` amplitudes,
     and at least one row."""
@@ -156,12 +167,6 @@ def embed_batch(
         if components:
             out[rows] = qubit_components(amps, n)
 
-    starts = range(0, m, step)
-    if threads <= 1 or len(starts) <= 1:
-        for start in starts:
-            one(start)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, starts))  # re-raises a block's exception
+    parallel_map(one, range(0, m, step), threads)
     return out
 

@@ -100,21 +100,24 @@ def _point_count(pairs: int) -> int | None:
 def expand(upper: np.ndarray, rows=None) -> np.ndarray:
     """Rows ``rows`` (indices, all by default) of the symmetric,
     unit-diagonal m x m matrix whose packed strict upper triangle is
-    ``upper``, gathered in blocks of rows."""
+    ``upper``, in blocks of rows. A block gathers its cells left of its
+    last row's diagonal; then each row i copies its columns j > i from
+    their contiguous slice of ``upper``."""
     m = _point_count(upper.size)
     rows = np.arange(m) if rows is None else np.asarray(rows)
-    out = np.ones((len(rows), m))
-    if m < 2:
-        return out
-    # pair (i, j), i < j, sits at base[i] + j; on the diagonal base[i] + i
-    # is a valid index (-1 wraps), overwritten by the 1 below
+    out = np.empty((len(rows), m))
+    # pair (k, i), k < i, sits at base[k] + i; other cells get a wrapped
+    # index, and the row copies and the 1 below overwrite them
     cols = np.arange(m)
     base = _row_start(m, cols) - cols - 1
     step = max(1, ROW_BLOCK_CELLS // m)
     for first in range(0, len(rows), step):
-        i, block = rows[first:first + step, None], out[first:first + step]
-        block[:] = upper.take(np.where(i < cols, base[i] + cols, base + i), mode="wrap")
-        block[i == cols] = 1.0
+        block, indices = out[first:first + step], rows[first:first + step]
+        width = indices.max()
+        upper.take(base[:width] + indices[:, None], mode="wrap", out=block[:, :width])
+        for row, i in zip(block, indices.tolist()):
+            row[i + 1:] = upper[_row_start(m, i):_row_start(m, i + 1)]
+            row[i] = 1.0
     return out
 
 

@@ -215,7 +215,7 @@ def sweep(
         if include_budgets:
             budget = dataset_budget(
                 kernel, eps=eps, p_spread=p_spread, p_ca=p_ca, p_error=p_error,
-                statistics=stats,
+                statistics=stats, threads=threads,
             )
             columns["n_spread"].append(float(budget.n_spread))
             columns["n_ca"].append(float(budget.n_ca))

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc, ndtri
 
+from .feature_map import parallel_map
 from .kernels import (
     FIDELITY,
     PROJECTED,
@@ -66,7 +67,8 @@ _CEIL_GUARD = 1e-9
 _SEARCH_CAP = 1 << 50
 
 # projected pairs are budgeted in blocks of whole kernel rows holding about
-# this many (pair, qubit) cells, so temporaries stay O(block) whatever m is
+# this many (pair, qubit) cells: the size of a block's V_k array, and of one
+# task of the --threads pool
 PAIR_BLOCK = 2**16
 
 
@@ -130,13 +132,18 @@ def _variance_terms(zx, zy, noise_robust: bool, weights=None) -> np.ndarray:
     noise-robust form bounds every variance factor by 1. ``weights`` is
     ``_binomial_sd(zx) + _binomial_sd(zy)``, computed here when not given.
     """
-    grads = 4.0 * np.abs(zx - zy)
+    grads = zx - zy
+    np.abs(grads, out=grads)
+    grads *= 4.0
+    if not noise_robust:
+        grads *= _binomial_sd(zx) + _binomial_sd(zy) if weights is None else weights
+    # the components added left to right, the order of grads.sum(axis=-1),
+    # so the bits match it; a reduction over an axis of length 3 is slow
+    total = grads[..., 0] + grads[..., 1]
+    total += grads[..., 2]
     if noise_robust:
-        return (2.0 * grads.sum(axis=-1)) ** 2
-    if weights is None:
-        weights = _binomial_sd(zx) + _binomial_sd(zy)
-    grads *= weights
-    return grads.sum(axis=-1) ** 2
+        total *= 2.0
+    return np.square(total, out=total)
 
 
 def _spread_shots(numerator, denominator: float, degenerate):
@@ -513,29 +520,41 @@ class EntryBudgets:
 
 
 def _pair_blocks(m: int, n: int):
-    """The upper-triangle pairs i < j in blocks of whole rows, as (part,
-    i, j): their slice of the packed triangle and their index arrays;
-    boundaries depend on (m, n) only."""
-    for start, end, part in row_blocks(m, max(1, PAIR_BLOCK // max(1, m * n))):
-        yield part, *pair_indices(m, start, end)
+    """The upper-triangle pairs i < j in blocks of whole rows, as the
+    (start, end, part) of :func:`row_blocks`; boundaries depend on (m, n)
+    only."""
+    return row_blocks(m, max(1, PAIR_BLOCK // max(1, m * n)))
 
 
-def _pair_variance_blocks(props: np.ndarray, noise_robust: bool):
-    """Per-qubit V_k of the upper-triangle pairs of the (m, n, 3)
-    proportions, as (part, i, j, (pairs, n) terms) per row block of
-    :func:`_pair_blocks`. Each point's standard deviations are computed
-    once and gathered for its pairs."""
+def _pair_variance_total(props: np.ndarray, noise_robust: bool, threads: int = 1,
+                         task=None) -> float:
+    """sum_k V_k summed over the upper-triangle pairs of the (m, n, 3)
+    proportions. The row blocks of :func:`_pair_blocks` go to ``threads``
+    pool threads and their totals are added in block order, so the sum is
+    bit-identical for any thread count. ``task(part, terms)``, if given,
+    sees each block's (pairs, n) V_k and its slice of the packed triangle.
+
+    Row r pairs point r with the contiguous points r + 1.., so no point is
+    gathered; each point's standard deviations are computed once."""
+    m, n = props.shape[:2]
     sd = None if noise_robust else _binomial_sd(props)
-    # np.take copies whole rows faster than fancy indexing
-    for part, i, j in _pair_blocks(props.shape[0], props.shape[1]):
-        weights = None
-        if sd is not None:
-            weights = np.take(sd, i, axis=0)
-            weights += np.take(sd, j, axis=0)
-        terms = _variance_terms(np.take(props, i, axis=0), np.take(props, j, axis=0),
-                                noise_robust, weights)
-        del weights  # not held while the caller works on the block
-        yield part, i, j, terms
+
+    def one(block) -> float:
+        start, end, part = block
+        terms, at = np.empty((part.stop - part.start, n)), 0
+        for r in range(start, end):
+            weights = None if sd is None else sd[r] + sd[r + 1:]
+            terms[at:at + m - r - 1] = _variance_terms(props[r], props[r + 1:], noise_robust,
+                                                       weights)
+            at += m - r - 1
+        if task is not None:
+            task(part, terms)
+        return float(terms.sum())
+
+    total = 0.0
+    for block_total in parallel_map(one, _pair_blocks(m, n), threads):
+        total += block_total
+    return total
 
 
 def _fidelity_budgets(kappa, denominator: float, p_ca: float, p_error: float, n_qubits: int):
@@ -559,7 +578,7 @@ def _gamma(kernel: KernelMatrix) -> float:
 
 def entry_budgets(
     kernel: KernelMatrix, eps: float, delta_ensemble: float, p_spread: float,
-    p_ca: float, p_error: float = 0.0,
+    p_ca: float, p_error: float = 0.0, threads: int = 1,
 ) -> EntryBudgets:
     """Per-entry budgets of all pairs of an exact ``kernel``; ``p_error > 0``
     selects the noisy bounds.
@@ -569,8 +588,9 @@ def entry_budgets(
     Projected (needs ``kernel.component_table``): n_spread from the pair's
     variance factors (noise-robust and at kappa^((1-p)^2) when noisy), n_ca
     the worst z-score bound over its 6 n depolarised proportions, skipping
-    those at 1/2. Pairs run in blocks of whole rows (:data:`PAIR_BLOCK`),
-    so temporaries stay O(block).
+    those at 1/2. Pairs run in blocks of whole rows (:data:`PAIR_BLOCK`) on
+    ``threads`` pool threads, so temporaries stay O(block) per thread and
+    results do not depend on the thread count.
     """
     _check_probability("p_ca", p_ca)
     check_p_error(p_error)
@@ -578,32 +598,33 @@ def entry_budgets(
     noisy = p_error > 0.0
     inputs = dict(eps=eps, delta_ensemble=delta_ensemble, p_spread=p_spread,
                   p_ca=p_ca, p_error=p_error)
+    i, j = pair_indices(kernel.m, 0, kernel.m - 1)
     if kernel.family == FIDELITY:
         kappa = kernel.upper
         columns = _fidelity_budgets(kappa, denominator, p_ca, p_error, kernel.config.n_qubits)
-        return EntryBudgets(FIDELITY, noisy, *pair_indices(kernel.m, 0, kernel.m - 1), kappa,
-                            *columns, None, inputs)
+        return EntryBudgets(FIDELITY, noisy, i, j, kappa, *columns, None, inputs)
 
     gamma = _gamma(kernel)
     if kernel.component_table is None:
         raise ValueError("projected budgets need the component table")
     props = component_proportions(kernel.component_table, p_error)
     worst, imposed = _pq_point_ca(props, p_ca)
-    blocks, variance_total = [], 0.0
-    for part, i, j, terms in _pair_variance_blocks(props, noisy):
-        # summed as _mean_pair_variance_terms sums, so both give equal means
-        variance_total += float(terms.sum())
-        kappa = kernel.upper[part]
-        v_total = terms.sum(axis=-1)
-        n_spread, degenerate = _pq_spread(
-            v_total, props.shape[1], kappa ** ((1.0 - p_error) ** 2), gamma,
-            denominator, noisy,
+    n_spread, n_ca = np.empty(i.size), np.empty(i.size)
+    degenerate, ca_imposed = np.empty(i.size, dtype=bool), np.empty(i.size, dtype=bool)
+
+    def budget(part: slice, terms: np.ndarray) -> None:
+        n_spread[part], degenerate[part] = _pq_spread(
+            terms.sum(axis=-1), props.shape[1], kernel.upper[part] ** ((1.0 - p_error) ** 2),
+            gamma, denominator, noisy,
         )
-        pair_imposed = imposed[i] | imposed[j]
-        blocks.append((i, j, kappa, n_spread, np.maximum(worst[i], worst[j]),
-                       degenerate | ~pair_imposed, pair_imposed))
-    columns = [np.concatenate(column) for column in zip(*blocks)]
-    return EntryBudgets(PROJECTED, noisy, *columns, inputs={"gamma": gamma, **inputs},
+        ca_imposed[part] = imposed[i[part]] | imposed[j[part]]
+        n_ca[part] = np.maximum(worst[i[part]], worst[j[part]])
+        degenerate[part] |= ~ca_imposed[part]
+
+    # summed as _mean_pair_variance_terms sums, so both give equal means
+    variance_total = _pair_variance_total(props, noisy, threads, budget)
+    return EntryBudgets(PROJECTED, noisy, i, j, kernel.upper, n_spread, n_ca, degenerate,
+                        ca_imposed, inputs={"gamma": gamma, **inputs},
                         variance_total=variance_total)
 
 
@@ -625,6 +646,7 @@ def dataset_budget(
     p_error: float = 0.0,
     entries: EntryBudgets | None = None,
     statistics: KernelStatistics | None = None,
+    threads: int = 1,
 ) -> ShotBudget:
     """Whole-dataset shot budget from kernel-matrix statistics;
     ``p_error > 0`` selects the noisy bounds.
@@ -643,7 +665,8 @@ def dataset_budget(
     :func:`entry_budgets` of the same kernel and ``p_error``, supplies that
     average from the pass that budgeted the pairs instead of a second pass
     over the table. ``statistics``, the :func:`kernel_statistics` of the same
-    kernel, spares computing them again.
+    kernel, spares computing them again. ``threads`` pool threads run that
+    pass; the budget does not depend on their number.
     """
     check_p_error(p_error)
     if statistics is None:
@@ -687,7 +710,7 @@ def dataset_budget(
     if kernel.component_table is not None:
         pairs = kernel.m * (kernel.m - 1) // 2
         if entries is None:
-            v_mean = _mean_pair_variance_terms(kernel.component_table, p_error)
+            v_mean = _mean_pair_variance_terms(kernel.component_table, p_error, threads)
         elif (entries.variance_total is None or entries.inputs["p_error"] != p_error
               or entries.i.size != pairs):
             raise ValueError("entries were budgeted for another kernel or p_error")
@@ -705,14 +728,12 @@ def dataset_budget(
     return ShotBudget(PROJECTED, n_spread, n_ca, noisy, degenerate, inputs)
 
 
-def _mean_pair_variance_terms(table, p_error: float) -> float:
+def _mean_pair_variance_terms(table, p_error: float, threads: int = 1) -> float:
     """Mean over all point pairs of sum_k V_k, noise-robust when
-    ``p_error > 0``, accumulated over the row blocks of :func:`_pair_blocks`."""
+    ``p_error > 0``, accumulated over the row blocks of :func:`_pair_blocks`
+    on ``threads`` pool threads."""
     props = component_proportions(table, p_error)
     m = props.shape[0]
     if m < 2:
         raise ValueError("component table needs at least two points")
-    total = 0.0
-    for *_, terms in _pair_variance_blocks(props, p_error > 0.0):
-        total += float(terms.sum())
-    return total / (m * (m - 1) // 2)
+    return _pair_variance_total(props, p_error > 0.0, threads) / (m * (m - 1) // 2)

@@ -7,6 +7,8 @@ variance sums of ``oracles`` and the scalar closed forms.
 
 import json
 import math
+import sys
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from qkshots import (
 )
 from qkshots.cli import _resolve_dataset, main
 from qkshots.datasets import select_features
+from qkshots.measurement import component_proportions
 from qkshots.serialize import write_json
 
 from oracles import first_success_shots, pq_noise_robust_term_sum, pq_variance_term_sum
@@ -92,6 +95,65 @@ def test_entry_budgets_match_per_pair_loop(family, n, p_error):
     assert np.array_equal(got.degenerate, expected[:, 2].astype(bool))
     assert not got.unbounded.any()
     assert got.noisy == (p_error > 0.0)
+
+
+@pytest.mark.parametrize("p_error", [0.0, 0.01])
+def test_pair_passes_equal_on_one_and_two_threads(p_error, monkeypatch):
+    """The projected pair blocks give the same bits on one pool thread as on
+    two and four, at the default block size (two blocks) and at one kernel
+    row per block (99 blocks, whose totals must be added in block order),
+    and the per-pair loop's budgets and variance sum. Threads switch often,
+    so a block written over by another would show."""
+    m, n = 100, 8
+    assert len(list(shot_bounds._pair_blocks(m, n))) == 2
+    kernel = _kernel("projected", n, m=m, seed=5)
+    delta = kernel_statistics(kernel).iqr
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for pair_block in (shot_bounds.PAIR_BLOCK, m * n):
+            monkeypatch.setattr(shot_bounds, "PAIR_BLOCK", pair_block)
+            one, *more = (entry_budgets(kernel, EPS, delta, P_SPREAD, P_CA, p_error,
+                                        threads=threads) for threads in (1, 2, 4))
+            for other in more:
+                for name in ("i", "j", "kappa", "n_spread", "n_ca", "degenerate",
+                             "ca_imposed"):
+                    assert getattr(one, name).tobytes() == getattr(other, name).tobytes(), name
+                assert one.variance_total == other.variance_total
+            means = {shot_bounds._mean_pair_variance_terms(kernel.component_table, p_error,
+                                                           threads) for threads in (1, 2, 4)}
+            assert means == {one.variance_total / one.i.size}
+            assert (dataset_budget(kernel, p_error=p_error, threads=1)
+                    == dataset_budget(kernel, p_error=p_error, threads=2))
+    finally:
+        sys.setswitchinterval(interval)
+    expected = np.array(_reference(kernel, delta, p_error, n), dtype=float)
+    assert np.array_equal(one.n_spread, expected[:, 0])
+    assert np.array_equal(one.n_ca, expected[:, 1])
+    assert np.array_equal(one.degenerate, expected[:, 2].astype(bool))
+    term = pq_noise_robust_term_sum if p_error > 0.0 else pq_variance_term_sum
+    props = component_proportions(kernel.component_table, p_error)
+    pairs = sum(term(props[i, k], props[j, k]) for i, j in zip(one.i, one.j) for k in range(n))
+    assert one.variance_total == pytest.approx(pairs, rel=1e-12, abs=0)
+
+
+def test_projected_budget_memory_in_multiples_of_its_arrays():
+    """The pair pass holds one block of V_k per thread, not copies of both
+    ends of every pair: the peak stays within twice the bytes of the arrays
+    the call allocates and returns (kappa is the kernel's own triangle)."""
+    m, n = 300, 6
+    kernel = _kernel("projected", n, m=m, seed=6)
+    delta = kernel_statistics(kernel).iqr
+    tracemalloc.start()
+    try:
+        budgets = entry_budgets(kernel, EPS, delta, P_SPREAD, P_CA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert budgets.kappa is kernel.upper
+    returned = sum(getattr(budgets, name).nbytes for name in
+                   ("i", "j", "n_spread", "n_ca", "degenerate", "ca_imposed"))
+    assert peak <= 2.0 * returned
 
 
 def test_one_pair_functions_are_the_array_case():

@@ -319,6 +319,9 @@ def test_row_blocks_cover_the_triangle_in_row_major_order(m, rows):
     assert np.array_equal(upper, square[np.triu_indices(m, k=1)])
     assert np.array_equal(expand(upper), square)
     assert np.array_equal(expand(upper, range(m // 2, m)), square[m // 2:])
+    # rows in any order, repeated, as gram_matrix reads them for repeated points
+    shuffled = np.random.default_rng(m).integers(0, m, size=2 * m)
+    assert np.array_equal(expand(upper, shuffled), square[shuffled])
 
 
 def _twonorm(m, n):

@@ -59,20 +59,26 @@ def test_budget_writer_bytes_equal_stdlib_encoder(tmp_path_factory, family, m, n
        robust=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_pair_variances_from_point_weights_equal_per_pair_terms(m, n, pair_block, robust,
                                                                 seed):
-    """Per-point standard deviations gathered per pair give the V_k of
-    ``_variance_terms`` on the pair's proportions, bit for bit, over row
-    blocks that cover every upper-triangle pair once."""
+    """Per-point standard deviations, with each point paired with the
+    contiguous points after it, give the V_k of ``_variance_terms`` on the
+    pairs' gathered proportions, bit for bit, over row blocks that cover
+    every upper-triangle pair once; the total adds the block sums in block
+    order."""
     rng = np.random.default_rng(seed)
     props = rng.uniform(-1e-12, 1.0 + 1e-12, size=(m, n, 3))
     props[rng.uniform(size=props.shape) < 0.2] = 0.5
     props[rng.uniform(size=props.shape) < 0.1] = 1.0
+    blocks = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shot_bounds, "PAIR_BLOCK", pair_block)
-        blocks = list(shot_bounds._pair_variance_blocks(props, robust))
-    for _, i, j, terms in blocks:
-        reference = shot_bounds._variance_terms(props[i], props[j], robust)
+        total = shot_bounds._pair_variance_total(
+            props, robust, task=lambda part, terms: blocks.append((part, terms.copy())))
+    i, j = np.triu_indices(m, k=1)
+    expected = 0.0
+    for part, terms in blocks:
+        reference = shot_bounds._variance_terms(props[i[part]], props[j[part]], robust)
         assert terms.tobytes() == reference.tobytes()
-    pairs = np.concatenate([np.stack([i, j]) for _, i, j, _ in blocks], axis=1)
-    assert np.array_equal(pairs, np.triu_indices(m, k=1))
+        expected += float(terms.sum())
+    assert total == expected
     positions = np.arange(m * (m - 1) // 2)
     assert np.array_equal(np.concatenate([positions[part] for part, *_ in blocks]), positions)
