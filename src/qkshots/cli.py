@@ -40,8 +40,8 @@ table does not know (the message names the closest known key), a missing
 key or a value of the wrong type, and every parameter the library refuses
 with a ConfigurationError (eps <= 0 or too small for a finite spread
 bound, a probability outside its range, an odd twonorm m or subset size,
-fewer than 2 points, repeated sizes, more qubits than features), and a
-qubit count past qubit_cap.
+fewer than 2 points, more qubits than features), an empty or repeated
+list of sizes, and a qubit count past qubit_cap.
 1 for failures that come from the data or the files, such as an unreadable
 or malformed CSV, a zero IQR or a zero kernel entry. Either way the error
 is one JSON object on stderr; ``--help`` and ``--version`` exit 0.
@@ -91,7 +91,7 @@ from .resources import (
     find_crossover,
     quantum_cost,
 )
-from .scaling import ScalingSeries, check_qubit_counts, extrapolate, sweep
+from .scaling import ScalingSeries, extrapolate, sweep
 from .serialize import provenance, write_json, write_kernel_csv, write_series_csv
 from .shot_bounds import check_ensemble_iqr, dataset_budget, entry_budgets, error_budget
 from .statevector import ConfigurationError
@@ -345,10 +345,19 @@ def _resolve_kernel(config: dict) -> tuple[str, float]:
     return family, gamma
 
 
+def _qubit_counts(config: dict, key: str) -> list[int]:
+    """The sorted qubit counts of ``key``, refused unless non-empty and distinct."""
+    n_values = sorted(_field(config, key))
+    if not n_values or len(set(n_values)) < len(n_values):
+        raise ConfigurationError(
+            f"{key}: qubit counts must be non-empty and strictly increasing, got {n_values}")
+    return n_values
+
+
 def _check_qubit_cap(config: dict, key: str, n_values) -> None:
     """Refuse a qubit count of ``key`` past ``qubit_cap``, before any
     embedding; the library itself has no qubit limit."""
-    cap, largest = _field(config, "qubit_cap"), max(n_values, default=0)
+    cap, largest = _field(config, "qubit_cap"), max(n_values)
     if largest > cap:
         raise ConfigurationError(f"{key}: {largest} exceeds qubit_cap = {cap}")
 
@@ -451,7 +460,7 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path
     dataset = _resolve_dataset(config, seed)
     family, gamma = _resolve_kernel(config)
     shape = _resolve_feature_map(config, n_qubits=1)
-    n_values = _field(config, "sweep.n_values")
+    n_values = _qubit_counts(config, "sweep.n_values")
     _check_qubit_cap(config, "sweep.n_values", n_values)
     series_map = sweep(
         dataset,
@@ -478,8 +487,7 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
     shape = _resolve_feature_map(config, n_qubits=1)
     m = _field(config, "resources.m")
     shots = _field(config, "resources.shots_per_estimate")
-    n_values = sorted(_field(config, "resources.n_values"))
-    check_qubit_counts(n_values)
+    n_values = _qubit_counts(config, "resources.n_values")
     corrected = _field(config, "resources.corrected")
     budget = _field(config, "resources.error_budget")
     hardware = _profile(config, "resources.hardware")
@@ -521,8 +529,7 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
 def cmd_characterize(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     dataset = _resolve_dataset(config, seed)
     shape = _resolve_feature_map(config, n_qubits=1)
-    n_values = sorted(_field(config, "characterize.n_values"))
-    check_qubit_counts(n_values)
+    n_values = _qubit_counts(config, "characterize.n_values")
     _check_qubit_cap(config, "characterize.n_values", n_values)
     # every size is checked against the features before any embedding
     subsets = [select_features(dataset, n) for n in n_values]

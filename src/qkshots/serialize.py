@@ -24,12 +24,12 @@ import numpy as np
 
 from . import __version__
 from .feature_map import FeatureMapConfig
-from .kernels import KernelMatrix, expand, pack
+from .kernels import KernelMatrix, _point_count, expand, pack, pair_indices, row_blocks
 from .scaling import ScalingSeries
 from .shot_bounds import CONCENTRATION_AVOIDANCE, SPREAD, EntryBudgets, ShotBudget
 
-# budget records encoded per write: one big string would cost its size in
-# peak memory, one write per record the call overhead
+# budget records per write, in whole kernel rows: one big string would cost
+# its size in peak memory, one write per record the call overhead
 ENTRY_BLOCK = 1024
 # kernel cells per write (whole rows, at least one row): the strings of a
 # block are held at once, so a larger block costs peak memory
@@ -108,16 +108,16 @@ def _counts(values, null) -> list:
     return tokens
 
 
-def _entry_columns(budgets: EntryBudgets, rows: slice) -> dict[str, list]:
-    """JSON tokens of every per-entry field of the pairs in ``rows``, as
-    ``_jsonable`` would encode the ``asdict`` of their ``ShotBudget``."""
+def _entry_columns(budgets: EntryBudgets, rows: slice, i, j) -> dict[str, list]:
+    """JSON tokens of every per-entry field of the pairs ``rows`` (indices ``i``, ``j``),
+    as ``_jsonable`` would encode the ``asdict`` of their ``ShotBudget``."""
     kappa = budgets.kappa[rows]
     n_spread = np.trunc(budgets.n_spread[rows])
     n_ca = np.trunc(budgets.n_ca[rows])
     unbounded = np.isinf(n_ca)
     columns = {
-        "i": budgets.i[rows].tolist(),
-        "j": budgets.j[rows].tolist(),
+        "i": i.tolist(),
+        "j": j.tolist(),
         "kappa": list(map(repr, kappa.tolist())),
         "n_spread": _counts(n_spread, False),
         "n_ca": _counts(n_ca, unbounded),
@@ -135,15 +135,15 @@ def _entry_columns(budgets: EntryBudgets, rows: slice) -> dict[str, list]:
 
 def _write_entries(handle, budgets: EntryBudgets) -> None:
     """Write the budget records of all pairs as an indented JSON list, one
-    block of :data:`ENTRY_BLOCK` records per write."""
-    size = budgets.i.size
-    if size == 0:
+    block of :data:`ENTRY_BLOCK` records, or of one kernel row, per write."""
+    m = _point_count(budgets.kappa.size)
+    if m < 2:
         handle.write("[]")
         return
     template, fields = _record_template(budgets)
     separator = "[\n"
-    for start in range(0, size, ENTRY_BLOCK):
-        columns = _entry_columns(budgets, slice(start, start + ENTRY_BLOCK))
+    for start, end, part in row_blocks(m, max(1, ENTRY_BLOCK // m)):
+        columns = _entry_columns(budgets, part, *pair_indices(m, start, end))
         records = zip(*(columns[name] for name in fields))
         handle.write(separator + ",\n".join(template % record for record in records))
         separator = ",\n"

@@ -50,7 +50,6 @@ from .kernels import (
     check_family,
     check_gamma,
     kernel_statistics,
-    pair_indices,
     row_blocks,
 )
 from .measurement import (
@@ -493,19 +492,18 @@ class ShotBudget:
 
 @dataclass
 class EntryBudgets:
-    """Budgets of every upper-triangle pair (i < j) in row-major order, one
-    array per quantity. Shot counts are integer-valued floats, ``n_ca`` is
-    inf where no N suffices; ``ca_imposed`` (projected only) is False where
-    all of a pair's proportions sit at 1/2; ``inputs`` holds the shared
-    parameters. A pair's record is the :class:`ShotBudget` fields of its
-    counts, with its ``kappa`` (and ``ca_imposed``) added to ``inputs``.
-    ``variance_total`` (projected only) is sum_k V_k summed over all pairs,
-    which :func:`dataset_budget` averages for its spread bound."""
+    """Budgets of every pair i < j, one array per quantity, in the order of
+    the packed triangle ``kappa``, the kernel's own ``upper``: pair k is
+    (i, j) of ``kernels.pair_indices``. Shot counts are integer-valued
+    floats, ``n_ca`` is inf where no N suffices; ``ca_imposed`` (projected
+    only) is False where all of a pair's proportions sit at 1/2. A pair's
+    record is the :class:`ShotBudget` fields of its counts, with its
+    ``kappa`` (and ``ca_imposed``) added to the shared ``inputs``.
+    ``variance_total`` (projected only) is sum_k V_k over all pairs, which
+    :func:`dataset_budget` averages for its spread bound."""
 
     family: str
     noisy: bool
-    i: np.ndarray
-    j: np.ndarray
     kappa: np.ndarray
     n_spread: np.ndarray
     n_ca: np.ndarray
@@ -598,32 +596,35 @@ def entry_budgets(
     noisy = p_error > 0.0
     inputs = dict(eps=eps, delta_ensemble=delta_ensemble, p_spread=p_spread,
                   p_ca=p_ca, p_error=p_error)
-    i, j = pair_indices(kernel.m, 0, kernel.m - 1)
     if kernel.family == FIDELITY:
-        kappa = kernel.upper
-        columns = _fidelity_budgets(kappa, denominator, p_ca, p_error, kernel.config.n_qubits)
-        return EntryBudgets(FIDELITY, noisy, i, j, kappa, *columns, None, inputs)
+        columns = _fidelity_budgets(kernel.upper, denominator, p_ca, p_error,
+                                    kernel.config.n_qubits)
+        return EntryBudgets(FIDELITY, noisy, kernel.upper, *columns, None, inputs)
 
     gamma = _gamma(kernel)
     if kernel.component_table is None:
         raise ValueError("projected budgets need the component table")
     props = component_proportions(kernel.component_table, p_error)
     worst, imposed = _pq_point_ca(props, p_ca)
-    n_spread, n_ca = np.empty(i.size), np.empty(i.size)
-    degenerate, ca_imposed = np.empty(i.size, dtype=bool), np.empty(i.size, dtype=bool)
+    pairs = kernel.upper.size
+    n_spread, n_ca = np.empty(pairs), np.empty(pairs)
+    degenerate, ca_imposed = np.empty(pairs, dtype=bool), np.empty(pairs, dtype=bool)
+    # row r pairs point r with the contiguous points r + 1..: a pair's bound
+    # is the larger of its points', imposed where either point's is
+    for r, _, row in row_blocks(kernel.m, 1):
+        np.maximum(worst[r], worst[r + 1:], out=n_ca[row])
+        np.logical_or(imposed[r], imposed[r + 1:], out=ca_imposed[row])
 
     def budget(part: slice, terms: np.ndarray) -> None:
         n_spread[part], degenerate[part] = _pq_spread(
             terms.sum(axis=-1), props.shape[1], kernel.upper[part] ** ((1.0 - p_error) ** 2),
             gamma, denominator, noisy,
         )
-        ca_imposed[part] = imposed[i[part]] | imposed[j[part]]
-        n_ca[part] = np.maximum(worst[i[part]], worst[j[part]])
         degenerate[part] |= ~ca_imposed[part]
 
-    # summed as _mean_pair_variance_terms sums, so both give equal means
+    # the pass dataset_budget makes without entries, so both give equal means
     variance_total = _pair_variance_total(props, noisy, threads, budget)
-    return EntryBudgets(PROJECTED, noisy, i, j, kernel.upper, n_spread, n_ca, degenerate,
+    return EntryBudgets(PROJECTED, noisy, kernel.upper, n_spread, n_ca, degenerate,
                         ca_imposed, inputs={"gamma": gamma, **inputs},
                         variance_total=variance_total)
 
@@ -662,11 +663,12 @@ def dataset_budget(
     ``gram_matrix`` does; otherwise, as for a sampled or hand-built kernel,
     it evaluates a representative pair whose proportions all sit at
     1/2 +- the inferred offset (``"kernel_scale"``). ``entries``, the
-    :func:`entry_budgets` of the same kernel and ``p_error``, supplies that
-    average from the pass that budgeted the pairs instead of a second pass
-    over the table. ``statistics``, the :func:`kernel_statistics` of the same
-    kernel, spares computing them again. ``threads`` pool threads run that
-    pass; the budget does not depend on their number.
+    :func:`entry_budgets` of this very kernel (``kappa`` is its ``upper``)
+    and ``p_error``, supplies that average from the pass that budgeted the
+    pairs instead of a second pass over the table. ``statistics``, the
+    :func:`kernel_statistics` of the same kernel, spares computing them
+    again. ``threads`` pool threads run that pass; the budget does not
+    depend on their number.
     """
     check_p_error(p_error)
     if statistics is None:
@@ -708,14 +710,15 @@ def dataset_budget(
     n_ca = _ceil_array(z**2 * mu * (1.0 - mu) / scale_eff**2) if z > 0 else 1.0
 
     if kernel.component_table is not None:
-        pairs = kernel.m * (kernel.m - 1) // 2
         if entries is None:
-            v_mean = _mean_pair_variance_terms(kernel.component_table, p_error, threads)
-        elif (entries.variance_total is None or entries.inputs["p_error"] != p_error
-              or entries.i.size != pairs):
+            v_total = _pair_variance_total(
+                component_proportions(kernel.component_table, p_error), noisy, threads)
+        elif (entries.kappa is not kernel.upper or entries.variance_total is None
+              or entries.inputs["p_error"] != p_error):
             raise ValueError("entries were budgeted for another kernel or p_error")
         else:
-            v_mean = entries.variance_total / pairs
+            v_total = entries.variance_total
+        v_mean = v_total / kernel.upper.size
         inputs["spread_path"] = "components"
     else:
         offset = np.full((1, 3), scale_eff)
@@ -726,14 +729,3 @@ def dataset_budget(
         _spread_denominator(eps, delta_ensemble, p_spread), noisy,
     )
     return ShotBudget(PROJECTED, n_spread, n_ca, noisy, degenerate, inputs)
-
-
-def _mean_pair_variance_terms(table, p_error: float, threads: int = 1) -> float:
-    """Mean over all point pairs of sum_k V_k, noise-robust when
-    ``p_error > 0``, accumulated over the row blocks of :func:`_pair_blocks`
-    on ``threads`` pool threads."""
-    props = component_proportions(table, p_error)
-    m = props.shape[0]
-    if m < 2:
-        raise ValueError("component table needs at least two points")
-    return _pair_variance_total(props, p_error > 0.0, threads) / (m * (m - 1) // 2)

@@ -223,19 +223,21 @@ def _plain(value):
 
 def budget_records(budgets) -> list[dict]:
     """One record per pair, built in a loop from the ``EntryBudgets`` arrays:
-    its indices, the shared family, noise flag and inputs, its kappa (and
-    ca_imposed), the two counts, n_required = max of them, an unbounded
-    n_ca written as null, and the dominant effect (spread on a tie)."""
+    its indices, from ``np.triu_indices`` in row-major order, the shared
+    family, noise flag and inputs, its kappa (and ca_imposed), the two
+    counts, n_required = max of them, an unbounded n_ca written as null,
+    and the dominant effect (spread on a tie)."""
+    m = (1 + math.isqrt(1 + 8 * budgets.kappa.size)) // 2
     records = []
-    for k in range(budgets.i.size):
+    for k, (i, j) in enumerate(zip(*np.triu_indices(m, 1))):
         n_spread, n_ca = int(budgets.n_spread[k]), float(budgets.n_ca[k])
         unbounded = math.isinf(n_ca)
         inputs = {**budgets.inputs, "kappa": float(budgets.kappa[k])}
         if budgets.ca_imposed is not None:
             inputs["ca_imposed"] = bool(budgets.ca_imposed[k])
         records.append({
-            "i": int(budgets.i[k]),
-            "j": int(budgets.j[k]),
+            "i": int(i),
+            "j": int(j),
             "family": budgets.family,
             "noisy": budgets.noisy,
             "n_spread": n_spread,

@@ -495,9 +495,11 @@ class TestOptionalSections:
             ("kernels", base_config(dataset={"type": "twonorm", "m": 16, "subset_size": 3}),
              "subset_size must be a positive even number, got 3"),
             ("sweep", base_config(sweep={"n_values": [2, 2, 3, 4]}),
-             "qubit counts must be strictly increasing, got [2, 2, 3, 4]"),
+             "sweep.n_values: qubit counts must be non-empty and strictly increasing, "
+             "got [2, 2, 3, 4]"),
             ("characterize", base_config(characterize={"n_values": [2, 2, 3]}),
-             "qubit counts must be strictly increasing, got [2, 2, 3]"),
+             "characterize.n_values: qubit counts must be non-empty and strictly increasing, "
+             "got [2, 2, 3]"),
             ("kernels", base_config(dataset={"type": "random_angles", "m": 1, "n_features": 6}),
              "need at least 2 points, got 1"),
             ("kernels", base_config(dataset={"type": "random_angles", "m": 1, "n_features": 6},
@@ -591,12 +593,18 @@ class TestOptionalSections:
             ("characterize", base_config(characterize={"n_values": [3, 2, 3]}),
              "qkshots.cli.embedding_diagnostics"),
             ("resources", resources_config(n_values=[8, 8, 16]), "qkshots.cli.quantum_cost"),
+            ("sweep", base_config(sweep={"n_values": []}), "qkshots.scaling.gram_matrix"),
+            ("characterize", base_config(characterize={"n_values": []}),
+             "qkshots.cli.embedding_diagnostics"),
+            ("resources", resources_config(n_values=[]), "qkshots.cli.quantum_cost"),
         ],
     )
-    def test_repeated_qubit_counts_exit_two_before_any_work(
+    def test_empty_or_repeated_qubit_counts_exit_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, command, payload, expensive):
+        # one rule for the three size lists, and the message names the key;
+        # an empty list once ran characterize and resources on no sizes
         def refuse(*args, **kwargs):
-            raise AssertionError(f"{expensive} ran before the repeated size was refused")
+            raise AssertionError(f"{expensive} ran before the sizes were refused")
 
         monkeypatch.setattr(expensive, refuse)
         cfg = write_config(tmp_path, payload)
@@ -604,8 +612,10 @@ class TestOptionalSections:
         counts = sorted(payload[command]["n_values"])
         assert json.loads(capsys.readouterr().err) == {
             "error": "configuration",
-            "message": f"qubit counts must be strictly increasing, got {counts}",
+            "message": f"{command}.n_values: qubit counts must be non-empty and strictly "
+                       f"increasing, got {counts}",
         }
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.yaml"]
 
     def test_configured_classical_alpha_reaches_flops(self, tmp_path):
         cfg = write_config(tmp_path, resources_config(classical={"alpha": 1.5, "c0": 2.0}))
@@ -636,14 +646,6 @@ class TestOptionalSections:
         report = json.loads((tmp_path / "resources.json").read_text())
         assert all(row["classical"]["flops"] > 0 for row in report["scenarios"])
         assert set(report["crossover_n"]) == {"runtime", "energy"}
-
-    def test_characterize_without_sizes_writes_empty_series(self, tmp_path):
-        cfg = write_config(tmp_path, base_config(characterize={"n_values": []}))
-        assert main(["characterize", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "characteristics.csv").read_bytes() == b"statistic,n,value\r\n"
-        fits = json.loads((tmp_path / "characteristics_fits.json").read_text())["fits"]
-        assert fits == {name: {"skipped": "fewer than 4 points"}
-                        for name in ("expressibility", "relative_entropy")}
 
 
 def _passes(cast, value) -> bool:

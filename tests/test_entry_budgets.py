@@ -26,7 +26,7 @@ from qkshots import (
     shot_bounds,
 )
 from qkshots.cli import _resolve_dataset, main
-from qkshots.datasets import select_features
+from qkshots.datasets import generate_twonorm, select_features
 from qkshots.measurement import component_proportions
 from qkshots.serialize import write_json
 
@@ -86,9 +86,9 @@ def test_entry_budgets_match_per_pair_loop(family, n, p_error):
     kernel = _kernel(family, n)
     delta = kernel_statistics(kernel).iqr
     got = entry_budgets(kernel, EPS, delta, P_SPREAD, P_CA, p_error)
-    iu = np.triu_indices(kernel.m, k=1)
-    assert np.array_equal(got.i, iu[0]) and np.array_equal(got.j, iu[1])
-    assert np.array_equal(got.kappa, kernel.upper)
+    # the arrays follow the kernel's packed order: pair k is (i, j) of triu_indices
+    assert got.kappa is kernel.upper
+    assert np.array_equal(got.kappa, kernel.values[np.triu_indices(kernel.m, k=1)])
     expected = np.array(_reference(kernel, delta, p_error, n), dtype=float)
     assert np.array_equal(got.n_spread, expected[:, 0])
     assert np.array_equal(got.n_ca, expected[:, 1])
@@ -108,6 +108,7 @@ def test_pair_passes_equal_on_one_and_two_threads(p_error, monkeypatch):
     assert len(list(shot_bounds._pair_blocks(m, n))) == 2
     kernel = _kernel("projected", n, m=m, seed=5)
     delta = kernel_statistics(kernel).iqr
+    props = component_proportions(kernel.component_table, p_error)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -116,13 +117,12 @@ def test_pair_passes_equal_on_one_and_two_threads(p_error, monkeypatch):
             one, *more = (entry_budgets(kernel, EPS, delta, P_SPREAD, P_CA, p_error,
                                         threads=threads) for threads in (1, 2, 4))
             for other in more:
-                for name in ("i", "j", "kappa", "n_spread", "n_ca", "degenerate",
-                             "ca_imposed"):
+                for name in ("kappa", "n_spread", "n_ca", "degenerate", "ca_imposed"):
                     assert getattr(one, name).tobytes() == getattr(other, name).tobytes(), name
                 assert one.variance_total == other.variance_total
-            means = {shot_bounds._mean_pair_variance_terms(kernel.component_table, p_error,
-                                                           threads) for threads in (1, 2, 4)}
-            assert means == {one.variance_total / one.i.size}
+            totals = {shot_bounds._pair_variance_total(props, p_error > 0.0, threads)
+                      for threads in (1, 2, 4)}
+            assert totals == {one.variance_total}
             assert (dataset_budget(kernel, p_error=p_error, threads=1)
                     == dataset_budget(kernel, p_error=p_error, threads=2))
     finally:
@@ -132,15 +132,16 @@ def test_pair_passes_equal_on_one_and_two_threads(p_error, monkeypatch):
     assert np.array_equal(one.n_ca, expected[:, 1])
     assert np.array_equal(one.degenerate, expected[:, 2].astype(bool))
     term = pq_noise_robust_term_sum if p_error > 0.0 else pq_variance_term_sum
-    props = component_proportions(kernel.component_table, p_error)
-    pairs = sum(term(props[i, k], props[j, k]) for i, j in zip(one.i, one.j) for k in range(n))
+    pairs = sum(term(props[i, k], props[j, k])
+                for i, j in zip(*np.triu_indices(m, k=1)) for k in range(n))
     assert one.variance_total == pytest.approx(pairs, rel=1e-12, abs=0)
 
 
 def test_projected_budget_memory_in_multiples_of_its_arrays():
     """The pair pass holds one block of V_k per thread, not copies of both
-    ends of every pair: the peak stays within twice the bytes of the arrays
-    the call allocates and returns (kappa is the kernel's own triangle)."""
+    ends of every pair, and no pair index arrays: the peak stays within
+    three times the bytes of the four budget columns the call allocates and
+    returns (kappa is the kernel's own triangle)."""
     m, n = 300, 6
     kernel = _kernel("projected", n, m=m, seed=6)
     delta = kernel_statistics(kernel).iqr
@@ -152,8 +153,9 @@ def test_projected_budget_memory_in_multiples_of_its_arrays():
         tracemalloc.stop()
     assert budgets.kappa is kernel.upper
     returned = sum(getattr(budgets, name).nbytes for name in
-                   ("i", "j", "n_spread", "n_ca", "degenerate", "ca_imposed"))
-    assert peak <= 2.0 * returned
+                   ("n_spread", "n_ca", "degenerate", "ca_imposed"))
+    assert returned == 18 * m * (m - 1) // 2
+    assert peak <= 3.0 * returned
 
 
 def test_one_pair_functions_are_the_array_case():
@@ -166,7 +168,7 @@ def test_one_pair_functions_are_the_array_case():
         entry_budgets(replace(kernel, upper=[values[i, j]],
                               component_table=kernel.component_table[[i, j]]),
                       EPS, 0.2, P_SPREAD, P_CA, 0.02)
-        for i, j in zip(budgets.i, budgets.j)
+        for i, j in zip(*np.triu_indices(kernel.m, k=1))
     ]
     for name in ("kappa", "n_spread", "n_ca", "degenerate", "ca_imposed"):
         single = np.concatenate([getattr(pair, name) for pair in singles])
@@ -216,7 +218,7 @@ def test_fidelity_qubit_count_unused_without_noise():
     for p_error in (0.0, 0.05):
         given, moved = (entry_budgets(k, EPS, delta, P_SPREAD, P_CA, p_error)
                         for k in (kernel, other))
-        for name in ("i", "j", "kappa", "n_spread", "degenerate"):
+        for name in ("kappa", "n_spread", "degenerate"):
             assert np.array_equal(getattr(given, name), getattr(moved, name))
         assert np.array_equal(given.n_ca, moved.n_ca) == (p_error == 0.0)
         assert given.noisy == (p_error > 0.0) and given.ca_imposed is None
@@ -228,15 +230,16 @@ def test_projected_budgets_need_the_component_table():
         entry_budgets(kernel, EPS, 0.2, P_SPREAD, P_CA)
 
 
-def test_mean_pair_variance_terms_chunked_equals_one_block(monkeypatch):
-    """The dataset budget's pair mean runs over several row blocks and
-    matches the single-block evaluation."""
+def test_pair_variance_total_chunked_equals_one_block(monkeypatch):
+    """The pair pass behind the dataset budget's pair mean runs over several
+    row blocks and matches the single-block evaluation."""
     m, n = 150, 8
     assert shot_bounds.PAIR_BLOCK // (m * n) < (m - 1) // 2  # several blocks
     table = _kernel("projected", n, m=m, seed=9).component_table
-    blocked = [shot_bounds._mean_pair_variance_terms(table, p) for p in (0.0, 0.05)]
+    props = [(component_proportions(table, p), p > 0.0) for p in (0.0, 0.05)]
+    blocked = [shot_bounds._pair_variance_total(*args) for args in props]
     monkeypatch.setattr(shot_bounds, "PAIR_BLOCK", 1 << 40)
-    single = [shot_bounds._mean_pair_variance_terms(table, p) for p in (0.0, 0.05)]
+    single = [shot_bounds._pair_variance_total(*args) for args in props]
     assert blocked == pytest.approx(single, rel=1e-12, abs=0)
 
 
@@ -244,7 +247,8 @@ def test_mean_pair_variance_terms_chunked_equals_one_block(monkeypatch):
 def test_entry_pass_gives_the_standalone_dataset_budget(p_error):
     """The pair-variance sum accumulated while budgeting the entries gives
     the dataset budget of a separate pass over the table, field by field,
-    over several row blocks; so do the caller's kernel statistics."""
+    over several row blocks; so do the caller's kernel statistics. Entries
+    of another kernel, even one of the same size, are refused."""
     m, n = 150, 8
     assert shot_bounds.PAIR_BLOCK // (m * n) < (m - 1) // 2  # several blocks
     kernel = _kernel("projected", n, m=m, seed=9)
@@ -256,6 +260,20 @@ def test_entry_pass_gives_the_standalone_dataset_budget(p_error):
     assert asdict(shared) == asdict(dataset_budget(kernel, EPS, P_SPREAD, P_CA, p_error))
     with pytest.raises(ValueError, match="another kernel or p_error"):
         dataset_budget(kernel, EPS, P_SPREAD, P_CA, 0.01, entries=entries)
+    first, second = (_twonorm_kernel(seed) for seed in (1, 2))
+    other = entry_budgets(first, EPS, kernel_statistics(first).iqr, P_SPREAD, P_CA, p_error)
+    with pytest.raises(ValueError, match="another kernel or p_error"):
+        dataset_budget(second, EPS, P_SPREAD, P_CA, p_error, entries=other)
+    # the two kernels' own budgets differ, so taking the other's entries
+    # would have been a wrong answer, not a harmless one
+    assert (dataset_budget(first, EPS, P_SPREAD, P_CA, p_error, entries=other).n_spread
+            != dataset_budget(second, EPS, P_SPREAD, P_CA, p_error).n_spread)
+
+
+def _twonorm_kernel(seed, m=40, n=4):
+    subset = select_features(generate_twonorm(m, n_features=n, seed=seed), n)
+    return gram_matrix(subset.features, FeatureMapConfig(n, 2, "full"), family="projected",
+                       gamma=GAMMA)
 
 
 @pytest.mark.parametrize("family, p_error", [("projected", 0.0), ("fidelity", 0.01)])

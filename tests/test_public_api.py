@@ -60,6 +60,20 @@ def test_entry_budgets_build_no_per_pair_object():
     assert not [name for name in ("budget", "entries") if hasattr(qkshots.EntryBudgets, name)]
 
 
+def test_entry_budgets_hold_only_their_budget_columns():
+    # README, "Removed in 0.18.0": no stored pair indices; the budget pass
+    # indexes no array by pair, and its one entry point is the pair pass
+    names = [f.name for f in fields(qkshots.EntryBudgets)]
+    assert names == ["family", "noisy", "kappa", "n_spread", "n_ca", "degenerate",
+                     "ca_imposed", "inputs", "variance_total"]
+    assert not [name for name in ("i", "j") if hasattr(qkshots.EntryBudgets, name)]
+    tree = ast.parse(Path(qkshots.shot_bounds.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "pair_indices" not in imported
+    assert not hasattr(qkshots.shot_bounds, "_mean_pair_variance_terms")
+
+
 def test_kernel_matrix_stores_one_packed_triangle():
     # README, "Removed in 0.16.0": the packed triangle is the only storage,
     # and no module re-derives the pair order or symmetrises a matrix

@@ -81,11 +81,27 @@ def test_projected_budget_bytes_equal_stdlib_encoder(tmp_path, p_error):
     assert written_json(tmp_path, _payload(), budgets) == reference_json(_payload(), budgets)
 
 
-def test_budget_blocks_join_like_one_list(tmp_path, monkeypatch):
-    """Records spanning several write blocks give the same bytes."""
-    budgets = entry_budgets(_fidelity_kernel(), EPS, DELTA, P_SPREAD, P_CA)
-    monkeypatch.setattr(serialize, "ENTRY_BLOCK", 4)
-    assert written_json(tmp_path, {}, budgets) == reference_json({}, budgets)
+@pytest.mark.parametrize("kernel", [_fidelity_kernel, _projected_kernel])
+@pytest.mark.parametrize("block, rows", [(4, 1), (24, 3)])
+def test_budget_blocks_join_like_one_list(tmp_path, monkeypatch, kernel, block, rows):
+    """Records written in blocks of whole kernel rows, one row per write when
+    a row holds more than ENTRY_BLOCK records and several rows otherwise,
+    give the same bytes as one list."""
+    kernel = kernel()
+    budgets = entry_budgets(kernel, EPS, DELTA, P_SPREAD, P_CA, 0.05)
+    monkeypatch.setattr(serialize, "ENTRY_BLOCK", block)
+    written_rows = []
+    columns = serialize._entry_columns
+
+    def spy(budgets, part, i, j):
+        written_rows.append(sorted(set(i.tolist())))
+        return columns(budgets, part, i, j)
+
+    monkeypatch.setattr(serialize, "_entry_columns", spy)
+    payload = _payload()
+    assert written_json(tmp_path, payload, budgets) == reference_json(payload, budgets)
+    starts = range(0, kernel.m - 1, rows)
+    assert written_rows == [list(range(r, min(r + rows, kernel.m - 1))) for r in starts]
 
 
 def test_empty_budgets_and_plain_payloads(tmp_path):
