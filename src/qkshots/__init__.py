@@ -8,7 +8,7 @@ concentration scaling laws, and converts shot budgets into runtime and
 energy estimates for ideal, error-corrected and classical execution.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .statevector import (
     ConfigurationError,

@@ -10,11 +10,11 @@ resources       runtime/energy for quantum (ideal/corrected) and classical
                 execution, with crossover -> resources.json
 characterize    expressibility and relative-entropy series -> series CSV/fits
 
-Every artifact embeds (directly or through its sidecar) the configuration
-as written and the tool version. All randomness flows from one top-level
-seed: stream k of a run uses SeedSequence(entropy=seed, spawn_key=(k,)),
-with stream 0 for dataset synthesis, 1 for stratification and 2 for shot
-sampling.
+Every JSON artifact embeds the config as written and the tool version;
+``gram.csv`` comes with its ``.meta.json``, a series CSV with its fits JSON.
+All randomness flows from one top-level seed: stream k of a run uses
+SeedSequence(entropy=seed, spawn_key=(k,)), with stream 0 for dataset
+synthesis, 1 for stratification and 2 for shot sampling.
 
 ``_KEYS`` lists every config key with its cast and default. A section must
 be a mapping when present; an absent or null section, like an absent or
@@ -24,7 +24,8 @@ turns on the classical baseline. Every section may appear in the config of
 every command, and every value present goes through its key's cast before
 any work. Integer keys refuse booleans and fractional floats; seeds (>= 0),
 extrapolation targets and ``qubit_cap`` (>= 1) carry their bound in the
-cast; float keys refuse NaN and infinities. Other range checks, such as
+cast, and each ``n_values`` list is sorted and refused when empty or
+repeated; float keys refuse NaN and infinities. Other range checks, such as
 eps > 0, stay with the commands that read the key. ``--seed`` takes
 the seed cast and ``--threads`` must be at least 1. ``--out`` names the
 output directory; without it, ``out_dir`` does.
@@ -40,8 +41,9 @@ table does not know (the message names the closest known key), a missing
 key or a value of the wrong type, and every parameter the library refuses
 with a ConfigurationError (eps <= 0 or too small for a finite spread
 bound, a probability outside its range, an odd twonorm m or subset size,
-fewer than 2 points, more qubits than features), an empty or repeated
-list of sizes, and a qubit count past qubit_cap.
+fewer than 2 points or no features, sampling past 2**63 - 1 shots, more
+qubits than features), an empty or repeated list of sizes, and a qubit
+count past qubit_cap.
 1 for failures that come from the data or the files, such as an unreadable
 or malformed CSV, a zero IQR or a zero kernel entry. Either way the error
 is one JSON object on stderr; ``--help`` and ``--version`` exit 0.
@@ -91,7 +93,7 @@ from .resources import (
     find_crossover,
     quantum_cost,
 )
-from .scaling import ScalingSeries, extrapolate, sweep
+from .scaling import ScalingSeries, check_qubit_counts, extrapolate, sweep
 from .serialize import provenance, write_json, write_kernel_csv, write_series_csv
 from .shot_bounds import check_ensemble_iqr, dataset_budget, entry_budgets, error_budget
 from .statevector import ConfigurationError
@@ -138,6 +140,11 @@ def _ints(item=_integer):
             raise TypeError(f"expected a list of integers, got {values!r}")
         return [item(n) for n in values]
     return cast
+
+
+def _sizes(values) -> list[int]:
+    """A list of qubit counts, sorted; refused unless non-empty and distinct."""
+    return check_qubit_counts(sorted(_ints()(values)))
 
 
 def _flag(value) -> bool:
@@ -196,13 +203,13 @@ _KEYS = {
     "budget.p_spread": (_finite, 0.9),
     "budget.p_ca": (_finite, 0.99),
     "budget.p_error": (_finite, 0.0),
-    "sweep.n_values": (_ints(), _REQUIRED),
+    "sweep.n_values": (_sizes, _REQUIRED),
     "sweep.extrapolate_to": (_ints(_at_least(1)), ()),
     "sweep.include_budgets": (_flag, True),
-    "characterize.n_values": (_ints(), _REQUIRED),
+    "characterize.n_values": (_sizes, _REQUIRED),
     "resources.m": (_integer, _REQUIRED),
     "resources.shots_per_estimate": (_integer, _REQUIRED),
-    "resources.n_values": (_ints(), _REQUIRED),
+    "resources.n_values": (_sizes, _REQUIRED),
     "resources.corrected": (_flag, False),
     "resources.error_budget": (_finite, None),
     **{
@@ -345,15 +352,6 @@ def _resolve_kernel(config: dict) -> tuple[str, float]:
     return family, gamma
 
 
-def _qubit_counts(config: dict, key: str) -> list[int]:
-    """The sorted qubit counts of ``key``, refused unless non-empty and distinct."""
-    n_values = sorted(_field(config, key))
-    if not n_values or len(set(n_values)) < len(n_values):
-        raise ConfigurationError(
-            f"{key}: qubit counts must be non-empty and strictly increasing, got {n_values}")
-    return n_values
-
-
 def _check_qubit_cap(config: dict, key: str, n_values) -> None:
     """Refuse a qubit count of ``key`` past ``qubit_cap``, before any
     embedding; the library itself has no qubit limit."""
@@ -460,7 +458,7 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path
     dataset = _resolve_dataset(config, seed)
     family, gamma = _resolve_kernel(config)
     shape = _resolve_feature_map(config, n_qubits=1)
-    n_values = _qubit_counts(config, "sweep.n_values")
+    n_values = _field(config, "sweep.n_values")
     _check_qubit_cap(config, "sweep.n_values", n_values)
     series_map = sweep(
         dataset,
@@ -473,13 +471,10 @@ def cmd_sweep(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path
         include_budgets=_field(config, "sweep.include_budgets"),
         threads=threads,
     )
-    targets = _field(config, "sweep.extrapolate_to")
-    prov = provenance("sweep", config, seed)
-    paths = _write_series(out_dir, ("series.csv", "fits.json"), series_map, targets, prov)
-    meta_path = write_json(
-        out_dir / "series.meta.json", {"series": sorted(series_map), "provenance": prov}
+    return _write_series(
+        out_dir, ("series.csv", "fits.json"), series_map, _field(config, "sweep.extrapolate_to"),
+        provenance("sweep", config, seed),
     )
-    return [*paths, meta_path]
 
 
 def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
@@ -487,7 +482,7 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
     shape = _resolve_feature_map(config, n_qubits=1)
     m = _field(config, "resources.m")
     shots = _field(config, "resources.shots_per_estimate")
-    n_values = _qubit_counts(config, "resources.n_values")
+    n_values = _field(config, "resources.n_values")
     corrected = _field(config, "resources.corrected")
     budget = _field(config, "resources.error_budget")
     hardware = _profile(config, "resources.hardware")
@@ -529,26 +524,14 @@ def cmd_resources(config: dict, out_dir: Path, seed: int, threads: int) -> list[
 def cmd_characterize(config: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
     dataset = _resolve_dataset(config, seed)
     shape = _resolve_feature_map(config, n_qubits=1)
-    n_values = _qubit_counts(config, "characterize.n_values")
+    n_values = _field(config, "characterize.n_values")
     _check_qubit_cap(config, "characterize.n_values", n_values)
     # every size is checked against the features before any embedding
     subsets = [select_features(dataset, n) for n in n_values]
-    expr, entropy = [], []
-    for n, subset in zip(n_values, subsets):
-        expressive, entangled = embedding_diagnostics(
-            subset.features, replace(shape, n_qubits=n), threads=threads
-        )
-        expr.append(expressive)
-        entropy.append(entangled)
-    meta = {
-        "dataset_id": dataset.dataset_id,
-        "repetitions": shape.repetitions,
-        "entanglement": shape.entanglement,
-    }
-    series = {
-        "expressibility": ScalingSeries("expressibility", n_values, expr, meta),
-        "relative_entropy": ScalingSeries("relative_entropy", n_values, entropy, meta),
-    }
+    rows = [embedding_diagnostics(subset.features, replace(shape, n_qubits=n), threads=threads)
+            for n, subset in zip(n_values, subsets)]
+    series = {name: ScalingSeries(name, n_values, values)
+              for name, values in zip(("expressibility", "relative_entropy"), np.array(rows).T)}
     return _write_series(
         out_dir, ("characteristics.csv", "characteristics_fits.json"), series, [],
         provenance("characterize", config, seed),
@@ -616,7 +599,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         _emit_error("configuration", str(exc))
         return 2
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
     except OSError as exc:

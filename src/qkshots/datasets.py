@@ -112,11 +112,19 @@ def load_csv(path, label_column: str) -> Dataset:
     return Dataset(features=features, labels=labels, dataset_id=str(path))
 
 
+def _check_size(m: int, n_features: int) -> None:
+    if m < 2:
+        raise ConfigurationError(f"need at least 2 points, got {m}")
+    if n_features < 1:
+        raise ConfigurationError(f"n_features must be >= 1, got {n_features}")
+
+
 def generate_twonorm(m: int, n_features: int = 20, seed: int = 0) -> Dataset:
     """Synthetic two-Gaussian benchmark: class c is drawn from a unit
     covariance normal centred at +-(a, ..., a) with a = 2 / sqrt(d)."""
     if m % 2 != 0:
         raise ConfigurationError(f"m must be even for balanced classes, got {m}")
+    _check_size(m, n_features)
     rng = np.random.default_rng(seed)
     centre = 2.0 / np.sqrt(n_features)
     half = m // 2
@@ -139,6 +147,7 @@ def generate_random_angles(m: int, n_features: int, seed: int = 0) -> Dataset:
     """Uniform random angle vectors in [0, 2 pi) (labels alternate and carry
     no signal); useful as a scrambling, Haar-like input for embedding
     diagnostics."""
+    _check_size(m, n_features)
     rng = np.random.default_rng(seed)
     features = rng.uniform(0.0, 2.0 * np.pi, size=(m, n_features))
     labels = np.arange(m) % 2

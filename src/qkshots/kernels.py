@@ -33,12 +33,12 @@ PROJECTED = "projected"
 KERNEL_FAMILIES = (FIDELITY, PROJECTED)
 
 
-def check_family(family: str, name: str = "family") -> str:
+def check_family(family: str) -> str:
     """Return ``family`` if it names a kernel family, else raise a
-    ConfigurationError; ``name`` is the field the message reports."""
+    ConfigurationError."""
     if family not in KERNEL_FAMILIES:
         raise ConfigurationError(
-            f"{name} must be one of {KERNEL_FAMILIES}, got {family!r}"
+            f"family must be one of {KERNEL_FAMILIES}, got {family!r}"
         )
     return family
 

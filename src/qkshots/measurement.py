@@ -141,6 +141,8 @@ def sample_gram(
     if exact.family != FIDELITY and exact.component_table is None:
         raise ValueError("sampling a projected kernel needs its component table")
     check_p_error(p_error)
+    if n_shots > np.iinfo(np.int64).max:  # the binomial draws take int64 counts
+        raise ConfigurationError(f"n_shots must be at most 2**63 - 1, got {n_shots}")
     m = exact.m
     metadata = {
         "estimated": True,

@@ -203,8 +203,11 @@ def quantum_cost(
 def classical_cost(
     family: str, n_qubits: int, m: int, profile: ClassicalProfile
 ) -> ClassicalCost:
-    """Classical simulation cost under the exponential flop model."""
-    flops = profile.c0 * 2.0 ** (profile.alpha * n_qubits) * _estimate_count(family, m)
+    """Classical simulation cost under the exponential flop model; past the
+    float range every cost is inf, which the JSON writers write as null."""
+    exponent = profile.alpha * n_qubits
+    growth = np.inf if exponent >= 1024 else 2.0 ** exponent
+    flops = profile.c0 * growth * _estimate_count(family, m)
     runtime = flops / profile.flops_per_second
     return ClassicalCost(
         runtime_s=float(runtime),

@@ -17,7 +17,7 @@ decay like 1/b**n with b = 2**(-alpha) > 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,30 +35,30 @@ _CURVATURE_TOL = 1e-12
 STATISTIC_NAMES = ("mean", "std", "median", "iqr", "n_spread", "n_ca")
 
 
-def check_qubit_counts(qubit_counts) -> None:
-    """Raise a ConfigurationError unless the counts strictly increase."""
+def check_qubit_counts(qubit_counts):
+    """Return ``qubit_counts`` if they are non-empty and strictly increase,
+    else raise a ConfigurationError."""
     counts = np.asarray(qubit_counts, dtype=int)
-    if np.any(np.diff(counts) <= 0):
+    if counts.size == 0 or np.any(np.diff(counts) <= 0):
         raise ConfigurationError(
-            f"qubit counts must be strictly increasing, got {counts.tolist()}"
+            f"qubit counts must be non-empty and strictly increasing, got {counts.tolist()}"
         )
+    return qubit_counts
 
 
 @dataclass
 class ScalingSeries:
-    """One statistic evaluated at strictly increasing qubit counts."""
+    """One statistic evaluated at one or more strictly increasing qubit counts."""
 
     statistic: str
     qubit_counts: np.ndarray
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.qubit_counts = np.asarray(self.qubit_counts, dtype=int)
+        self.qubit_counts = check_qubit_counts(np.asarray(self.qubit_counts, dtype=int))
         self.values = np.asarray(self.values, dtype=float)
         if self.qubit_counts.shape != self.values.shape:
             raise ValueError("qubit counts and values must have equal length")
-        check_qubit_counts(self.qubit_counts)
 
     def fit(self) -> "ScalingFit":
         return fit_exponential(self.qubit_counts, self.values)
@@ -136,7 +136,9 @@ def extrapolate(fit: ScalingFit, n_target: int) -> float:
             f"cannot extrapolate: fit R^2 = {fit.r_squared:.4f} is below "
             f"the {fit.threshold} validity threshold"
         )
-    return float(2.0 ** (fit.log2_scale + fit.alpha * n_target))
+    exponent = fit.log2_scale + fit.alpha * n_target
+    # past the float range the value is inf, which the JSON writers write as null
+    return np.inf if exponent >= 1024 else 2.0 ** exponent
 
 
 @dataclass(frozen=True)
@@ -189,18 +191,11 @@ def sweep(
     ``p_error > 0``.
     """
     check_p_error(p_error)
-    n_values = sorted(int(n) for n in n_values)
-    if not n_values:
-        raise ConfigurationError("n_values must be non-empty")
-    check_qubit_counts(n_values)
-    if n_values[-1] > dataset.n_features:
-        raise ConfigurationError(
-            f"dataset has {dataset.n_features} features, cannot sweep to "
-            f"n = {n_values[-1]}"
-        )
-    columns: dict[str, list[float]] = {name: [] for name in STATISTIC_NAMES}
-    for n in n_values:
-        subset = select_features(dataset, n)
+    n_values = check_qubit_counts(sorted(int(n) for n in n_values))
+    # every size is checked against the features before any embedding
+    subsets = [select_features(dataset, n) for n in n_values]
+    rows = []
+    for n, subset in zip(n_values, subsets):
         cfg = FeatureMapConfig(
             n_qubits=n, repetitions=repetitions, entanglement=entanglement
         )
@@ -208,32 +203,15 @@ def sweep(
             subset.features, cfg, family=family, gamma=gamma, threads=threads
         )
         stats = kernel_statistics(kernel)
-        columns["mean"].append(stats.mean)
-        columns["std"].append(stats.std)
-        columns["median"].append(stats.median)
-        columns["iqr"].append(stats.iqr)
+        row = [stats.mean, stats.std, stats.median, stats.iqr]
         if include_budgets:
             budget = dataset_budget(
                 kernel, eps=eps, p_spread=p_spread, p_ca=p_ca, p_error=p_error,
                 statistics=stats, threads=threads,
             )
-            columns["n_spread"].append(float(budget.n_spread))
-            columns["n_ca"].append(float(budget.n_ca))
-    metadata = {
-        "family": family,
-        "repetitions": repetitions,
-        "entanglement": entanglement,
-        "gamma": gamma,
-        "dataset_id": dataset.dataset_id,
-        "noisy": bool(p_error > 0.0),
-    }
-    names = list(STATISTIC_NAMES) if include_budgets else list(STATISTIC_NAMES[:4])
-    return {
-        name: ScalingSeries(
-            statistic=name,
-            qubit_counts=np.asarray(n_values),
-            values=np.asarray(columns[name]),
-            metadata=dict(metadata),
-        )
-        for name in names
-    }
+            row += [budget.n_spread, budget.n_ca]
+        rows.append(row)
+    # without budgets the rows end after the iqr, and so do the series
+    columns = np.array(rows, dtype=float).T
+    return {name: ScalingSeries(name, n_values, values)
+            for name, values in zip(STATISTIC_NAMES, columns)}

@@ -214,15 +214,13 @@ def write_kernel_csv(path, kernel: KernelMatrix, extra: dict | None = None) -> t
     return path, meta_path
 
 
-def read_kernel_csv(path, meta_path=None) -> KernelMatrix:
-    """Round-trip loader for :func:`write_kernel_csv` output. The matrix
-    must be square and symmetric, with a unit diagonal and every entry in
-    [0, 1] (up to 1e-10 for symmetry and the diagonal); its strict upper
-    triangle is kept."""
+def read_kernel_csv(path) -> KernelMatrix:
+    """Round-trip loader for :func:`write_kernel_csv` output, the CSV and
+    its ``.meta.json`` sidecar. The matrix must be square and symmetric,
+    with a unit diagonal and every entry in [0, 1] (up to 1e-10 for
+    symmetry and the diagonal); its strict upper triangle is kept."""
     path = Path(path)
-    meta_path = Path(meta_path) if meta_path else path.with_suffix(".meta.json")
-    with open(meta_path, encoding="utf-8") as handle:
-        meta = json.load(handle)
+    meta = json.loads(path.with_suffix(".meta.json").read_text(encoding="utf-8"))
     values = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"kernel matrix must be square, got {values.shape}")
@@ -254,20 +252,12 @@ def write_series_csv(path, series_list) -> Path:
 
 
 def read_series_csv(path) -> dict[str, ScalingSeries]:
-    path = Path(path)
+    """Round-trip loader for :func:`write_series_csv` output; each series
+    is sorted by n."""
     rows: dict[str, list[tuple[int, float]]] = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for record in reader:
+        for record in csv.DictReader(handle):
             rows.setdefault(record["statistic"], []).append(
                 (int(record["n"]), float(record["value"]))
             )
-    out = {}
-    for name, pairs in rows.items():
-        pairs.sort()
-        out[name] = ScalingSeries(
-            statistic=name,
-            qubit_counts=np.array([p[0] for p in pairs]),
-            values=np.array([p[1] for p in pairs]),
-        )
-    return out
+    return {name: ScalingSeries(name, *zip(*sorted(pairs))) for name, pairs in rows.items()}

@@ -217,6 +217,15 @@ class TestSweepCommand:
             assert "dropped_prefix" in fits[name]
             assert "valid" in fits[name]
 
+    def test_prints_and_writes_exactly_series_and_fits(self, tmp_path, capsys):
+        payload = base_config(sweep={"n_values": [2, 3, 4, 5]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(out / "series.csv"), str(out / "fits.json")]
+        assert sorted(path.name for path in out.iterdir()) == ["fits.json", "series.csv"]
+
     def test_low_extrapolation_target_warns_but_computes(self, tmp_path, capsys):
         payload = base_config(sweep={"n_values": [2, 3, 4, 5, 6], "extrapolate_to": [3, 4, 3, 9]})
         payload["dataset"]["m"] = 20
@@ -452,6 +461,7 @@ class TestOptionalSections:
             ("estimate-shots", base_config(feature_map={"n_qubits": 7})),
             ("characterize", base_config(characterize={"n_values": [2, 7]})),
             ("characterize", base_config(characterize={"n_values": [2, 3, 7]})),
+            ("sweep", base_config(sweep={"n_values": [2, 3, 7]})),
             # reported before the qubit cap
             ("kernels", base_config(qubit_cap=3, feature_map={"n_qubits": 7})),
             ("estimate-shots", base_config(qubit_cap=3, feature_map={"n_qubits": 7})),
@@ -616,6 +626,36 @@ class TestOptionalSections:
                        f"increasing, got {counts}",
         }
         assert list(tmp_path.iterdir()) == [tmp_path / "config.yaml"]
+
+    def test_empty_sizes_of_an_unread_section_exit_two(self, tmp_path, capsys):
+        # the size rule is the key's cast, so kernels refuses it too
+        cfg = write_config(tmp_path, base_config(sweep={"n_values": []}))
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "configuration",
+            "message": "sweep.n_values: qubit counts must be non-empty and strictly "
+                       "increasing, got []",
+        }
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.yaml"]
+
+    @pytest.mark.parametrize("dataset, message", [
+        ({"type": "twonorm", "m": 16, "n_features": 0}, "n_features must be >= 1, got 0"),
+        ({"type": "twonorm", "m": 16, "n_features": -3}, "n_features must be >= 1, got -3"),
+        ({"type": "twonorm", "m": 0}, "need at least 2 points, got 0"),
+        ({"type": "twonorm", "m": -4}, "need at least 2 points, got -4"),
+        ({"type": "random_angles", "m": -1, "n_features": 6}, "need at least 2 points, got -1"),
+        ({"type": "random_angles", "m": 16, "n_features": -3},
+         "n_features must be >= 1, got -3"),
+    ], ids=["twonorm-no-features", "twonorm-negative-features", "twonorm-no-points",
+            "twonorm-negative-points", "angles-negative-points", "angles-negative-features"])
+    def test_non_positive_dataset_sizes_exit_two(self, tmp_path, capsys, recwarn, dataset,
+                                                 message):
+        # once NumPy warned, then refused the shape with exit 1
+        cfg = write_config(tmp_path, base_config(dataset=dataset))
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            json.dumps({"error": "configuration", "message": message})]
+        assert not recwarn.list
 
     def test_configured_classical_alpha_reaches_flops(self, tmp_path):
         cfg = write_config(tmp_path, resources_config(classical={"alpha": 1.5, "c0": 2.0}))
@@ -978,6 +1018,33 @@ def test_console_errors_are_one_json_line(tmp_path, argv, config, code, named):
     error = json.loads(lines[0])
     assert error["error"] == "configuration"
     assert named in error["message"]
+
+
+@pytest.mark.parametrize("command, config, code, artifact", [
+    ("kernels", TWONORM_20 + "sampling: {n_shots: 100000000000000000000}\n", 2, None),
+    ("sweep", "dataset: {type: twonorm, m: 20}\nfeature_map: {repetitions: 1}\n"
+     "sweep: {n_values: [2, 3, 4, 5, 6], extrapolate_to: [5000]}\n", 0, "fits.json"),
+    ("resources", "feature_map: {n_qubits: 2}\nresources: {m: 10, shots_per_estimate: 100, "
+     "n_values: [8, 5000], classical: {c0: 1}}\n", 0, "resources.json"),
+], ids=["shots-past-int64", "extrapolation-past-float", "classical-cost-past-float"])
+def test_past_the_number_ranges_no_traceback(tmp_path, command, config, code, artifact):
+    """Shot counts past int64 exit 2; extrapolations and classical costs
+    past the float range are inf, written as null."""
+    write_yaml(tmp_path / "config.yaml", config)
+    env = {**os.environ, "PYTHONPATH": str(Path(qkshots.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "qkshots.cli", command, "--config", "config.yaml", "--out", "."],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) <= 1 and all(isinstance(json.loads(line), dict) for line in lines)
+    if artifact == "fits.json":
+        fits = json.loads((tmp_path / artifact).read_text())["fits"]
+        assert None in [fit.get("extrapolations", {}).get("5000", 0.0) for fit in fits.values()]
+    elif artifact:
+        far = json.loads((tmp_path / artifact).read_text())["scenarios"][-1]["classical"]
+        assert far == {"energy_j": None, "flops": None, "runtime_s": None}
 
 
 class TestKernelRoundTrip:

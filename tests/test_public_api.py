@@ -2,6 +2,7 @@
 criteria import still exported."""
 
 import ast
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -72,6 +73,19 @@ def test_entry_budgets_hold_only_their_budget_columns():
                 for alias in node.names}
     assert "pair_indices" not in imported
     assert not hasattr(qkshots.shot_bounds, "_mean_pair_variance_terms")
+
+
+def test_size_series_carry_no_metadata():
+    # README, "Removed in 0.19.0": a series is its statistic, sizes and
+    # values; the size rule has one owner, scaling.check_qubit_counts; and
+    # no caller set the family name or the sidecar path
+    from qkshots import cli, kernels, serialize
+
+    assert [f.name for f in fields(qkshots.ScalingSeries)] == [
+        "statistic", "qubit_counts", "values"]
+    assert not hasattr(cli, "_qubit_counts")
+    assert list(inspect.signature(kernels.check_family).parameters) == ["family"]
+    assert list(inspect.signature(serialize.read_kernel_csv).parameters) == ["path"]
 
 
 def test_kernel_matrix_stores_one_packed_triangle():

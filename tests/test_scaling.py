@@ -168,7 +168,12 @@ class TestSweep:
         assert set(series) == {"mean", "std", "median", "iqr", "n_spread", "n_ca"}
         for s in series.values():
             assert list(s.qubit_counts) == [2, 3]
-            assert s.metadata["dataset_id"] == "toy"
+
+    def test_empty_sizes_give_the_shared_message(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^qubit counts must be non-empty and strictly increasing, got \[\]$"):
+            sweep(self._toy_dataset(), family="fidelity", repetitions=1,
+                  entanglement="linear", n_values=[])
 
     def test_projected_sweep_runs(self):
         series = sweep(
@@ -227,6 +232,10 @@ class TestScalingSeriesValidation:
     def test_rejects_non_increasing_counts(self):
         with pytest.raises(ValueError):
             ScalingSeries("mean", [2, 2, 3], [1.0, 2.0, 3.0])
+
+    def test_rejects_empty_counts(self):
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            ScalingSeries("mean", [], [])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
