@@ -8,7 +8,7 @@ concentration scaling laws, and converts shot budgets into runtime and
 energy estimates for ideal, error-corrected and classical execution.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .statevector import (
     ConfigurationError,
@@ -76,7 +76,6 @@ from .resources import (
     choose_code_distance,
     circuit_depth,
     classical_cost,
-    calibrate_c0,
     find_crossover,
     logical_error_rate,
     quantum_cost,

@@ -216,20 +216,6 @@ def classical_cost(
     )
 
 
-def calibrate_c0(
-    measured_runtime_s: float,
-    family: str,
-    n_qubits: int,
-    m: int,
-    profile: ClassicalProfile,
-) -> float:
-    """The c0 that makes the model reproduce one measured run exactly."""
-    if measured_runtime_s <= 0:
-        raise ValueError("measured runtime must be positive")
-    flops_needed = measured_runtime_s * profile.flops_per_second
-    return flops_needed / (2.0 ** (profile.alpha * n_qubits) * _estimate_count(family, m))
-
-
 def find_crossover(n_values, quantum_values, classical_values) -> int | None:
     """Smallest n at which the quantum value drops below the classical one;
     None when it never does within the scanned range."""

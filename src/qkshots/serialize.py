@@ -8,8 +8,9 @@ the one place a full matrix comes in, checks it and packs its triangle.
 All JSON is written UTF-8 with sorted keys and an indent of 2; every file
 (or its sidecar) embeds a provenance block with the tool version and the
 configuration, as written, that produced it. Per-entry shot budgets are
-streamed straight from their arrays, each pair's ``ShotBudget`` fields
-plus "i" and "j", in the bytes ``json.dump`` would give those records.
+streamed from their arrays in blocks of records, each block joined from a
+record's constant text and the token columns of its fields (each pair's
+``ShotBudget`` fields plus "i" and "j"), in the bytes ``json.dump`` gives.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -70,25 +72,24 @@ def _dumps(value) -> str:
 
 
 def _slot(name: str) -> str:
-    """The encoded placeholder of ``name`` in a template."""
+    """The encoded placeholder of ``name`` in an encoded payload."""
     return json.dumps(_SLOT + name)
 
 
-def _record_template(budgets: EntryBudgets) -> tuple[str, list[str]]:
-    """%-format template of one budget record, indented as an item of a
-    top-level list, and its per-entry fields in template order: the
-    :class:`ShotBudget` fields, "i" and "j", with the shared family, noisy
-    and inputs encoded once."""
+def _record_pieces(budgets: EntryBudgets) -> tuple[list[str], list[str]]:
+    """The constant text of one budget record, indented as an item of a
+    top-level list, cut at its per-entry fields, and those fields in text
+    order: the :class:`ShotBudget` fields, "i" and "j", with the shared
+    family, noisy and inputs encoded once."""
     shared = {"family": budgets.family, "noisy": budgets.noisy}
     names = ["i", "j"] + [f.name for f in fields(ShotBudget) if f.name not in {*shared, "inputs"}]
     inputs = ["kappa"] + (["ca_imposed"] if budgets.ca_imposed is not None else [])
     record = {**{name: _SLOT + name for name in names}, **shared,
               "inputs": {**budgets.inputs, **{name: _SLOT + name for name in inputs}}}
-    text = "    " + _dumps(record).replace("%", "%%").replace("\n", "\n    ")
-    names = sorted(names + inputs, key=lambda name: text.index(_slot(name)))
-    for name in names:
-        text = text.replace(_slot(name), "%s")
-    return text, names
+    text = "    " + _dumps(record).replace("\n", "\n    ")
+    slots = {_slot(name): name for name in names + inputs}
+    pieces = re.split("(" + "|".join(map(re.escape, slots)) + ")", text)
+    return pieces[0::2], [slots[slot] for slot in pieces[1::2]]
 
 
 # JSON tokens looked up by a boolean: index False, then True
@@ -96,57 +97,57 @@ _BOOLEANS = np.array(["false", "true"], dtype=object)
 _EFFECTS = np.array([json.dumps(CONCENTRATION_AVOIDANCE), json.dumps(SPREAD)], dtype=object)
 
 
-def _tokens(flags) -> list[str]:
-    return _BOOLEANS.take(flags).tolist()
+def _distinct_tokens(distinct: np.ndarray, index: np.ndarray, token) -> np.ndarray:
+    """``token`` of each of the ``distinct`` values, formatted once, taken at ``index``."""
+    return np.array([token(value) for value in distinct.tolist()], dtype=object)[index]
 
 
-def _counts(values, null) -> list:
-    """``int()`` of every Python float, "null" where ``null``."""
-    tokens = list(map(int, np.where(null, 0.0, values).tolist()))
-    for k in np.flatnonzero(null).tolist():
-        tokens[k] = "null"
-    return tokens
+def _integers(values: np.ndarray) -> np.ndarray:
+    """The JSON token of every integer-valued float or int: "null" for inf."""
+    return _distinct_tokens(*np.unique(values, return_inverse=True),
+                            lambda value: "null" if math.isinf(value) else str(int(value)))
 
 
-def _entry_columns(budgets: EntryBudgets, rows: slice, i, j) -> dict[str, list]:
+def _entry_columns(budgets: EntryBudgets, rows: slice, i, j) -> dict:
     """JSON tokens of every per-entry field of the pairs ``rows`` (indices ``i``, ``j``),
     as ``_jsonable`` would encode the ``asdict`` of their ``ShotBudget``."""
     kappa = budgets.kappa[rows]
     n_spread = np.trunc(budgets.n_spread[rows])
     n_ca = np.trunc(budgets.n_ca[rows])
-    unbounded = np.isinf(n_ca)
     columns = {
-        "i": i.tolist(),
-        "j": j.tolist(),
-        "kappa": list(map(repr, kappa.tolist())),
-        "n_spread": _counts(n_spread, False),
-        "n_ca": _counts(n_ca, unbounded),
-        "n_required": _counts(np.maximum(n_spread, n_ca), unbounded),
-        "unbounded": _tokens(unbounded),
-        "effect_dominant": _EFFECTS.take(n_spread >= n_ca).tolist(),
-        "degenerate": _tokens(budgets.degenerate[rows]),
+        "i": _integers(i),
+        "j": _integers(j),
+        "kappa": [repr(v) if math.isfinite(v) else "null" for v in kappa.tolist()],
+        "n_spread": _integers(n_spread),
+        "n_ca": _integers(n_ca),
+        "n_required": _integers(np.maximum(n_spread, n_ca)),
+        "unbounded": _BOOLEANS.take(np.isinf(n_ca)),
+        "effect_dominant": _EFFECTS.take(n_spread >= n_ca),
+        "degenerate": _BOOLEANS.take(budgets.degenerate[rows]),
     }
-    for k in np.flatnonzero(~np.isfinite(kappa)).tolist():
-        columns["kappa"][k] = json.dumps(_jsonable(float(kappa[k])))
     if budgets.ca_imposed is not None:
-        columns["ca_imposed"] = _tokens(budgets.ca_imposed[rows])
+        columns["ca_imposed"] = _BOOLEANS.take(budgets.ca_imposed[rows])
     return columns
 
 
 def _write_entries(handle, budgets: EntryBudgets) -> None:
     """Write the budget records of all pairs as an indented JSON list, one
-    block of :data:`ENTRY_BLOCK` records, or of one kernel row, per write."""
+    block of :data:`ENTRY_BLOCK` records, or of one kernel row, per write,
+    joined from the record's constant text and its fields' token columns."""
     m = _point_count(budgets.kappa.size)
     if m < 2:
         handle.write("[]")
         return
-    template, fields = _record_template(budgets)
-    separator = "[\n"
+    pieces, names = _record_pieces(budgets)
+    constant = np.array([",\n" + pieces[0], *pieces[1:]], dtype=object)
     for start, end, part in row_blocks(m, max(1, ENTRY_BLOCK // m)):
         columns = _entry_columns(budgets, part, *pair_indices(m, start, end))
-        records = zip(*(columns[name] for name in fields))
-        handle.write(separator + ",\n".join(template % record for record in records))
-        separator = ",\n"
+        items = np.empty((part.stop - part.start, 2 * len(names) + 1), dtype=object)
+        items[:, 0::2] = constant
+        items[:, 1::2] = np.array([columns[name] for name in names], dtype=object).T
+        if start == 0:
+            items[0, 0] = "[\n" + pieces[0]
+        handle.write("".join(items.ravel().tolist()))
     handle.write("\n  ]")
 
 
@@ -180,8 +181,7 @@ def _csv_rows(block: np.ndarray, row_format: str) -> str:
     bits, index = np.unique(block.view(np.int64), return_inverse=True)
     if 2 * bits.size > block.size:
         return "".join([row_format % tuple(row) for row in block.tolist()])
-    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    cells = text[index.reshape(-1)].tolist()
+    cells = _distinct_tokens(bits.view(np.float64), index.reshape(-1), "%.17g".__mod__).tolist()
     width = block.shape[1]
     return "".join([",".join(cells[k:k + width]) + "\r\n"
                     for k in range(0, len(cells), width)])

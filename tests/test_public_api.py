@@ -88,6 +88,18 @@ def test_size_series_carry_no_metadata():
     assert list(inspect.signature(serialize.read_kernel_csv).parameters) == ["path"]
 
 
+def test_budget_records_are_joined_without_a_format_template():
+    # README, "Removed in 0.20.0": records are constant text and token
+    # columns, joined; c0 calibration is a one-line formula, not a function
+    from qkshots import resources, serialize
+
+    assert not [name for name in ("_record_template", "_tokens", "_counts")
+                if hasattr(serialize, name)]
+    assert "%s" not in Path(serialize.__file__).read_text(encoding="utf-8")
+    assert not hasattr(resources, "calibrate_c0")
+    assert "calibrate_c0" not in qkshots.__all__
+
+
 def test_kernel_matrix_stores_one_packed_triangle():
     # README, "Removed in 0.16.0": the packed triangle is the only storage,
     # and no module re-derives the pair order or symmetrises a matrix

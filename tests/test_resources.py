@@ -7,7 +7,6 @@ from qkshots import (
     ConfigurationError,
     FeatureMapConfig,
     HardwareProfile,
-    calibrate_c0,
     choose_code_distance,
     circuit_depth,
     classical_cost,
@@ -167,14 +166,6 @@ class TestClassicalCost:
         small = classical_cost("fidelity", 10, 50, profile)
         large = classical_cost("fidelity", 12, 50, profile)
         assert large.runtime_s / small.runtime_s == pytest.approx(2 ** (1.07 * 2))
-
-    def test_c0_calibration_reproduces_run(self):
-        profile = ClassicalProfile(alpha=1.07)
-        c0 = calibrate_c0(12.5, "fidelity", 10, 50, profile)
-        calibrated = ClassicalProfile(alpha=1.07, c0=c0)
-        assert classical_cost("fidelity", 10, 50, calibrated).runtime_s == pytest.approx(
-            12.5, rel=1e-12
-        )
 
     def test_projected_counts_points_not_pairs(self):
         profile = ClassicalProfile(alpha=1.0, c0=1.0, flops_per_second=1.0)

@@ -10,6 +10,7 @@ arrays in a loop, and ``csv.writer``; the bytes must be equal.
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,26 @@ def test_budget_blocks_join_like_one_list(tmp_path, monkeypatch, kernel, block, 
     assert written_rows == [list(range(r, min(r + rows, kernel.m - 1))) for r in starts]
 
 
+@pytest.mark.parametrize("family", ["fidelity", "projected"])
+@pytest.mark.parametrize("m", [150, 300, 600])
+def test_budget_writer_holds_one_block_at_a_time(tmp_path, family, m):
+    """The writer's traced peak is one block of records, whatever m: the
+    file at m = 600 is 75-86 MB, the peak stays under 2 MB."""
+    points = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, size=(m, N_QUBITS))
+    budgets = entry_budgets(gram_matrix(points, CFG, family=family, gamma=GAMMA),
+                            EPS, DELTA, P_SPREAD, P_CA, 0.05)
+    tracemalloc.start()
+    try:
+        path = write_json(tmp_path / "budgets.json", {"entries": budgets})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    path.unlink()
+    assert size > 400 * m * (m - 1) / 2
+    assert peak < 2 * 2**20
+
+
 def test_empty_budgets_and_plain_payloads(tmp_path):
     one_point = KernelMatrix(np.empty(0), family="fidelity", config=CFG)
     budgets = entry_budgets(one_point, EPS, DELTA, P_SPREAD, P_CA)
@@ -137,6 +158,15 @@ def _signed_zero_kernel():
     return values
 
 
+def _csv_writer_bytes(values) -> bytes:
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow([f"k{i}" for i in range(len(values))])
+    for row in values:
+        writer.writerow([f"{v:.17g}" for v in row])
+    return reference.getvalue().encode("utf-8")
+
+
 @pytest.mark.parametrize("make_values, cell_block", [
     (_continuous_kernel, serialize.CELL_BLOCK),
     (_sampled_kernel, serialize.CELL_BLOCK),
@@ -152,16 +182,40 @@ def test_gram_csv_bytes_equal_csv_writer_and_round_trip(tmp_path, monkeypatch,
                           config=FeatureMapConfig(2))
     monkeypatch.setattr(serialize, "CELL_BLOCK", cell_block)
     path, _ = write_kernel_csv(tmp_path / "gram.csv", kernel)
-    reference = io.StringIO(newline="")
-    writer = csv.writer(reference)
-    writer.writerow([f"k{i}" for i in range(m)])
-    for row in values:
-        writer.writerow([f"{v:.17g}" for v in row])
-    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+    assert path.read_bytes() == _csv_writer_bytes(values)
     loaded = read_kernel_csv(path)
     assert np.array_equal(loaded.values, values)
     assert np.array_equal(np.signbit(loaded.values), np.signbit(values))
     assert (loaded.family, loaded.config) == ("fidelity", FeatureMapConfig(2))
+
+
+@pytest.mark.parametrize("distinct, formatted_once", [(4, True), (5, False)])
+def test_gram_csv_bytes_on_both_sides_of_the_distinct_cell_switch(tmp_path, monkeypatch,
+                                                                  distinct, formatted_once):
+    """A block of one row of 8 cells holding 4 distinct values formats each
+    distinct value once; one holding 5 formats every cell. Both give the
+    bytes of csv.writer. The kernel is circulant, entry (i, j) a function of
+    (j - i) mod 8 and of (i - j) mod 8 alike, with sampled values k / 16, so
+    every row holds the same values."""
+    offsets = [1.0, 3 / 16, 0.0, 9 / 16, 9 / 16 if distinct == 4 else 5 / 16]
+    m = 8
+    steps = np.subtract.outer(np.arange(m), np.arange(m)) % m
+    values = np.array(offsets)[np.minimum(steps, m - steps)]
+    assert [np.unique(row).size for row in values] == [distinct] * m
+    kernel = KernelMatrix(values[np.triu_indices(m, k=1)], family="fidelity",
+                          config=FeatureMapConfig(2))
+    monkeypatch.setattr(serialize, "CELL_BLOCK", m)  # one row per block
+    calls = []
+    shared = serialize._distinct_tokens
+
+    def spy(*args):
+        calls.append(args)
+        return shared(*args)
+
+    monkeypatch.setattr(serialize, "_distinct_tokens", spy)
+    path, _ = write_kernel_csv(tmp_path / "gram.csv", kernel)
+    assert path.read_bytes() == _csv_writer_bytes(values)
+    assert len(calls) == (m if formatted_once else 0)
 
 
 def _asymmetric():
